@@ -10,6 +10,7 @@ cell for cell, not merely in distribution.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2, sqrt
@@ -35,7 +36,6 @@ __all__ = [
     "HawkesRow",
     "GammaStarConfig",
     "gamma_star",
-    "estimate_survival_constant",
     "choose_copies",
     "select_anchor_cell",
 ]
@@ -106,14 +106,19 @@ class PercField:
 
     def variates(self, copy_key, level: int, coords: np.ndarray) -> np.ndarray:
         """Vectorized variates for an (m, d) array of same-level cells."""
-        m, d = coords.shape
-        self._check_width(level, d)
-        code = np.full(m, 1 << (level * d), dtype=np.uint64)
-        for a in range(d):
-            code |= coords[:, a].astype(np.uint64) << np.uint64(level * a)
-        h = np.uint64(self._copy_hash(copy_key))
-        v = _mix64_np(code ^ h)
+        v = _mix64_np(_cell_codes(level, coords) ^ np.uint64(self._copy_hash(copy_key)))
         return (v >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _cell_codes(level: int, coords: np.ndarray) -> np.ndarray:
+    """Counter codes of an (m, d) array of same-level cells: a leading 1 bit
+    above the level-bit coordinates, axis 0 lowest."""
+    m, d = coords.shape
+    PercField._check_width(level, d)
+    code = np.full(m, 1 << (level * d), dtype=np.uint64)
+    for a in range(d):
+        code |= coords[:, a].astype(np.uint64) << np.uint64(level * a)
+    return code
 
 
 @dataclass(frozen=True)
@@ -178,19 +183,8 @@ class PercSample:
     level_counts: tuple[int, ...] = ()  # alive cells per level, index 0 = root
 
 
-def _expand(frontier: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m, d = frontier.shape
-    kids = (2 * frontier[:, None, :] + offsets[None, :, :]).reshape(-1, d)
-    parents = np.repeat(np.arange(m), offsets.shape[0])
-    return kids, parents
-
-
 def _child_offsets(d: int) -> np.ndarray:
-    out = np.zeros((1 << d, d), dtype=np.int64)
-    for i in range(1 << d):
-        for a in range(d):
-            out[i, a] = (i >> (d - 1 - a)) & 1
-    return out
+    return (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
 
 
 def _pack(coords: np.ndarray, level: int) -> np.ndarray:
@@ -234,10 +228,90 @@ class _KRestriction:
         if leaf_code >> shift != code:
             raise ValueError(f"cell {cell} does not meet the reference set")
         mask = (1 << self.depth) - 1
-        leaf = []
-        for a in range(self.d - 1, -1, -1):
-            leaf.append((leaf_code >> (a * self.depth)) & mask)
-        return tuple(leaf)
+        return tuple((leaf_code >> (a * self.depth)) & mask
+                     for a in range(self.d - 1, -1, -1))
+
+
+# A batch whose children would pass _SPLIT_CELLS is split at a trial boundary and
+# the halves grown in turn, so peak memory stays near one trial's; one trial's
+# children may not pass _MAX_CELLS.
+_SPLIT_CELLS = 1 << 13
+_MAX_CELLS = 1 << 21
+
+
+def _restriction(k_set: DyadicSet | None, depth: int, d: int):
+    """The reference-set filter (None for the full cube) and the dimension."""
+    if k_set is None:
+        return None, d
+    if k_set.depth < depth:
+        raise ValueError("reference set must be rasterized at least to depth")
+    return _KRestriction(k_set), k_set.d
+
+
+def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: int,
+          d: int, restriction: _KRestriction | None = None, count_levels=(),
+          leaves: bool = False, completions: bool = False):
+    """The percolation level kernel: grows one trial per copy key to ``depth``,
+    all trials a level at a time, each row tagged with its trial id so every
+    variate is the one a per-trial run draws.  Returns ``counts[j, t]``, the
+    alive cells of trial ``t`` at level ``count_levels[j]``; with ``leaves``
+    the cells alive at ``depth``, trial by trial; and with ``completions``
+    (needs ``restriction``) the alive cells without an alive child, ordered
+    by trial, then level, then frontier order.
+    """
+    hashes = np.array([field._copy_hash(key) for key in keys], dtype=np.uint64)
+    # (v >> 11) <= floor(r * 2^53) is exactly the uniform test (v >> 11) * 2^-53 <= r.
+    thresholds = [None] + [np.uint64(schedule.retention(n) * 2.0 ** 53)
+                           for n in range(1, depth + 1)]
+    rows = {level: j for j, level in enumerate(count_levels)}
+    counts = np.zeros((len(rows), len(keys)), dtype=np.int64)
+    offsets, fan = _child_offsets(d), 1 << d
+    final, dead = [], []
+    stack = [(1, np.arange(len(keys)), np.zeros((len(keys), d), dtype=np.int64))]
+    while stack:
+        level, trial, frontier = stack.pop()
+        m = trial.shape[0]
+        if m == 0 or level > depth:
+            if leaves:
+                final.append(frontier)
+            continue
+        if m * fan > _SPLIT_CELLS and trial[0] != trial[-1]:
+            mid = trial[m // 2]
+            cut = np.searchsorted(trial, mid) or np.searchsorted(trial, mid, "right")
+            # the waiting half is copied so the whole level is not held for it
+            stack += [(level, trial[cut:].copy(), frontier[cut:].copy()),
+                      (level, trial[:cut], frontier[:cut])]
+            continue
+        if m * fan > _MAX_CELLS:
+            raise ResourceLimitError(f"level {level} of one trial would hold "
+                                     f"{m * fan} cells, over the limit {_MAX_CELLS}")
+        kids = (2 * frontier[:, None, :] + offsets).reshape(-1, d)
+        kid_trial = np.repeat(trial, fan)
+        parent = np.repeat(np.arange(m), fan) if completions else None
+        if restriction is not None:
+            keep = restriction.member_mask(kids, level)
+            kids, kid_trial = kids[keep], kid_trial[keep]
+            parent = parent[keep] if completions else None
+        v = _mix64_np(_cell_codes(level, kids) ^ hashes[kid_trial])
+        alive = (v >> np.uint64(11)) <= thresholds[level]
+        if completions:
+            fertile = np.zeros(m, dtype=bool)
+            fertile[parent[alive]] = True
+            idle = np.flatnonzero(~fertile)
+            dead.append((trial[idle], np.full(idle.shape[0], level - 1), frontier[idle]))
+        trial, frontier = kid_trial[alive], kids[alive]
+        j = rows.get(level)
+        if j is not None and trial.shape[0]:
+            counts[j, trial[0]:trial[-1] + 1] = np.bincount(trial - trial[0])
+        stack.append((level + 1, trial, frontier))
+    cells = np.concatenate(final) if leaves else None
+    if not completions:
+        return counts, cells, []
+    trial, levels, idle = (np.concatenate(c) for c in zip(*dead))
+    order = np.argsort(trial, kind="stable")
+    return counts, cells, [
+        Completion(level, cell, restriction.lex_least_leaf(cell, level))
+        for level, cell in zip(levels[order].tolist(), map(tuple, idle[order].tolist()))]
 
 
 def sample(schedule: RetentionSchedule, field: PercField, copy_key,
@@ -251,40 +325,14 @@ def sample(schedule: RetentionSchedule, field: PercField, copy_key,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    restriction = None
-    if k_set is not None:
-        if k_set.depth < depth:
-            raise ValueError("reference set must be rasterized at least to depth")
-        d = k_set.d
-        restriction = _KRestriction(k_set)
+    restriction, d = _restriction(k_set, depth, d)
     schedule.validate_dim(d, depth)
-    offsets = _child_offsets(d)
-    frontier = np.zeros((1, d), dtype=np.int64)
-    done: list[Completion] = []
-    level_counts = [1]
-    for level in range(1, depth + 1):
-        kids, parents = _expand(frontier, offsets)
-        if restriction is not None:
-            keep = restriction.member_mask(kids, level)
-            kids, parents = kids[keep], parents[keep]
-        u = field.variates(copy_key, level, kids)
-        alive = u <= schedule.retention(level)
-        if completions and restriction is not None:
-            alive_parents = set(parents[alive].tolist())
-            for p in range(frontier.shape[0]):
-                if p not in alive_parents:
-                    cell = tuple(frontier[p].tolist())
-                    done.append(Completion(
-                        level - 1, cell,
-                        restriction.lex_least_leaf(cell, level - 1)))
-        frontier = kids[alive]
-        level_counts.append(frontier.shape[0])
-        if frontier.shape[0] == 0:
-            level_counts += [0] * (depth - level)
-            break
-    leaves = frozenset(map(tuple, frontier.tolist())) if frontier.shape[0] else frozenset()
+    counts, cells, done = _grow(field, [copy_key], schedule, depth, d, restriction,
+                                range(1, depth + 1), leaves=True,
+                                completions=completions and restriction is not None)
+    leaves = frozenset(map(tuple, cells.tolist()))
     return PercSample(DyadicSet(d, depth, leaves), tuple(done), depth, copy_key,
-                      tuple(level_counts))
+                      (1, *counts[:, 0].tolist()))
 
 
 def coupled_pair(sched_a: RetentionSchedule, sched_b: RetentionSchedule,
@@ -292,9 +340,8 @@ def coupled_pair(sched_a: RetentionSchedule, sched_b: RetentionSchedule,
                  k_set: DyadicSet | None = None) -> tuple[PercSample, PercSample]:
     """Two schedules against identical variates; if ``sched_a`` dominates
     pointwise, its survivors are contained in the other's, exactly."""
-    sa = sample(sched_a, field, copy_key, depth, d, k_set)
-    sb = sample(sched_b, field, copy_key, depth, d, k_set)
-    return sa, sb
+    return (sample(sched_a, field, copy_key, depth, d, k_set),
+            sample(sched_b, field, copy_key, depth, d, k_set))
 
 
 def gw_extinction(p: float, children: int) -> float:
@@ -364,55 +411,22 @@ def hawkes_experiment(k_set: DyadicSet | None, beta, depths: Sequence[int],
     """
     beta = Fraction(beta)
     depths = sorted(set(depths))
-    max_depth = depths[-1]
-    if k_set is not None:
-        d = k_set.d
-        restriction = _KRestriction(k_set)
-        if k_set.depth < max_depth:
-            raise ValueError("reference set shallower than requested depth")
-    else:
-        restriction = None
+    if not depths or depths[0] < 1 or trials < 1:
+        raise ValueError(f"need depths >= 1 and trials >= 1, got {depths}, {trials}")
+    restriction, d = _restriction(k_set, depths[-1], d)
     if not 0 < beta < d:
         raise ValueError(f"beta must lie in (0, {d})")
-    schedule = RetentionSchedule.constant(beta)
-    offsets = _child_offsets(d)
-    retention = [0.0] + [schedule.retention(n) for n in range(1, max_depth + 1)]
-
-    alive_through = np.zeros((trials, len(depths)), dtype=bool)
-    counts_at = np.zeros((trials, len(depths)), dtype=np.int64)
-    for t in range(trials):
-        frontier = np.zeros((1, d), dtype=np.int64)
-        key = (copy_prefix, t)
-        level_reached = 0
-        counts = {}
-        for level in range(1, max_depth + 1):
-            kids, _ = _expand(frontier, offsets)
-            if restriction is not None:
-                kids = kids[restriction.member_mask(kids, level)]
-            if kids.shape[0]:
-                u = field.variates(key, level, kids)
-                frontier = kids[u <= retention[level]]
-            else:
-                frontier = kids
-            if frontier.shape[0] == 0:
-                break
-            level_reached = level
-            if level in depths:
-                counts[level] = frontier.shape[0]
-        for j, dep in enumerate(depths):
-            if level_reached >= dep:
-                alive_through[t, j] = True
-                counts_at[t, j] = counts[dep]
-
-    rows = []
-    flagged = []
-    for j, dep in enumerate(depths):
-        n_alive = int(alive_through[:, j].sum())
+    counts, _, _ = _grow(field, [(copy_prefix, t) for t in range(trials)],
+                         RetentionSchedule.constant(beta), depths[-1], d, restriction,
+                         depths)
+    rows, flagged = [], []
+    for dep, at_dep in zip(depths, counts):
+        alive = at_dep[at_dep > 0]
+        n_alive = alive.shape[0]
         frac = n_alive / trials
         half = 1.96 * sqrt(max(frac * (1 - frac), 1e-12) / trials)
         if n_alive:
-            slopes = np.log2(counts_at[alive_through[:, j], j]) / dep
-            cond = float(slopes.mean())
+            cond = float((np.log2(alive) / dep).mean())
         else:
             cond = None
             flagged.append(dep)
@@ -420,15 +434,6 @@ def hawkes_experiment(k_set: DyadicSet | None, beta, depths: Sequence[int],
                               min(1.0, frac + half), cond, n_alive))
     noninc = all(rows[i].survival >= rows[i + 1].survival for i in range(len(rows) - 1))
     return HawkesReport(beta, trials, tuple(rows), noninc, tuple(flagged))
-
-
-def estimate_survival_constant(k_set: DyadicSet, beta, depth: int, trials: int,
-                               field: PercField, copy_prefix="chat") -> float:
-    """Monte Carlo estimate of P(K meets the retention-beta limit set), taken
-    at finite depth (an upper bound for the true constant)."""
-    rep = hawkes_experiment(k_set, beta, [depth], trials, field,
-                            copy_prefix=copy_prefix)
-    return rep.rows[0].survival
 
 
 def choose_copies(c_hat: float, cap: int = 64) -> int:
@@ -452,10 +457,7 @@ def select_anchor_cell(k_set: DyadicSet, window_level: int | None = None) -> tup
     m = k_set.depth // 2 if window_level is None else window_level
     m = max(1, min(k_set.depth, m))
     shift = k_set.depth - m
-    groups: dict[tuple, int] = {}
-    for leaf in k_set.leaves:
-        anc = tuple(c >> shift for c in leaf)
-        groups[anc] = groups.get(anc, 0) + 1
+    groups = Counter(tuple(c >> shift for c in leaf) for leaf in k_set.leaves)
     top = max(groups.values())
     best = min(a for a, c in groups.items() if c == top)
     return min(leaf for leaf in k_set.leaves
@@ -530,21 +532,19 @@ def gamma_star(config: GammaStarConfig, x: Word | str, spec: TargetSpec,
             break
         q = tuple(c >> local_depth for c in config.y0_leaf)
         base = tuple(qc << local_depth for qc in q)
-        local_leaves = set()
-        for leaf in k_set.leaves:
-            if tuple(c >> local_depth for c in leaf) == q:
-                local_leaves.add(tuple(c - b for c, b in zip(leaf, base)))
+        local_leaves = {tuple(c - b for c, b in zip(leaf, base)) for leaf in k_set.leaves
+                        if tuple(c >> local_depth for c in leaf) == q}
         if not local_leaves:
             continue
-        local_k = DyadicSet(d, local_depth, frozenset(local_leaves))
-        for i in range(1, config.copies[k - 1] + 1):
-            smp = sample(schedule, field, ("gstar", k, i), local_depth,
-                         d, local_k, completions=True)
-            for leaf in smp.survivors.leaves:
-                leaves.add(tuple(c + b for c, b in zip(leaf, base)))
-            for comp in smp.completions:
-                cell = tuple(c + (qc << comp.level) for c, qc in zip(comp.cell, q))
-                z = tuple(c + b for c, b in zip(comp.z_cell, base))
-                done.append(Completion(comp.level + k, cell, z))
+        schedule.validate_dim(d, local_depth)
+        restriction = _KRestriction(DyadicSet(d, local_depth, frozenset(local_leaves)))
+        keys = [("gstar", k, i) for i in range(1, config.copies[k - 1] + 1)]
+        _, cells, local_done = _grow(field, keys, schedule, local_depth, d, restriction,
+                                     leaves=True, completions=True)
+        leaves.update(map(tuple, (cells + np.array(base)).tolist()))
+        for comp in local_done:
+            cell = tuple(c + (qc << comp.level) for c, qc in zip(comp.cell, q))
+            z = tuple(c + b for c, b in zip(comp.z_cell, base))
+            done.append(Completion(comp.level + k, cell, z))
     return PercSample(DyadicSet(d, depth, frozenset(leaves)), tuple(done),
                       depth, ("gstar", str(x)))

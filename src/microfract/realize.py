@@ -340,9 +340,13 @@ def choose_k(n: int, a, b, target) -> int:
     # mix(k) >= t - 2/sqrt(n), which must then also pass the upper side.
     q = da * db * dt
     nuq, vq = n * u * db, v * da
-    # Float seed: the real k at which mix(k) = t - 2/sqrt(n).
-    e = 2.0 / math.sqrt(n)
-    seed = n * (u / (da * dt) - e) / (v / (db * dt) + e)
+    # Float seed: the real k at which mix(k) = t - 2/sqrt(n); for n past the
+    # float range, kmin (the exact search below accepts any seed).
+    try:
+        e = 2.0 / math.sqrt(n)
+        seed = n * (u / (da * dt) - e) / (v / (db * dt) + e)
+    except OverflowError:
+        seed = kmin
     k = kmin if seed <= kmin else kmax if seed >= kmax else math.ceil(seed)
 
     # Exact search for the smallest k past the lower side, mix(k) >= t -

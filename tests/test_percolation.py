@@ -1,25 +1,31 @@
+import hashlib
+import itertools
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
 
-from microfract.dyadic import DyadicSet, full_cube, hausdorff_distance, kx_set
+from microfract import percolation
+from microfract.cli import main
+from microfract.dyadic import DyadicSet, full_cube, hausdorff_distance, kx_set, product
 from microfract.errors import ResourceLimitError
 from microfract.percolation import (
     Completion,
     GammaStarConfig,
+    HawkesReport,
+    HawkesRow,
     PercField,
     RetentionSchedule,
     choose_copies,
     coupled_pair,
-    estimate_survival_constant,
     gamma_star,
     gw_extinction,
     hawkes_experiment,
     sample,
     select_anchor_cell,
 )
-from microfract.realize import TargetSpec
+from microfract.realize import TargetSpec, VarphiMap
 from microfract.seq import Word, beatty_balanced, factor
 
 
@@ -279,7 +285,8 @@ class TestHelpers:
 
     def test_survival_constant_estimate(self):
         k = full_cube(1, 8)
-        c = estimate_survival_constant(k, Fraction(1, 2), 8, 300, PercField(2))
+        c = hawkes_experiment(k, Fraction(1, 2), [8], 300, PercField(2),
+                              copy_prefix="chat").rows[0].survival
         assert 0.5 < c < 1.0
 
 
@@ -289,3 +296,217 @@ class TestCubeKeyedVariates:
         f = PercField(55)
         cube = CubeIdx(5, (13,))
         assert f.variate_cube("c", cube) == f.variate("c", 5, (13,))
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel against the per-trial level loop it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_sample(schedule, field, copy_key, depth, d=1, k_set=None, completions=False):
+    """Reference: the per-trial level loop the batched kernel replaced, one
+    trial grown level by level with float variates.  Returns (survivor
+    leaves, completions, level counts)."""
+    restriction = None
+    if k_set is not None:
+        d = k_set.d
+        restriction = percolation._KRestriction(k_set)
+    offsets = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)
+    frontier = np.zeros((1, d), dtype=np.int64)
+    done, counts = [], [1]
+    for level in range(1, depth + 1):
+        kids = (2 * frontier[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        parents = np.repeat(np.arange(frontier.shape[0]), offsets.shape[0])
+        if restriction is not None:
+            keep = restriction.member_mask(kids, level)
+            kids, parents = kids[keep], parents[keep]
+        alive = field.variates(copy_key, level, kids) <= schedule.retention(level)
+        if completions and restriction is not None:
+            fertile = set(parents[alive].tolist())
+            for p in range(frontier.shape[0]):
+                if p not in fertile:
+                    cell = tuple(frontier[p].tolist())
+                    done.append(Completion(level - 1, cell,
+                                           restriction.lex_least_leaf(cell, level - 1)))
+        frontier = kids[alive]
+        counts.append(frontier.shape[0])
+        if frontier.shape[0] == 0:
+            counts += [0] * (depth - level)
+            break
+    return frozenset(map(tuple, frontier.tolist())), done, counts
+
+
+def oracle_hawkes(k_set, beta, depths, trials, field, d=1, copy_prefix="hawkes"):
+    depths = sorted(set(depths))
+    if k_set is not None:
+        d = k_set.d
+    sched = RetentionSchedule.constant(beta)
+    counts = np.array([oracle_sample(sched, field, (copy_prefix, t), depths[-1], d, k_set)[2]
+                       for t in range(trials)], dtype=np.int64)
+    rows, flagged = [], []
+    for dep in depths:
+        alive = counts[:, dep] > 0
+        n_alive = int(alive.sum())
+        frac = n_alive / trials
+        half = 1.96 * sqrt(max(frac * (1 - frac), 1e-12) / trials)
+        cond = float((np.log2(counts[alive, dep]) / dep).mean()) if n_alive else None
+        if cond is None:
+            flagged.append(dep)
+        rows.append(HawkesRow(dep, frac, max(0.0, frac - half), min(1.0, frac + half),
+                              cond, n_alive))
+    noninc = all(rows[i].survival >= rows[i + 1].survival for i in range(len(rows) - 1))
+    return HawkesReport(Fraction(beta), trials, tuple(rows), noninc, tuple(flagged))
+
+
+def oracle_gamma_star(config, x, spec, field, depth, k_set):
+    vm = VarphiMap(spec, positive_gamma=config.gamma)
+    sched = RetentionSchedule.from_list(
+        [config.gamma - vm.value(x.prefix(n)) for n in range(1, depth + 1)])
+    leaves, done = {config.y0_leaf}, []
+    for k in range(1, config.k_max + 1):
+        local_depth = depth - k
+        if local_depth < 1:
+            break
+        q = tuple(c >> local_depth for c in config.y0_leaf)
+        base = tuple(qc << local_depth for qc in q)
+        local = frozenset(tuple(c - b for c, b in zip(leaf, base)) for leaf in k_set.leaves
+                          if tuple(c >> local_depth for c in leaf) == q)
+        if not local:
+            continue
+        local_k = DyadicSet(k_set.d, local_depth, local)
+        for i in range(1, config.copies[k - 1] + 1):
+            surv, comps, _ = oracle_sample(sched, field, ("gstar", k, i), local_depth,
+                                           k_set=local_k, completions=True)
+            leaves |= {tuple(c + b for c, b in zip(leaf, base)) for leaf in surv}
+            for comp in comps:
+                cell = tuple(c + (qc << comp.level) for c, qc in zip(comp.cell, q))
+                z = tuple(c + b for c, b in zip(comp.z_cell, base))
+                done.append(Completion(comp.level + k, cell, z))
+    return frozenset(leaves), done
+
+
+@pytest.fixture(params=["default", "tiny"])
+def split(request, monkeypatch):
+    """Runs a case with the batch split at its default size and again with a
+    split size so small that every batch is cut down to single trials."""
+    if request.param == "tiny":
+        monkeypatch.setattr(percolation, "_SPLIT_CELLS", 3)
+
+
+BEATTY_10 = kx_set(factor(beatty_balanced(Fraction(2, 5)), 0, 10))
+PLANE_7 = product(kx_set(factor(beatty_balanced(Fraction(2, 3)), 0, 7)),
+                  kx_set(factor(beatty_balanced(Fraction(3, 4)), 0, 7)))
+
+
+class TestKernelMatchesPerTrialLoop:
+    @pytest.mark.parametrize("k_set, beta, d, depths", [
+        (None, Fraction(1, 2), 1, [3, 7, 12]),
+        (None, Fraction(3, 2), 2, [2, 5, 7]),
+        (BEATTY_10, Fraction(1, 3), 1, [1, 4, 10]),
+        (PLANE_7, Fraction(4, 5), 2, [3, 7]),
+    ])
+    def test_hawkes_csv(self, split, k_set, beta, d, depths):
+        field = PercField(2718)
+        got = hawkes_experiment(k_set, beta, depths, 60, field, d=d)
+        want = oracle_hawkes(k_set, beta, depths, 60, PercField(2718), d=d)
+        assert got.to_csv() == want.to_csv()
+        assert got == want
+
+    @pytest.mark.parametrize("k_set, d, depth", [
+        (None, 1, 14), (None, 2, 7), (BEATTY_10, 1, 10), (PLANE_7, 2, 6)])
+    def test_sample(self, split, k_set, d, depth):
+        sched = RetentionSchedule.from_list(
+            [Fraction(n % 4, 5) for n in range(1, depth + 1)])
+        for t in range(8):
+            field = PercField(31 + t)
+            smp = sample(sched, field, ("eq", t), depth, d, k_set, completions=True)
+            leaves, done, counts = oracle_sample(sched, field, ("eq", t), depth, d, k_set,
+                                                 completions=True)
+            assert smp.survivors.leaves == leaves
+            assert list(smp.level_counts) == counts
+            assert list(smp.completions) == done
+
+    @pytest.mark.parametrize("d, depth", [(1, 10), (2, 6)])
+    def test_gamma_star(self, split, d, depth):
+        k_set = full_cube(d, depth) if d == 2 else kx_set(
+            factor(beatty_balanced(Fraction(4, 5)), 0, depth))
+        y0 = select_anchor_cell(k_set)
+        cfg = GammaStarConfig(Fraction(1), (Fraction(1, 2), Fraction(3, 4)), (5, 5),
+                              (0.5, 0.5), y0, 2)
+        spec = TargetSpec.interval_union([(Fraction(2, 5), Fraction(9, 10))])
+        x = Word(tuple((i * 7 // 3) % 2 for i in range(depth)))
+        smp = gamma_star(cfg, x, spec, PercField(404), depth, k_set)
+        leaves, done = oracle_gamma_star(cfg, x, spec, PercField(404), depth, k_set)
+        assert done  # the copies must die somewhere for the order to be tested
+        assert smp.survivors.leaves == leaves
+        assert list(smp.completions) == done
+
+
+# sha256 of the CSV rows (header comments excluded) and of the saved set,
+# recorded with the per-trial loop before the batched kernel replaced it.
+PINNED_CLI = [
+    (["percolate", "--k", "full:2", "--beta", "3/2", "--depth", "10", "--trials", "200",
+      "--seed", "11"],
+     "91e57463a231ccf75c610f7953417335a42952aeff11c9245842a15bba88b30d",
+     "8ecd726a64e4892b301fc82ff2592bc29e4867c303116c9ced906a5ec748b969"),
+    (["percolate", "--k", "beatty:1/3", "--beta", "3/5", "--depth", "14", "--trials", "300",
+      "--seed", "4"],
+     "e6605ae68d777843f78f69f78bc2e6567893c1808ebae0ffc511b20a3d2b4d98", None),
+    (["hawkes", "--k", "full:1", "--beta", "1/2", "--depths", "4,9,15", "--trials", "300",
+      "--seed", "9"],
+     "afd2b3d8df8bb2a09c23abc3184c943e07b101d73b93fba47bc2d0b00aa0456f", None),
+    (["hawkes", "--k", "beatty:2/5", "--beta", "1/3", "--depths", "3,8,12", "--trials", "200",
+      "--seed", "2"],
+     "b68c3a3ab8b86bad9f9854d7d8849487782d622f433ffa6dcf0062fb867adabf", None),
+]
+
+
+@pytest.mark.parametrize("argv, csv_sha, set_sha", PINNED_CLI)
+def test_pinned_cli_outputs(tmp_path, split, argv, csv_sha, set_sha):
+    out, saved = tmp_path / "out.csv", tmp_path / "set.bin"
+    extra = ["--save-set", str(saved)] if set_sha else []
+    assert main(argv + ["--out", str(out)] + extra) == 0
+    rows = "".join(ln for ln in out.read_text().splitlines(True) if not ln.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == csv_sha
+    if set_sha:
+        assert hashlib.sha256(saved.read_bytes()).hexdigest() == set_sha
+
+
+class TestLimitsAndValidation:
+    def test_single_trial_over_cell_limit(self, monkeypatch):
+        monkeypatch.setattr(percolation, "_MAX_CELLS", 1 << 10)
+        with pytest.raises(ResourceLimitError, match="over the limit 1024"):
+            sample(RetentionSchedule.constant(0), PercField(1), "big", 12, d=2)
+        with pytest.raises(ResourceLimitError):
+            hawkes_experiment(None, Fraction(1, 100), [12], 3, PercField(1), d=2)
+
+    def test_many_small_trials_split_not_refused(self, monkeypatch):
+        # 400 trials hold far more cells together than one trial may alone
+        monkeypatch.setattr(percolation, "_MAX_CELLS", 1 << 10)
+        monkeypatch.setattr(percolation, "_SPLIT_CELLS", 1 << 8)
+        rep = hawkes_experiment(None, Fraction(1, 2), [8], 400, PercField(3))
+        monkeypatch.undo()
+        assert rep == hawkes_experiment(None, Fraction(1, 2), [8], 400, PercField(3))
+
+    def test_cli_cell_limit_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(percolation, "_MAX_CELLS", 1 << 12)
+        rc = main(["percolate", "--k", "full:2", "--depth", "26", "--beta", "1/100",
+                   "--trials", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "over the limit 4096" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("depths, trials", [([0, 4], 10), ([-1], 10), ([], 10),
+                                                ([4], 0), ([4], -3)])
+    def test_hawkes_rejects_bad_depths_and_trials(self, depths, trials):
+        with pytest.raises(ValueError):
+            hawkes_experiment(None, Fraction(1, 2), depths, trials, PercField(0))
+
+    @pytest.mark.parametrize("args", [["--depths", "0,4", "--trials", "10"],
+                                      ["--depths", "4", "--trials", "0"]])
+    def test_cli_hawkes_bad_input_exits_1(self, tmp_path, capsys, args):
+        # trials < 1 is refused by the config schema before the library runs
+        rc = main(["hawkes", "--k", "full:1", "--beta", "1/2", *args,
+                   "--out", str(tmp_path / "h.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err != "error: 0\n"

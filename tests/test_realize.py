@@ -214,6 +214,21 @@ class TestChooseK:
             mix = lambda k: (a * n + b * k) / (n + k)
             assert abs(mix(kc) - t) <= abs(mix(km) - t)
 
+    def test_n_past_float_range(self):
+        # sqrt(n) overflows a float here; the answer must still be the
+        # minimal admissible k, checked exactly.
+        def admissible(n, a, b, t, k):
+            diff = (a * n + b * k) / (n + k) - t
+            return isqrt(n) <= k and k * k < n ** 3 + 2 * k + 1 and n * diff * diff <= 4
+
+        for n in (10 ** 400, 10 ** 400 + 7, 3 ** 900):
+            for a, b, t in [(Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)),
+                            (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)),
+                            (Fraction(0), Fraction(1), Fraction(1, 7))]:
+                k = choose_k(n, a, b, t)
+                assert admissible(n, a, b, t, k)
+                assert not admissible(n, a, b, t, k - 1)
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             choose_k(0, 0, 1, Fraction(1, 2))
