@@ -22,7 +22,7 @@ from .dyadic import full_cube, kx_set, pack_bits, to_json, zoom
 from .errors import InvariantViolation, OracleError, ResolutionExhausted, ResourceLimitError
 from .families import EuclideanNet, family_dim_report, family_member
 from .percolation import PercField, RetentionSchedule, hawkes_experiment, sample
-from .realize import TargetSpec, VarphiMap, build_psi_prefix, realized_density_check
+from .realize import BlockMap, TargetSpec, build_psi_prefix, realized_density_check
 from .seq import Word, beatty_balanced, factor, periodic
 
 MAX_DEPTH = 26
@@ -62,7 +62,10 @@ CONFIG_SCHEMA = {
 
 
 def _fraction(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def _parse_word_spec(spec: str, depth: int) -> Word:
@@ -182,9 +185,9 @@ def _cmd_realize(config: dict) -> str:
         x = Word.from_bits(rng.integers(0, 2, size=blocks).tolist())
     if len(x) < blocks - 1:
         raise ValueError(f"branch supplies {len(x)} bits, need {blocks - 1}")
-    vm = VarphiMap(spec)
-    prefix = build_psi_prefix(x, spec, blocks, block_map=None)
-    expected = vm.value(x.prefix(blocks - 1))
+    bm = BlockMap(spec)
+    prefix = build_psi_prefix(x, spec, blocks, block_map=bm)
+    expected = bm.varphi.value(x.prefix(blocks - 1))
     report = realized_density_check(prefix, expected)
     lines = ["block,n,k,phi,density,abs_error,length_fraction"]
     for c in report.blocks:
@@ -242,7 +245,7 @@ def _cmd_zoom(config: dict) -> str:
         _check_depth(depth)
         k_set, d = _parse_set_spec(spec, depth)
         base = k_set if k_set is not None else full_cube(d, depth)
-    u = [Fraction(part) for part in config.get("u", "0").split(",")]
+    u = [_fraction(part) for part in config.get("u", "0").split(",")]
     if len(u) == 1:
         u = u * base.d
     view = zoom(base, config["m"], tuple(u))
@@ -276,7 +279,10 @@ _REQUIRED = {
 
 def run(config: dict) -> str:
     """Validate a config and dispatch; returns the one-line summary."""
-    jsonschema.validate(config, CONFIG_SCHEMA)
+    try:
+        jsonschema.validate(config, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as e:
+        raise ValueError(f"config {e.json_path}: {e.message}") from None
     command = config["command"]
     missing = [k for k in _REQUIRED[command] if k not in config]
     if missing:
@@ -350,17 +356,21 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
-                config.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 1
+        if not isinstance(loaded, dict):
+            print("error: a config file holds one JSON object", file=sys.stderr)
+            return 1
+        config.update(loaded)
     for key, val in vars(args).items():
         if key in ("config", "print_schema") or val is None or val is False:
             continue
         config[key] = val
     try:
         summary = run(config)
-    except (jsonschema.ValidationError, ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (InvariantViolation, OracleError) as e:

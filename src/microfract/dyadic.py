@@ -19,7 +19,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from functools import cached_property
+from itertools import chain, product as iter_product
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "product",
     "hausdorff_distance",
     "zoom",
-    "meets_open_cube",
     "decompose",
     "verify_sandwich",
     "to_json",
@@ -67,49 +67,123 @@ class CubeIdx:
         return CubeIdx(self.level - 1, tuple(c >> 1 for c in self.coords))
 
 
+_CODE_BITS = 62
+
+
+def _morton(coords: np.ndarray, level: int) -> np.ndarray:
+    """Morton codes of an (m, d) array of cells below level ``level``: bit j
+    of axis a goes to bit ``j*d + d-1-a``, so axis 0 takes the high bit of
+    each d-bit group and a cell's children ``code << d | o`` follow in
+    ``pack_bits``' child order."""
+    m, d = coords.shape
+    if d == 1:
+        return coords[:, 0].astype(np.int64)
+    code = np.zeros(m, dtype=np.int64)
+    for a in range(d):
+        c = coords[:, a].astype(np.int64)
+        for j in range(level):
+            code |= ((c >> j) & 1) << (j * d + d - 1 - a)
+    return code
+
+
+def _unmorton(codes: np.ndarray, level: int, d: int) -> np.ndarray:
+    """The (m, d) coordinates of level-``level`` Morton codes."""
+    if d == 1:
+        return codes.astype(np.int64)[:, None]
+    coords = np.zeros((codes.shape[0], d), dtype=np.int64)
+    for a in range(d):
+        for j in range(level):
+            coords[:, a] |= ((codes >> (j * d + d - 1 - a)) & 1) << j
+    return coords
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array."""
+    keep = np.ones(codes.shape[0], dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 @dataclass(frozen=True)
 class DyadicSet:
-    """An antichain-free union of level-``depth`` cells of [0,1]^d."""
+    """An antichain-free union of level-``depth`` cells of [0,1]^d.
+
+    ``leaves`` holds the cells as coordinate tuples; :attr:`codes` is the
+    one integer form behind every query, the sorted Morton codes of the
+    leaves (a linear quadtree).  A level-m ancestor is
+    ``code >> d*(depth-m)``, so the leaves under one cell form a
+    contiguous slice of it.
+    """
 
     d: int
     depth: int
     leaves: frozenset
 
+    def __post_init__(self):
+        if self.d < 1 or self.depth < 0:
+            raise ValueError(f"need d >= 1 and depth >= 0, got d={self.d}, depth={self.depth}")
+        if self.d * self.depth > _CODE_BITS:
+            raise ResourceLimitError(f"cells at d={self.d}, depth={self.depth} need "
+                                     f"{self.d * self.depth}-bit codes, over {_CODE_BITS}")
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Sorted int64 Morton codes of the leaves (read-only, cached)."""
+        flat = np.fromiter(chain.from_iterable(self.leaves), dtype=np.int64,
+                           count=len(self.leaves) * self.d)
+        codes = np.sort(_morton(flat.reshape(-1, self.d), self.depth))
+        codes.flags.writeable = False
+        return codes
+
     @property
     def is_empty(self) -> bool:
         return not self.leaves
 
-    def level_cells(self, m: int) -> frozenset:
-        """Alive cells at level ``m`` <= depth (ancestors of the leaves)."""
+    def _level_codes(self, m: int) -> np.ndarray:
         if not 0 <= m <= self.depth:
             raise ValueError(f"level {m} out of range for depth {self.depth}")
-        k = self.depth - m
-        if k == 0:
+        return _distinct(self.codes >> (self.d * (self.depth - m)))
+
+    def level_cells(self, m: int) -> frozenset:
+        """Alive cells at level ``m`` <= depth (ancestors of the leaves)."""
+        if m == self.depth:
             return self.leaves
-        return frozenset(tuple(c >> k for c in leaf) for leaf in self.leaves)
+        return _tuples(_unmorton(self._level_codes(m), m, self.d))
 
     def count(self, m: int) -> int:
-        return len(self.level_cells(m))
+        return self._level_codes(m).shape[0]
 
     def __contains__(self, cube: CubeIdx) -> bool:
-        return cube.coords in self.level_cells(cube.level)
+        if not 0 <= cube.level <= self.depth:
+            raise ValueError(f"level {cube.level} out of range for depth {self.depth}")
+        if len(cube.coords) != self.d:
+            return False
+        shift = self.d * (self.depth - cube.level)
+        z = int(_morton(np.array([cube.coords], dtype=np.int64), cube.level)[0])
+        i = np.searchsorted(self.codes, z << shift)
+        return i < self.codes.shape[0] and int(self.codes[i]) >> shift == z
 
-    def _coord_array(self) -> np.ndarray:
-        arr = np.fromiter(
-            (c for leaf in sorted(self.leaves) for c in leaf),
-            dtype=np.int64,
-            count=len(self.leaves) * self.d,
-        )
-        return arr.reshape(len(self.leaves), self.d)
+
+def _tuples(coords: np.ndarray) -> frozenset:
+    return frozenset(zip(*(col.tolist() for col in coords.T)))
+
+
+def _from_codes(d: int, depth: int, codes: np.ndarray) -> DyadicSet:
+    """The set whose sorted distinct Morton codes are ``codes``."""
+    s = DyadicSet(d, depth, _tuples(_unmorton(codes, depth, d)))
+    codes.flags.writeable = False
+    s.__dict__["codes"] = codes  # seeds the cached property
+    return s
 
 
 def _validated(d: int, depth: int, leaves) -> DyadicSet:
+    """The set of integer ``leaves``, after a check that each is a cell."""
+    s = DyadicSet(d, depth, frozenset(map(tuple, leaves)))
     hi = 1 << depth
-    fs = frozenset(tuple(int(c) for c in leaf) for leaf in leaves)
-    for leaf in fs:
+    for leaf in s.leaves:
         if len(leaf) != d or any(not 0 <= c < hi for c in leaf):
             raise ValueError(f"bad leaf {leaf} for d={d}, depth={depth}")
-    return DyadicSet(d, depth, fs)
+    return s
 
 
 def kx_set(x: Word | str) -> DyadicSet:
@@ -122,14 +196,14 @@ def kx_set(x: Word | str) -> DyadicSet:
     if isinstance(x, str):
         x = Word.from_string(x)
     n = len(x)
-    if x.sigma > 24:
-        raise ResourceLimitError(f"kx_set would have 2^{x.sigma} leaves")
-    coords = [0]
-    for i, b in enumerate(x.bits):
-        if b:
-            hi_bit = 1 << (n - 1 - i)
-            coords += [c | hi_bit for c in coords]
-    return DyadicSet(1, n, frozenset((c,) for c in coords))
+    if x.sigma > 24 or n > _CODE_BITS:
+        raise ResourceLimitError(f"kx_set would have 2^{x.sigma} leaves of depth {n} "
+                                 f"(limits 2^24 and {_CODE_BITS})")
+    codes = np.zeros(1, dtype=np.int64)
+    for i in range(n - 1, -1, -1):  # low bits first, so the codes stay sorted
+        if x.bits[i]:
+            codes = np.concatenate([codes, codes | (1 << (n - 1 - i))])
+    return _from_codes(1, n, codes)
 
 
 def full_cube(d: int, depth: int) -> DyadicSet:
@@ -142,7 +216,7 @@ def full_cube(d: int, depth: int) -> DyadicSet:
 
 def singleton_chain(d: int, depth: int, corner: tuple[int, ...] | None = None) -> DyadicSet:
     """The single leaf cell at ``corner`` (default: the origin cell)."""
-    corner = tuple(corner) if corner is not None else (0,) * d
+    corner = tuple(map(int, corner)) if corner is not None else (0,) * d
     return _validated(d, depth, [corner])
 
 
@@ -162,17 +236,10 @@ def product(a: DyadicSet, b: DyadicSet) -> DyadicSet:
 
 def _intervals_half_units(s: DyadicSet) -> list[tuple[int, int]]:
     """Maximal closed intervals of a 1-D cell union, in units of 2^-(depth+1)."""
-    cs = sorted(c for (c,) in s.leaves)
-    out = []
-    run_start = prev = cs[0]
-    for c in cs[1:]:
-        if c == prev + 1:
-            prev = c
-            continue
-        out.append((2 * run_start, 2 * prev + 2))
-        run_start = prev = c
-    out.append((2 * run_start, 2 * prev + 2))
-    return out
+    cs = s.codes
+    cut = np.flatnonzero(np.diff(cs) != 1)  # runs of adjacent cells end here
+    starts, ends = np.r_[cs[0], cs[cut + 1]], np.r_[cs[cut], cs[-1]]
+    return list(zip((2 * starts).tolist(), (2 * ends + 2).tolist()))
 
 
 def _dist_to_intervals(x: int, starts: list[int], ends: list[int]) -> int:
@@ -203,8 +270,12 @@ def _directed_1d(a_iv, b_iv) -> int:
     return max(_dist_to_intervals(x, starts, ends) for x in cands)
 
 
+def _cells(s: DyadicSet) -> np.ndarray:
+    return _unmorton(s.codes, s.depth, s.d)
+
+
 def _half_lattice_candidates(s: DyadicSet) -> np.ndarray:
-    cells = s._coord_array()
+    cells = _cells(s)
     offs = np.array(list(iter_product((0, 1, 2), repeat=s.d)), dtype=np.int64)
     pts = (2 * cells[:, None, :] + offs[None, :, :]).reshape(-1, s.d)
     return np.unique(pts, axis=0)
@@ -212,18 +283,15 @@ def _half_lattice_candidates(s: DyadicSet) -> np.ndarray:
 
 def _directed_sup(a: DyadicSet, b: DyadicSet) -> int:
     pts = _half_lattice_candidates(a)
-    cells = b._coord_array()
-    lo = 2 * cells
-    hi = lo + 2
+    centers = 2 * _cells(b) + 1
+    # a point's sup distance to a cell is max(|p - center|_sup - 1, 0), and
+    # that map is monotone, so it is applied once to the max-min
     best = 0
-    chunk = max(1, (1 << 22) // max(1, cells.shape[0] * a.d))
+    chunk = max(1, (1 << 22) // max(1, centers.shape[0] * a.d))
     for i in range(0, pts.shape[0], chunk):
-        p = pts[i:i + chunk][:, None, :]
-        gaps = np.maximum(lo[None, :, :] - p, p - hi[None, :, :])
-        np.maximum(gaps, 0, out=gaps)
-        dist = gaps.max(axis=2).min(axis=1)
-        best = max(best, int(dist.max()))
-    return best
+        gaps = np.abs(pts[i:i + chunk][:, None, :] - centers)
+        best = max(best, int(gaps.max(axis=2).min(axis=1).max()))
+    return max(best - 1, 0)
 
 
 def hausdorff_distance(a: DyadicSet, b: DyadicSet, metric: str = "sup") -> Fraction:
@@ -268,15 +336,7 @@ def zoom(a: DyadicSet, m: int, u) -> DyadicSet:
     if m > a.depth:
         raise ValueError(f"zoom exponent {m} exceeds depth {a.depth}")
     new_depth = a.depth - m
-    u = _as_tuple(u, a.d)
-    shift = []
-    for ua in u:
-        t = Fraction(ua) * (1 << new_depth)
-        if t.denominator != 1:
-            raise ValueError(
-                f"translation {ua} not aligned to the level-{new_depth} grid"
-            )
-        shift.append(int(t))
+    shift = _grid_shift(u, a.d, new_depth)
     hi = 1 << new_depth
     leaves = set()
     for leaf in a.leaves:
@@ -286,16 +346,6 @@ def zoom(a: DyadicSet, m: int, u) -> DyadicSet:
     if not leaves:
         raise ValueError("zoom produced an empty view")
     return DyadicSet(a.d, new_depth, frozenset(leaves))
-
-
-def meets_open_cube(a: DyadicSet) -> bool:
-    """Finite-depth proxy for "meets (0,1)^d": some cell interior does.
-
-    Full cells inside the unit cube always have interior in (0,1)^d, so for
-    this representation the flag is simply nonemptiness; the limit object a
-    deep set approximates may still sit on the boundary.
-    """
-    return not a.is_empty
 
 
 def decompose(x: Word | str, n: int) -> list[tuple[Fraction, DyadicSet]]:
@@ -312,13 +362,9 @@ def decompose(x: Word | str, n: int) -> list[tuple[Fraction, DyadicSet]]:
         raise ValueError(f"level {n} exceeds available prefix length {len(x)}")
     whole = kx_set(x)
     k = whole.depth - n
-    groups: dict[int, set] = {}
-    for (c,) in whole.leaves:
-        groups.setdefault(c >> k, set()).add((c,))
-    return [
-        (Fraction(anc, 1 << n), DyadicSet(1, whole.depth, frozenset(g)))
-        for anc, g in sorted(groups.items())
-    ]
+    anc = whole.codes >> k  # each piece is a slice of the codes
+    return [(Fraction(int(part[0]) >> k, 1 << n), _from_codes(1, whole.depth, part))
+            for part in np.split(whole.codes, np.flatnonzero(anc[1:] != anc[:-1]) + 1)]
 
 
 def verify_sandwich(e: DyadicSet, c: DyadicSet, translates: Sequence) -> bool:
@@ -335,23 +381,22 @@ def verify_sandwich(e: DyadicSet, c: DyadicSet, translates: Sequence) -> bool:
 
 
 def _translate_cells(c: DyadicSet, v) -> set:
-    v = _as_tuple(v, c.d)
-    shift = []
-    for va in v:
-        t = Fraction(va) * (1 << c.depth)
-        if t.denominator != 1:
-            raise ValueError(f"translate {va} not aligned to the level-{c.depth} grid")
-        shift.append(int(t))
+    shift = _grid_shift(v, c.d, c.depth)
     return {tuple(x + s for x, s in zip(leaf, shift)) for leaf in c.leaves}
 
 
-def _as_tuple(u, d: int) -> tuple:
+def _grid_shift(u, d: int, level: int) -> tuple[int, ...]:
+    """A translation (one number for every axis, or d of them) in cells of
+    the level grid; it must be aligned to that grid."""
     if isinstance(u, (int, float, Fraction, str)):
         u = (u,) * d
     u = tuple(u)
     if len(u) != d:
         raise ValueError(f"expected {d} translation components, got {len(u)}")
-    return u
+    cells = [Fraction(ua) * (1 << level) for ua in u]
+    if any(c.denominator != 1 for c in cells):
+        raise ValueError(f"translation {u} not aligned to the level-{level} grid")
+    return tuple(map(int, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -359,81 +404,70 @@ def _as_tuple(u, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def to_json(a: DyadicSet) -> str:
-    return json.dumps(
-        {"d": a.d, "depth": a.depth, "leaves": sorted(map(list, a.leaves))},
-        separators=(",", ":"),
-    )
+    leaves = _cells(a)[_lex_order(a.codes, a.depth, a.d)].tolist()  # lexicographic
+    return json.dumps({"d": a.d, "depth": a.depth, "leaves": leaves}, separators=(",", ":"))
 
 
 def from_json(s: str) -> DyadicSet:
     obj = json.loads(s)
-    return _validated(obj["d"], obj["depth"], obj["leaves"])
-
-
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def push(self, bit: int):
-        self.acc = (self.acc << 1) | bit
-        self.nbits += 1
-        if self.nbits == 8:
-            self.buf.append(self.acc)
-            self.acc = self.nbits = 0
-
-    def bytes(self) -> bytes:
-        if self.nbits:
-            self.buf.append(self.acc << (8 - self.nbits))
-        return bytes(self.buf)
-
-
-class _BitReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def pull(self) -> int:
-        byte = self.data[self.pos >> 3]
-        bit = (byte >> (7 - (self.pos & 7))) & 1
-        self.pos += 1
-        return bit
+    leaves = obj.get("leaves") if isinstance(obj, dict) else None
+    if not (isinstance(leaves, list) and all(isinstance(leaf, list) for leaf in leaves)
+            and all(type(v) is int for v in chain((obj.get("d"), obj.get("depth")),
+                                                  chain.from_iterable(leaves)))):
+        raise ValueError('a dyadic set is a JSON object with integers "d" and "depth" '
+                         'and "leaves", a list of integer lists')
+    return _validated(obj["d"], obj["depth"], leaves)
 
 
 _MAGIC = b"DYB1"
 
 
+def _lex_order(codes: np.ndarray, level: int, d: int) -> np.ndarray:
+    """The permutation that puts level-``level`` Morton codes in
+    lexicographic order of their coordinates (the identity in 1-D)."""
+    return np.lexsort(_unmorton(codes, level, d).T[::-1])
+
+
 def pack_bits(a: DyadicSet) -> bytes:
-    """Compact binary form: breadth-first child bitmap per live cell."""
-    w = _BitWriter()
-    w_header = _MAGIC + bytes([a.d, a.depth])
-    w.push(0 if a.is_empty else 1)
-    offs = list(iter_product((0, 1), repeat=a.d))
-    level_sets = [a.level_cells(m) for m in range(a.depth + 1)]
-    for k in range(a.depth):
-        nxt = level_sets[k + 1]
-        for cell in sorted(level_sets[k]):
-            for off in offs:
-                child = tuple(2 * c + o for c, o in zip(cell, off))
-                w.push(1 if child in nxt else 0)
-    return w_header + w.bytes()
+    """Compact binary form: magic, ``d``, ``depth``, a "nonempty" bit, then
+    per level the ``2^d`` child bits of each live cell (cells in
+    lexicographic order), zero-padded to a byte."""
+    fan = 1 << a.d
+    parents = a._level_codes(0)
+    chunks = [np.array([parents.shape[0]], dtype=np.uint8)]
+    for m in range(1, a.depth + 1):
+        kids = a._level_codes(m)
+        bits = np.zeros((parents.shape[0], fan), dtype=np.uint8)
+        bits[np.searchsorted(parents, kids >> a.d), kids & (fan - 1)] = 1
+        chunks.append(bits[_lex_order(parents, m - 1, a.d)].ravel())
+        parents = kids
+    return _MAGIC + bytes([a.d, a.depth]) + np.packbits(np.concatenate(chunks)).tobytes()
 
 
 def unpack_bits(data: bytes) -> DyadicSet:
+    """Inverse of :func:`pack_bits`; raises ``ValueError`` on any input that
+    ``pack_bits`` does not produce."""
     if data[:4] != _MAGIC:
         raise ValueError("bad magic for packed dyadic set")
+    if len(data) < 7:
+        raise ValueError("packed dyadic set is truncated")
     d, depth = data[4], data[5]
-    r = _BitReader(data[6:])
-    if not r.pull():
-        return DyadicSet(d, depth, frozenset())
-    offs = list(iter_product((0, 1), repeat=d))
-    alive = [(0,) * d]
-    for _ in range(depth):
-        nxt = []
-        for cell in alive:
-            for off in offs:
-                if r.pull():
-                    nxt.append(tuple(2 * c + o for c, o in zip(cell, off)))
-        alive = sorted(nxt)
-    return DyadicSet(d, depth, frozenset(alive))
+    if d < 1 or d * depth > _CODE_BITS:
+        raise ValueError(f"packed dyadic set header d={d}, depth={depth} needs "
+                         f"1 <= d and d*depth <= {_CODE_BITS}")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=6))
+    codes = np.zeros(bits[0], dtype=np.int64)  # the root, if nonempty
+    pos = 1
+    for m in range(depth if codes.shape[0] else 0):
+        end = pos + (codes.shape[0] << d)
+        if end > bits.shape[0]:
+            raise ValueError("packed dyadic set is truncated")
+        block = bits[pos:end].reshape(codes.shape[0], 1 << d)
+        if not block.any(axis=1).all():
+            raise ValueError(f"packed dyadic set has a childless cell at level {m}")
+        parent, child = np.nonzero(block)
+        codes = np.sort((codes[_lex_order(codes, m, d)][parent] << d) | child)
+        pos = end
+    if bits.shape[0] - pos >= 8 or bits[pos:].any():
+        raise ValueError("packed dyadic set has trailing bits or bytes")
+    return _from_codes(d, depth, codes)

@@ -168,6 +168,8 @@ class EuclideanNet(MetricSpaceView):
     @classmethod
     def grid_2d(cls, side: int, y0_center: bool = True) -> "EuclideanNet":
         """side x side grid on [0,1]^2 (a net of resolution ~1/side)."""
+        if side < 2:
+            raise ValueError(f"grid side must be >= 2, got {side}")
         xs = np.linspace(0.0, 1.0, side)
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
         y0 = (side // 2) * side + side // 2 if y0_center else 0

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import CubeIdx, DyadicSet
+from .dyadic import CubeIdx, DyadicSet, _distinct, _morton, _unmorton
 from .errors import ResourceLimitError
 from .realize import TargetSpec, VarphiMap
 from .seq import Word
@@ -166,8 +166,9 @@ class RetentionSchedule:
 
 @dataclass(frozen=True)
 class Completion:
-    """Marker point for a cell that died: the lexicographically least deepest
-    reference-set cell inside it, with the level at which its cube died."""
+    """Marker point for a cell that died: the deepest reference-set cell
+    inside it with the least Morton code (in 1-D, the leftmost), with the
+    level at which its cube died."""
 
     level: int
     cell: tuple[int, ...]
@@ -183,55 +184,6 @@ class PercSample:
     level_counts: tuple[int, ...] = ()  # alive cells per level, index 0 = root
 
 
-def _child_offsets(d: int) -> np.ndarray:
-    return (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
-
-
-def _pack(coords: np.ndarray, level: int) -> np.ndarray:
-    code = np.zeros(coords.shape[0], dtype=np.int64)
-    for a in range(coords.shape[1]):
-        code = (code << level) | coords[:, a]
-    return code
-
-
-class _KRestriction:
-    """Per-level membership filter plus deepest-cell lookup for a reference set."""
-
-    def __init__(self, k_set: DyadicSet):
-        self.k_set = k_set
-        self.depth = k_set.depth
-        self.d = k_set.d
-        self._leaf_codes = np.sort(_pack(k_set._coord_array(), k_set.depth))
-        self._level_codes = {}
-
-    def codes(self, level: int) -> np.ndarray:
-        c = self._level_codes.get(level)
-        if c is None:
-            c = np.unique(self._leaf_codes >> ((self.depth - level) * self.d))
-            self._level_codes[level] = c
-        return c
-
-    def member_mask(self, coords: np.ndarray, level: int) -> np.ndarray:
-        codes = _pack(coords, level)
-        table = self.codes(level)
-        idx = np.searchsorted(table, codes)
-        idx[idx == len(table)] = 0
-        return table[idx] == codes
-
-    def lex_least_leaf(self, cell: tuple[int, ...], level: int) -> tuple[int, ...]:
-        shift = (self.depth - level) * self.d
-        code = 0
-        for c in cell:
-            code = (code << level) | int(c)
-        i = np.searchsorted(self._leaf_codes, code << shift)
-        leaf_code = int(self._leaf_codes[i])
-        if leaf_code >> shift != code:
-            raise ValueError(f"cell {cell} does not meet the reference set")
-        mask = (1 << self.depth) - 1
-        return tuple((leaf_code >> (a * self.depth)) & mask
-                     for a in range(self.d - 1, -1, -1))
-
-
 # A batch whose children would pass _SPLIT_CELLS is split at a trial boundary and
 # the halves grown in turn, so peak memory stays near one trial's; one trial's
 # children may not pass _MAX_CELLS.
@@ -240,32 +192,40 @@ _MAX_CELLS = 1 << 21
 
 
 def _restriction(k_set: DyadicSet | None, depth: int, d: int):
-    """The reference-set filter (None for the full cube) and the dimension."""
+    """The reference set as (its sorted leaf Morton codes, its depth), None
+    for the full cube, and the dimension."""
     if k_set is None:
         return None, d
     if k_set.depth < depth:
         raise ValueError("reference set must be rasterized at least to depth")
-    return _KRestriction(k_set), k_set.d
+    if k_set.is_empty:
+        raise ValueError("reference set is empty")
+    return (k_set.codes, k_set.depth), k_set.d
 
 
 def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: int,
-          d: int, restriction: _KRestriction | None = None, count_levels=(),
+          d: int, ref: tuple[np.ndarray, int] | None = None, count_levels=(),
           leaves: bool = False, completions: bool = False):
     """The percolation level kernel: grows one trial per copy key to ``depth``,
     all trials a level at a time, each row tagged with its trial id so every
-    variate is the one a per-trial run draws.  Returns ``counts[j, t]``, the
+    variate is the one a per-trial run draws; with ``ref`` (see
+    ``_restriction``) only cells meeting it.  Returns ``counts[j, t]``, the
     alive cells of trial ``t`` at level ``count_levels[j]``; with ``leaves``
     the cells alive at ``depth``, trial by trial; and with ``completions``
-    (needs ``restriction``) the alive cells without an alive child, ordered
-    by trial, then level, then frontier order.
+    (needs ``ref``) the alive cells without an alive child, ordered by trial,
+    then level, then frontier order.
     """
+    if ref is not None:
+        ref_codes, ref_depth = ref
+        tables = [_distinct(ref_codes >> d * (ref_depth - m)) for m in range(depth + 1)]
     hashes = np.array([field._copy_hash(key) for key in keys], dtype=np.uint64)
     # (v >> 11) <= floor(r * 2^53) is exactly the uniform test (v >> 11) * 2^-53 <= r.
     thresholds = [None] + [np.uint64(schedule.retention(n) * 2.0 ** 53)
                            for n in range(1, depth + 1)]
     rows = {level: j for j, level in enumerate(count_levels)}
     counts = np.zeros((len(rows), len(keys)), dtype=np.int64)
-    offsets, fan = _child_offsets(d), 1 << d
+    fan = 1 << d
+    offsets = _unmorton(np.arange(fan), 1, d)  # children in Morton order
     final, dead = [], []
     stack = [(1, np.arange(len(keys)), np.zeros((len(keys), d), dtype=np.int64))]
     while stack:
@@ -288,8 +248,9 @@ def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: 
         kids = (2 * frontier[:, None, :] + offsets).reshape(-1, d)
         kid_trial = np.repeat(trial, fan)
         parent = np.repeat(np.arange(m), fan) if completions else None
-        if restriction is not None:
-            keep = restriction.member_mask(kids, level)
+        if ref is not None:
+            z = _morton(kids, level)
+            keep = tables[level].take(np.searchsorted(tables[level], z), mode="clip") == z
             kids, kid_trial = kids[keep], kid_trial[keep]
             parent = parent[keep] if completions else None
         v = _mix64_np(_cell_codes(level, kids) ^ hashes[kid_trial])
@@ -309,9 +270,12 @@ def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: 
         return counts, cells, []
     trial, levels, idle = (np.concatenate(c) for c in zip(*dead))
     order = np.argsort(trial, kind="stable")
-    return counts, cells, [
-        Completion(level, cell, restriction.lex_least_leaf(cell, level))
-        for level, cell in zip(levels[order].tolist(), map(tuple, idle[order].tolist()))]
+    levels, idle = levels[order], idle[order]
+    # the least reference leaf under each dead cell starts its code slice
+    first = np.searchsorted(ref_codes, _morton(idle, depth) << d * (ref_depth - levels))
+    z_cells = _unmorton(ref_codes[first], ref_depth, d)
+    return counts, cells, [Completion(*c) for c in zip(
+        levels.tolist(), map(tuple, idle.tolist()), map(tuple, z_cells.tolist()))]
 
 
 def sample(schedule: RetentionSchedule, field: PercField, copy_key,
@@ -325,11 +289,11 @@ def sample(schedule: RetentionSchedule, field: PercField, copy_key,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    restriction, d = _restriction(k_set, depth, d)
+    ref, d = _restriction(k_set, depth, d)
     schedule.validate_dim(d, depth)
-    counts, cells, done = _grow(field, [copy_key], schedule, depth, d, restriction,
+    counts, cells, done = _grow(field, [copy_key], schedule, depth, d, ref,
                                 range(1, depth + 1), leaves=True,
-                                completions=completions and restriction is not None)
+                                completions=completions and ref is not None)
     leaves = frozenset(map(tuple, cells.tolist()))
     return PercSample(DyadicSet(d, depth, leaves), tuple(done), depth, copy_key,
                       (1, *counts[:, 0].tolist()))
@@ -413,11 +377,11 @@ def hawkes_experiment(k_set: DyadicSet | None, beta, depths: Sequence[int],
     depths = sorted(set(depths))
     if not depths or depths[0] < 1 or trials < 1:
         raise ValueError(f"need depths >= 1 and trials >= 1, got {depths}, {trials}")
-    restriction, d = _restriction(k_set, depths[-1], d)
+    ref, d = _restriction(k_set, depths[-1], d)
     if not 0 < beta < d:
         raise ValueError(f"beta must lie in (0, {d})")
     counts, _, _ = _grow(field, [(copy_prefix, t) for t in range(trials)],
-                         RetentionSchedule.constant(beta), depths[-1], d, restriction,
+                         RetentionSchedule.constant(beta), depths[-1], d, ref,
                          depths)
     rows, flagged = [], []
     for dep, at_dep in zip(depths, counts):
@@ -526,20 +490,23 @@ def gamma_star(config: GammaStarConfig, x: Word | str, spec: TargetSpec,
     schedule = RetentionSchedule.from_list(alphas)
     leaves: set = {config.y0_leaf}
     done: list[Completion] = []
+    y0_code = int(_morton(np.array([config.y0_leaf], dtype=np.int64), depth)[0])
     for k in range(1, config.k_max + 1):
         local_depth = depth - k
         if local_depth < 1:
             break
         q = tuple(c >> local_depth for c in config.y0_leaf)
         base = tuple(qc << local_depth for qc in q)
-        local_leaves = {tuple(c - b for c, b in zip(leaf, base)) for leaf in k_set.leaves
-                        if tuple(c >> local_depth for c in leaf) == q}
-        if not local_leaves:
+        # the reference leaves in the stage cube: a code slice, prefix masked off
+        shift = d * local_depth
+        top = y0_code >> shift
+        lo, hi = np.searchsorted(k_set.codes, [top << shift, top + 1 << shift])
+        if lo == hi:
             continue
         schedule.validate_dim(d, local_depth)
-        restriction = _KRestriction(DyadicSet(d, local_depth, frozenset(local_leaves)))
+        ref = (k_set.codes[lo:hi] & ((1 << shift) - 1), local_depth)
         keys = [("gstar", k, i) for i in range(1, config.copies[k - 1] + 1)]
-        _, cells, local_done = _grow(field, keys, schedule, local_depth, d, restriction,
+        _, cells, local_done = _grow(field, keys, schedule, local_depth, d, ref,
                                      leaves=True, completions=True)
         leaves.update(map(tuple, (cells + np.array(base)).tolist()))
         for comp in local_done:

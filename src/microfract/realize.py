@@ -29,7 +29,6 @@ from .seq import SeqProgram, Word, beatty_balanced, block_program, concat, facto
 __all__ = [
     "TargetSpec",
     "VarphiMap",
-    "build_varphi",
     "choose_k",
     "closest_k",
     "BlockMap",
@@ -277,11 +276,6 @@ class VarphiMap:
             )
 
 
-def build_varphi(spec: TargetSpec, s, varphi: VarphiMap | None = None) -> Fraction:
-    """Value of the induction at word ``s`` (fresh map unless one is passed)."""
-    return (varphi or VarphiMap(spec)).value(s)
-
-
 # ---------------------------------------------------------------------------
 # Block-length selection
 # ---------------------------------------------------------------------------
@@ -295,29 +289,10 @@ def _k_bounds(n: int) -> tuple[int, int]:
     return kmin, kmax
 
 
-def _int_ctx(n: int, a: Fraction, b: Fraction, t: Fraction):
-    """Common-denominator integer view of (a, b, t): the admissibility test
-    |mix(k) - t| <= 2/sqrt(n) becomes n*N(k)^2 <= 4*D(k)^2 in integers."""
-    da, db, dt = a.denominator, b.denominator, t.denominator
-    q = math.lcm(da, db, dt)
-    return q, a.numerator * (q // da), b.numerator * (q // db), \
-        t.numerator * (q // dt)
-
-
-def _valid_int(n, k, q, pa, pb, pt) -> bool:
-    num = pa * n + pb * k - pt * (n + k)
-    den = q * (n + k)
-    return n * num * num <= 4 * den * den
-
-
-def choose_k(n: int, a, b, target) -> int:
-    """Minimal admissible block length ratio index.
-
-    Returns the smallest integer ``k`` with ``sqrt(n)-1 < k < n*sqrt(n)+1``
-    and ``|(n*a + k*b)/(n+k) - target| <= 2/sqrt(n)``; such a ``k`` always
-    exists for ``0 <= a <= target <= b <= 1``.  For ``a == b`` the value is
-    ``ceil(sqrt(n))``.
-    """
+def _mix_view(n: int, a, b, target):
+    """Checks ``n >= 1`` and ``0 <= a <= t <= b <= 1`` on numerators and
+    denominators; returns ``(a, b, t, q, nuq, vq)`` with ``mix(k) - t =
+    f(k)/(q*(n+k))``, ``f(k) = k*vq - nuq``, ``mix(k) = (n*a + k*b)/(n+k)``."""
     if type(a) is not Fraction:
         a = Fraction(a)
     if type(b) is not Fraction:
@@ -330,21 +305,29 @@ def choose_k(n: int, a, b, target) -> int:
     u, v = nt * da - na * dt, nb * dt - nt * db  # (t-a)*da*dt, (b-t)*db*dt
     if na < 0 or u < 0 or v < 0 or nb > db:
         raise ValueError(f"need 0 <= a <= target <= b <= 1, got {a}, {t}, {b}")
-    if not (u or v):  # a == b
-        s = isqrt(n)
-        return s if s * s == n else s + 1  # ceil(sqrt(n))
+    return a, b, t, da * db * dt, n * u * db, v * da
+
+
+def choose_k(n: int, a, b, target) -> int:
+    """Minimal admissible block length ratio index.
+
+    Returns the smallest integer ``k`` with ``sqrt(n)-1 < k < n*sqrt(n)+1``
+    and ``|(n*a + k*b)/(n+k) - target| <= 2/sqrt(n)``; such a ``k`` always
+    exists for ``0 <= a <= target <= b <= 1``.  For ``a == b`` the value is
+    ``ceil(sqrt(n))``.
+    """
+    a, b, t, q, nuq, vq = _mix_view(n, a, b, target)
+    if not (nuq or vq):  # a == b
+        return 1 + isqrt(n - 1)  # ceil(sqrt(n))
     kmin, kmax = _k_bounds(n)
-    # mix(k) - t = f(k) / (q*(n+k)) with f(k) = k*vq - nuq increasing in k,
-    # so |mix(k) - t| <= 2/sqrt(n) reads n*f(k)^2 <= 4*(q*(n+k))^2.  The
-    # admissible k form an interval: the answer is the smallest k with
-    # mix(k) >= t - 2/sqrt(n), which must then also pass the upper side.
-    q = da * db * dt
-    nuq, vq = n * u * db, v * da
+    # f(k) increases, so the k with |mix(k) - t| <= 2/sqrt(n), that is
+    # n*f(k)^2 <= 4*(q*(n+k))^2, form an interval: the answer is the smallest
+    # k with mix(k) >= t - 2/sqrt(n), which must then pass the upper side.
     # Float seed: the real k at which mix(k) = t - 2/sqrt(n); for n past the
     # float range, kmin (the exact search below accepts any seed).
     try:
         e = 2.0 / math.sqrt(n)
-        seed = n * (u / (da * dt) - e) / (v / (db * dt) + e)
+        seed = n * (nuq / (n * q) - e) / (vq / q + e)
     except OverflowError:
         seed = kmin
     k = kmin if seed <= kmin else kmax if seed >= kmax else math.ceil(seed)
@@ -380,29 +363,19 @@ def closest_k(n: int, a, b, target) -> int:
     preferred in the block pipeline because the minimal admissible ``k``
     systematically undershoots mid-range targets.
     """
-    a, b, t = Fraction(a), Fraction(b), Fraction(target)
-    if not (0 <= a <= t <= b <= 1):
-        raise ValueError(f"need 0 <= a <= target <= b <= 1, got {a}, {t}, {b}")
+    a, b, t, q, nuq, vq = _mix_view(n, a, b, target)
+    if not (nuq or vq):  # a == b
+        return 1 + isqrt(n - 1)  # ceil(sqrt(n))
     kmin, kmax = _k_bounds(n)
-    if a == b:
-        s = isqrt(n)
-        return s if s * s == n else s + 1
-    # mix(k) is increasing; the best k is adjacent to the exact crossing.
-    if b > t:
-        cross = Fraction(n) * (t - a) / (b - t)
-    else:
-        cross = Fraction(kmax)
-    base = int(cross)
-    cands = sorted({min(max(base + d, kmin), kmax) for d in (-1, 0, 1, 2)})
-    q, pa, pb, pt = _int_ctx(n, a, b, t)
-    best = cands[0]
-    best_num = abs(pa * n + pb * best - pt * (n + best))
-    for k in cands[1:]:
-        num = abs(pa * n + pb * k - pt * (n + k))
-        # compare num/(n+k) vs best_num/(n+best)
-        if num * (n + best) < best_num * (n + k):
-            best, best_num = k, num
-    if not _valid_int(n, best, q, pa, pb, pt):
+    # mix(k) is increasing; the best k is next to the crossing f(k) = 0.
+    base = nuq // vq if vq else kmax
+    best, *rest = sorted({min(max(base + i, kmin), kmax) for i in (-1, 0, 1, 2)})
+    for k in rest:
+        # |f(k)|/(n+k) against |f(best)|/(n+best)
+        if abs(k * vq - nuq) * (n + best) < abs(best * vq - nuq) * (n + k):
+            best = k
+    f = best * vq - nuq
+    if n * f * f > 4 * (q * (n + best)) ** 2:
         raise InvariantViolation(
             f"closest k fails tolerance for n={n}, a={a}, b={b}, target={t}"
         )

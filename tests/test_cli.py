@@ -165,3 +165,34 @@ class TestConfigPlumbing:
 
     def test_no_command(self):
         assert main([]) == 1
+
+
+def _bad_set_file(tmp_path):
+    path = tmp_path / "bad_set.json"
+    path.write_text('{"d": 1, "depth": 2, "leaves": 5}')
+    return ["zoom", "--in-file", str(path), "--m", "0"]
+
+
+def _list_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    return ["dims", "--config", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hawkes", "--k", "full:1", "--beta", "1/2", "--depths", "4", "--trials", "0"],
+    ["percolate", "--k", "full:1", "--beta", "1/0", "--depth", "4", "--trials", "3"],
+    ["dims", "--word", "beatty:1/0", "--depth", "4"],
+    ["family", "--net", "grid:1", "--target", "finite:1/2"],
+    ["zoom", "--set", "full:1", "--depth", "3", "--m", "1", "--u", "1/0"],
+    _bad_set_file,
+    _list_config,
+], ids=["schema", "beta-1/0", "word-1/0", "grid-1", "u-1/0", "leaves-5", "config-list"])
+def test_malformed_input_one_line_exit_1(tmp_path, capsys, argv):
+    if callable(argv):
+        argv = argv(tmp_path)
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -7,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from microfract import dyadic
 from microfract.dyadic import (
+    CubeIdx,
     DyadicSet,
     decompose,
     from_json,
     full_cube,
     hausdorff_distance,
     kx_set,
-    meets_open_cube,
     pack_bits,
     product,
     singleton_chain,
@@ -22,6 +23,7 @@ from microfract.dyadic import (
     verify_sandwich,
     zoom,
 )
+from microfract.errors import ResourceLimitError
 from microfract.seq import Word, beatty_balanced, factor
 
 
@@ -167,10 +169,10 @@ class TestHausdorff:
         # quarter-cell lattice, integer arithmetic
         offs = np.array(list(itertools.product(range(5), repeat=a.d)))
         pa = np.unique(
-            (4 * a._coord_array()[:, None, :] + offs[None, :, :]).reshape(-1, a.d),
+            (4 * np.array(sorted(a.leaves))[:, None, :] + offs[None, :, :]).reshape(-1, a.d),
             axis=0,
         )
-        lo = 4 * b._coord_array()
+        lo = 4 * np.array(sorted(b.leaves))
         hi = lo + 4
         gaps = np.maximum(lo[None, :, :] - pa[:, None, :], pa[:, None, :] - hi[None, :, :])
         np.maximum(gaps, 0, out=gaps)
@@ -226,7 +228,8 @@ class TestZoom:
             zoom(a, 3, 0)
 
     def test_meets_open_cube_flag(self):
-        assert meets_open_cube(kx_set("000"))
+        # full cells inside the unit cube meet (0,1)^d exactly when the set is nonempty
+        assert not kx_set("000").is_empty
 
 
 class TestDecompose:
@@ -313,3 +316,100 @@ class TestSerialization:
     def test_bitpack_is_compact(self):
         s = kx_set(factor(beatty_balanced(Fraction(1, 2)), 0, 16))
         assert len(pack_bits(s)) < len(to_json(s).encode()) / 4
+
+
+def kb(p, n):
+    return kx_set(factor(beatty_balanced(p), 0, n))
+
+
+# sha256 of pack_bits, recorded with the per-bit writer before Morton codes
+# replaced it.
+PINNED_PACKS = [
+    (lambda: kb(Fraction(2, 5), 14),
+     "ef3fc6a5d518d5002ab3eabc89ddc0c9a46556d039daa476d673be8e96fb400a"),
+    (lambda: product(kb(Fraction(2, 3), 7), kb(Fraction(3, 4), 7)),
+     "646b8e086cd14061d744374d4c5655f3b195eb36cadb6da50793de7a2b3e507d"),
+    (lambda: product(product(kb(Fraction(1, 2), 5), kb(Fraction(3, 5), 5)),
+                     kb(Fraction(4, 5), 5)),
+     "b0047e87b53d115153359c014d20f1c8e8ee69fd38316c13e1bbbf2d9612b987"),
+]
+
+
+@pytest.mark.parametrize("build, sha", PINNED_PACKS, ids=["d1", "d2", "d3"])
+def test_pinned_pack_bits(build, sha):
+    s = build()
+    packed = pack_bits(s)
+    assert hashlib.sha256(packed).hexdigest() == sha
+    assert unpack_bits(packed) == s
+
+
+def cells(d, depth, seed, fill):
+    rng = np.random.default_rng(seed)
+    n = 1 << (d * depth)
+    picked = rng.random(n) < fill
+    return DyadicSet(d, depth, frozenset(
+        itertools.compress(itertools.product(range(1 << depth), repeat=d), picked)))
+
+
+class TestMortonCodes:
+    @pytest.mark.parametrize("d, depth", [(1, 9), (2, 5), (3, 3)])
+    def test_queries_match_leaf_tuples(self, d, depth):
+        for seed, fill in [(1, 0.05), (2, 0.4), (3, 0.9)]:
+            s = cells(d, depth, seed, fill)
+            assert list(s.codes) == sorted(set(s.codes.tolist()))
+            for m in range(depth + 1):
+                want = {tuple(c >> (depth - m) for c in leaf) for leaf in s.leaves}
+                assert s.level_cells(m) == want and s.count(m) == len(want)
+                for cell in itertools.product(range(1 << m), repeat=d):
+                    assert (CubeIdx(m, cell) in s) == (cell in want)
+
+    def test_axis_0_takes_the_high_bit(self):
+        assert dyadic._unmorton(np.arange(4), 1, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert dyadic._morton(np.array([[1, 2]]), 2).tolist() == [0b0110]
+
+    def test_code_width_limit(self):
+        with pytest.raises(ResourceLimitError):
+            kx_set("1" * 3 + "0" * 67)
+        with pytest.raises(ResourceLimitError):
+            from_json('{"d":2,"depth":32,"leaves":[]}')
+        assert kx_set("1" * 3 + "0" * 59).count(62) == 8
+
+
+KX_1101 = pack_bits(kx_set("1101"))  # 23 bits: one padding bit
+
+
+class TestUnpackRejects:
+    @pytest.mark.parametrize("data, message", [
+        (b"DYB2" + KX_1101[4:], "bad magic"),
+        (KX_1101[:-1], "truncated"),
+        (KX_1101[:6], "truncated"),
+        (KX_1101[:-1] + bytes([KX_1101[-1] | 1]), "trailing"),
+        (KX_1101 + b"\x00", "trailing"),
+        (pack_bits(DyadicSet(1, 3, frozenset())) + b"\x00", "trailing"),
+        (b"DYB1" + bytes([2, 32]) + b"\x80", "d\\*depth <= 62"),
+        (b"DYB1" + bytes([0, 3]) + b"\x80", "1 <= d"),
+        (b"DYB1" + bytes([1, 1]) + b"\x80", "childless"),
+    ])
+    def test_one_line_value_error(self, data, message):
+        with pytest.raises(ValueError, match=message) as err:
+            unpack_bits(data)
+        assert "\n" not in str(err.value)
+
+    @given(st.one_of(
+        st.binary(max_size=24),
+        st.builds(lambda d, depth, body: b"DYB1" + bytes([d, depth]) + body,
+                  st.integers(0, 255), st.integers(0, 255), st.binary(max_size=24)),
+        st.builds(lambda d, depth, body: b"DYB1" + bytes([d, depth]) + body,
+                  st.integers(1, 3), st.integers(0, 4), st.binary(max_size=24)),
+        st.builds(lambda bits, flip: bytes(b ^ (flip >> 3 == i) << (flip & 7)
+                                           for i, b in enumerate(pack_bits(
+                                               kx_set(Word.from_bits(bits))))),
+                  st.lists(st.integers(0, 1), max_size=10), st.integers(0, 80)),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_random_bytes_fail_cleanly_or_round_trip(self, data):
+        try:
+            s = unpack_bits(data)
+        except (ValueError, ResourceLimitError):
+            return
+        assert pack_bits(s) == data

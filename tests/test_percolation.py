@@ -302,31 +302,46 @@ class TestCubeKeyedVariates:
 # The batched kernel against the per-trial level loop it replaced
 # ---------------------------------------------------------------------------
 
+def ancestors(k_set, level):
+    """Oracle: the level-``level`` cells of the reference set, from its leaf tuples."""
+    shift = k_set.depth - level
+    return {tuple(c >> shift for c in leaf) for leaf in k_set.leaves}
+
+
+def least_morton_leaf(k_set, cell, level):
+    """Oracle: among the leaves under ``cell``, the one whose binary digits,
+    read from the top level down with axis 0 first within a level, are least."""
+    shift = k_set.depth - level
+    under = [leaf for leaf in k_set.leaves if tuple(c >> shift for c in leaf) == cell]
+    return min(under, key=lambda leaf: [(c >> j) & 1 for j in range(k_set.depth - 1, -1, -1)
+                                        for c in leaf])
+
+
 def oracle_sample(schedule, field, copy_key, depth, d=1, k_set=None, completions=False):
     """Reference: the per-trial level loop the batched kernel replaced, one
-    trial grown level by level with float variates.  Returns (survivor
+    trial grown level by level with float variates, the reference filter and
+    the completion points taken from the leaf tuples.  Returns (survivor
     leaves, completions, level counts)."""
-    restriction = None
     if k_set is not None:
         d = k_set.d
-        restriction = percolation._KRestriction(k_set)
     offsets = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)
     frontier = np.zeros((1, d), dtype=np.int64)
     done, counts = [], [1]
     for level in range(1, depth + 1):
         kids = (2 * frontier[:, None, :] + offsets[None, :, :]).reshape(-1, d)
         parents = np.repeat(np.arange(frontier.shape[0]), offsets.shape[0])
-        if restriction is not None:
-            keep = restriction.member_mask(kids, level)
+        if k_set is not None:
+            meets = ancestors(k_set, level)
+            keep = np.array([tuple(kid) in meets for kid in kids.tolist()], dtype=bool)
             kids, parents = kids[keep], parents[keep]
         alive = field.variates(copy_key, level, kids) <= schedule.retention(level)
-        if completions and restriction is not None:
+        if completions and k_set is not None:
             fertile = set(parents[alive].tolist())
             for p in range(frontier.shape[0]):
                 if p not in fertile:
                     cell = tuple(frontier[p].tolist())
                     done.append(Completion(level - 1, cell,
-                                           restriction.lex_least_leaf(cell, level - 1)))
+                                           least_morton_leaf(k_set, cell, level - 1)))
         frontier = kids[alive]
         counts.append(frontier.shape[0])
         if frontier.shape[0] == 0:
@@ -439,6 +454,22 @@ class TestKernelMatchesPerTrialLoop:
         assert done  # the copies must die somewhere for the order to be tested
         assert smp.survivors.leaves == leaves
         assert list(smp.completions) == done
+        assert_completions_inside(smp.completions, k_set)
+
+    @pytest.mark.parametrize("k_set", [full_cube(2, 6), PLANE_7], ids=["full", "plane"])
+    def test_2d_completions_lie_in_their_cells_and_k(self, split, k_set):
+        done = [comp for t in range(8) for comp in sample(
+            RetentionSchedule.constant(Fraction(6, 5)), PercField(50 + t), ("in", t),
+            k_set.depth, k_set=k_set, completions=True).completions]
+        assert len({comp.level for comp in done}) > 2
+        assert_completions_inside(done, k_set)
+
+
+def assert_completions_inside(completions, k_set):
+    for comp in completions:
+        shift = k_set.depth - comp.level
+        assert tuple(c >> shift for c in comp.z_cell) == comp.cell
+        assert comp.z_cell in k_set.leaves
 
 
 # sha256 of the CSV rows (header comments excluded) and of the saved set,
@@ -495,6 +526,14 @@ class TestLimitsAndValidation:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "over the limit 4096" in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_empty_reference_set_rejected(self):
+        empty = DyadicSet(1, 6, frozenset())
+        with pytest.raises(ValueError, match="reference set is empty"):
+            sample(RetentionSchedule.constant(Fraction(1, 2)), PercField(1), "e", 6,
+                   k_set=empty, completions=True)
+        with pytest.raises(ValueError, match="reference set is empty"):
+            hawkes_experiment(empty, Fraction(1, 2), [6], 5, PercField(1))
 
     @pytest.mark.parametrize("depths, trials", [([0, 4], 10), ([-1], 10), ([], 10),
                                                 ([4], 0), ([4], -3)])

@@ -1,5 +1,8 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +15,6 @@ from microfract.realize import (
     VarphiMap,
     assemble_gallery,
     build_psi_prefix,
-    build_varphi,
     choose_k,
     closest_k,
     psi_program,
@@ -156,7 +158,7 @@ class TestVarphi:
 
     def test_build_varphi_helper(self):
         spec = TargetSpec.finite_set([Fraction(1, 3)])
-        assert build_varphi(spec, "0101") == Fraction(1, 3)
+        assert VarphiMap(spec).value("0101") == Fraction(1, 3)
 
 
 class TestChooseK:
@@ -230,10 +232,81 @@ class TestChooseK:
                 assert not admissible(n, a, b, t, k - 1)
 
     def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            choose_k(0, 0, 1, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            choose_k(4, Fraction(1, 2), 1, Fraction(1, 4))
+        for pick in (choose_k, closest_k):
+            with pytest.raises(ValueError):
+                pick(0, 0, 1, Fraction(1, 2))
+            with pytest.raises(ValueError):
+                pick(-3, 0, 1, Fraction(1, 2))
+            with pytest.raises(ValueError):
+                pick(4, Fraction(1, 2), 1, Fraction(1, 4))
+
+
+def oracle_closest_k(n, a, b, target):
+    """The Fraction-based closest_k that the integer version replaced."""
+    a, b, t = Fraction(a), Fraction(b), Fraction(target)
+    if not (0 <= a <= t <= b <= 1):
+        raise ValueError(f"need 0 <= a <= target <= b <= 1, got {a}, {t}, {b}")
+    kmin = isqrt(n)
+    r = isqrt(n ** 3)
+    kmax = r if r * r == n ** 3 else r + 1
+    if a == b:
+        s = isqrt(n)
+        return s if s * s == n else s + 1
+    cross = Fraction(n) * (t - a) / (b - t) if b > t else Fraction(kmax)
+    base = int(cross)
+    cands = sorted({min(max(base + d, kmin), kmax) for d in (-1, 0, 1, 2)})
+    q = math.lcm(a.denominator, b.denominator, t.denominator)
+    pa, pb, pt = (x.numerator * (q // x.denominator) for x in (a, b, t))
+    best = cands[0]
+    best_num = abs(pa * n + pb * best - pt * (n + best))
+    for k in cands[1:]:
+        num = abs(pa * n + pb * k - pt * (n + k))
+        if num * (n + best) < best_num * (n + k):
+            best, best_num = k, num
+    num, den = pa * n + pb * best - pt * (n + best), q * (n + best)
+    if n * num * num > 4 * den * den:
+        raise InvariantViolation(f"closest k fails tolerance for n={n}")
+    return best
+
+
+def outcome(pick, *args):
+    try:
+        return pick(*args)
+    except (ValueError, InvariantViolation) as e:
+        return type(e)
+
+
+class TestClosestKIntegerView:
+    def test_matches_fraction_version_on_criterion_5_sweep(self):
+        rng = np.random.default_rng(99)
+        pool = []
+        for d in rng.integers(2, 65, size=256):
+            nums = np.sort(rng.integers(0, int(d) + 1, size=3))
+            pool.append(tuple(Fraction(int(v), int(d)) for v in nums))
+        for n in range(1, 2001):
+            for j in rng.integers(0, len(pool), size=8):
+                a, t, b = pool[j]
+                assert closest_k(n, a, b, t) == oracle_closest_k(n, a, b, t)
+
+    def test_matches_fraction_version_on_random_inputs(self):
+        rng = random.Random(2024)
+
+        def value():
+            den = rng.choice([1, 2, 7, 10 ** rng.randint(1, 20) + rng.randint(0, 99)])
+            v = Fraction(rng.randint(-den // 8, den + den // 8), den)
+            return rng.choice([v, v, v, float(v), str(v)])
+
+        for _ in range(20_000):
+            n = rng.choice([rng.randint(1, 50), rng.randint(1, 10 ** 6),
+                            rng.randint(1, 10 ** 30)])
+            vals = sorted([value() for _ in range(3)], key=Fraction)
+            if rng.random() < 0.2:
+                rng.shuffle(vals)
+            a, t, b = vals
+            if rng.random() < 0.1:
+                t = a
+            got = outcome(closest_k, n, a, b, t)
+            assert got == outcome(oracle_closest_k, n, a, b, t), (n, a, b, t)
 
 
 class TestPsi:
