@@ -96,8 +96,10 @@ def _parse_target_spec(spec: str) -> TargetSpec:
     if kind == "interval":
         ivs = []
         for part in arg.split(","):
-            lo, hi = part.split(":")
-            ivs.append((_fraction(lo), _fraction(hi)))
+            bounds = part.split(":")
+            if len(bounds) != 2:
+                raise ValueError(f"bad interval {part!r} in {spec!r} (use interval:lo:hi[,lo:hi])")
+            ivs.append((_fraction(bounds[0]), _fraction(bounds[1])))
         return TargetSpec.interval_union(ivs)
     raise ValueError(f"unknown target spec {spec!r} (use finite:|interval:)")
 
@@ -203,9 +205,10 @@ def _cmd_family(config: dict) -> str:
     kind, _, arg = config["net"].partition(":")
     if kind != "grid":
         raise ValueError(f"unknown net spec {config['net']!r} (use grid:<side>)")
+    levels = config.get("depth", 1)
+    _check_depth(levels)
     net = EuclideanNet.grid_2d(int(arg))
     spec = _parse_target_spec(config["target"])
-    levels = config.get("depth", 1)
     branch = config.get("branch") or "0" * levels
     tree = family_member(branch, spec, net, config.get("variant", "box"),
                          levels, g_mode=config.get("g_mode", "strict"))
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 1
         if not isinstance(loaded, dict):

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, ResolutionExhausted
+from .errors import InvariantViolation, ResolutionExhausted, ResourceLimitError
 from .realize import TargetSpec, VarphiMap
 from .seq import Word
 
@@ -94,52 +94,119 @@ def _ceil_pow2(alpha: Fraction, ell: int) -> int:
 # Net presentations
 # ---------------------------------------------------------------------------
 
+# Window candidates (centers times padded row width) that one block of the
+# net kernel holds at once; a constant, like percolation's split size.  At
+# 2^16 the kernel's temporaries raised the families-net benchmark's peak
+# memory by 5 MB, at 2^13 by under 1 MB, at the same speed.
+_BLOCK_ELEMS = 1 << 13
+# Largest grid ``EuclideanNet.grid_2d`` builds (the figure of
+# percolation's per-trial cell limit).
+_MAX_POINTS = 1 << 21
+
+
+def _margin(r: float) -> float:
+    """Half-width of the first-coordinate window that holds every point whose
+    computed distance is ``<= r``.  A point outside it differs by more than
+    r * (1 + 2^-40) in that coordinate, and rounding the difference, its
+    square, the sum and the root loses far less than 2^-40 of it; the floor
+    2^-500 keeps the squared difference clear of underflow, below which the
+    distance formula rounds to 0."""
+    return max(r * (1 + 2.0 ** -40), 2.0 ** -500)
+
+
 class MetricSpaceView:
-    """Finite net presentation; subclasses supply the metric."""
+    """Finite net presentation; subclasses supply the metric.
+
+    Every net keeps its points' first coordinate (0 for a net without
+    coordinates) in sorted order, so a query at radius r examines only the
+    points within ``_margin(r)`` of the center along it.
+    """
 
     y0: int
+    # minimal pairwise distance when known; lets packing numbers saturate
+    min_separation: float | None = None
+
+    def _index(self, keys: np.ndarray, y0: int):
+        n = len(keys)
+        if n == 0:
+            raise ValueError("a net needs at least one point")
+        if not 0 <= y0 < n:
+            raise ValueError(f"origin index {y0} outside [0, {n})")
+        self.y0 = y0
+        self._keys = keys
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
 
     @property
     def n_points(self) -> int:
-        raise NotImplementedError
+        return len(self._keys)
 
-    def dists_from(self, i: int, idx: np.ndarray) -> np.ndarray:
+    def dists_from(self, i, idx) -> np.ndarray:
+        """Distances from point i to the points idx; with centers i of shape
+        (R,) and idx of shape (R, W), row r is measured from i[r]."""
         raise NotImplementedError
 
     def dist(self, i: int, j: int) -> float:
         return float(self.dists_from(i, np.array([j]))[0])
 
+    def _balls(self, centers: np.ndarray, r: float):
+        """Yield ``(members, sizes)`` for consecutive blocks of centers:
+        ``members[i, :sizes[i]]`` are the ascending indices of the closed ball
+        B(center, r) of the block's i-th center; the rest of the row is
+        padding (a valid index).  A block holds about ``_BLOCK_ELEMS``
+        candidates."""
+        n, m = self.n_points, _margin(r)
+        key = self._keys[centers]
+        lo = np.searchsorted(self._sorted_keys, key - m, "left")
+        hi = np.searchsorted(self._sorted_keys, key + m, "right")
+        width = int((hi - lo).max())
+        step = max(1, _BLOCK_ELEMS // max(width, 1))
+        for s in range(0, len(centers), step):
+            pos = lo[s:s + step, None] + np.arange(width)
+            cand = self._order[np.minimum(pos, n - 1)]
+            inside = pos < hi[s:s + step, None]
+            inside &= self.dists_from(centers[s:s + step], cand) <= r
+            sizes = inside.sum(axis=1)
+            members = np.where(inside, cand, n)
+            members.sort(axis=1)
+            members = members[:, :sizes.max()]
+            members[members == n] = 0
+            yield members, sizes
+
     def ball(self, center: int, r: float) -> np.ndarray:
         """Indices (ascending) of net points within closed distance r."""
-        idx = np.arange(self.n_points)
-        return idx[self.dists_from(center, idx) <= r]
-
-    # minimal pairwise distance when known; lets packing numbers saturate
-    min_separation: float | None = None
+        (members, sizes), = self._balls(np.array([center]), r)
+        return members[0, :sizes[0]]
 
     def greedy_packing_indices(self, candidates: np.ndarray, delta: float,
                                stop_at: int | None = None) -> list[int]:
         """Canonical packing: greedy over candidates in ascending index order."""
+        cand = np.asarray(candidates, dtype=np.int64)
         if self.min_separation is not None and delta < self.min_separation:
             # every pair is already separated; the candidates pack as-is
-            out = [int(c) for c in candidates]
+            out = [int(c) for c in cand]
             return out if stop_at is None else out[:stop_at]
-        alive = np.ones(len(candidates), dtype=bool)
+        keys = self._keys[cand]
+        by_key = np.argsort(keys)
+        sorted_keys = keys[by_key]
+        m = _margin(delta)
+        # a trailing sentinel ends the scan for the next live candidate
+        alive = np.ones(len(cand) + 1, dtype=bool)
         chosen: list[int] = []
-        while True:
-            rest = np.nonzero(alive)[0]
-            if rest.size == 0:
-                return chosen
-            i = int(rest[0])
-            chosen.append(int(candidates[i]))
+        i = 0
+        while i < len(cand):
+            c = int(cand[i])
+            chosen.append(c)
             if stop_at is not None and len(chosen) >= stop_at:
-                return chosen
-            d = self.dists_from(int(candidates[i]), candidates[rest])
-            alive[rest[d <= delta]] = False
-
-    def packing_count(self, center: int, r: float, delta: float,
-                      stop_at: int | None = None) -> int:
-        return len(self.greedy_packing_indices(self.ball(center, r), delta, stop_at))
+                break
+            alive[i] = False
+            a = np.searchsorted(sorted_keys, keys[i] - m, "left")
+            b = np.searchsorted(sorted_keys, keys[i] + m, "right")
+            win = by_key[a:b]
+            win = win[alive[win]]
+            alive[win[self.dists_from(c, cand[win]) <= delta]] = False
+            i += int(alive[i:].argmax())
+        return chosen
 
     def global_packing_number(self, delta: float) -> int:
         if self.min_separation is not None and delta < self.min_separation:
@@ -153,23 +220,26 @@ class EuclideanNet(MetricSpaceView):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        self.points = pts
-        self.y0 = 0 if y0 is None else int(y0)
+        if pts.ndim != 2 or pts.shape[1] == 0:
+            raise ValueError(f"net points must form an (n, d) array, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("net coordinates must be finite")
+        self.points = np.ascontiguousarray(pts)
         self.min_separation = min_separation
+        self._index(self.points[:, 0], 0 if y0 is None else int(y0))
 
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-    def dists_from(self, i: int, idx: np.ndarray) -> np.ndarray:
-        diff = self.points[np.asarray(idx, dtype=np.int64)] - self.points[i]
-        return np.sqrt((diff * diff).sum(axis=1))
+    def dists_from(self, i, idx) -> np.ndarray:
+        diff = self.points[np.asarray(idx, dtype=np.int64)] - self.points[i][..., None, :]
+        return np.sqrt((diff * diff).sum(axis=-1))
 
     @classmethod
     def grid_2d(cls, side: int, y0_center: bool = True) -> "EuclideanNet":
         """side x side grid on [0,1]^2 (a net of resolution ~1/side)."""
         if side < 2:
             raise ValueError(f"grid side must be >= 2, got {side}")
+        if side * side > _MAX_POINTS:
+            raise ResourceLimitError(
+                f"grid side {side} gives {side * side} points, over the limit {_MAX_POINTS}")
         xs = np.linspace(0.0, 1.0, side)
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
         y0 = (side // 2) * side + side // 2 if y0_center else 0
@@ -187,25 +257,23 @@ class MatrixNet(MetricSpaceView):
         dm = np.asarray(dmatrix, dtype=float)
         if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
             raise ValueError("distance matrix must be square")
+        if not np.isfinite(dm).all():
+            raise ValueError("distances must be finite")
+        n = dm.shape[0]
+        self._index(np.zeros(n), int(y0))
         if not np.allclose(dm, dm.T) or np.diagonal(dm).any():
             raise ValueError("distance matrix must be symmetric with zero diagonal")
         rng = np.random.default_rng(seed)
-        n = dm.shape[0]
         for _ in range(min(check_triples, n ** 3)):
             i, j, k = rng.integers(0, n, size=3)
             if dm[i, k] > dm[i, j] + dm[j, k] + 1e-12:
                 raise ValueError(f"triangle inequality fails on ({i},{j},{k})")
         self.dm = dm
-        self.y0 = int(y0)
         off = dm[~np.eye(n, dtype=bool)]
         self.min_separation = float(off.min()) if off.size else None
 
-    @property
-    def n_points(self) -> int:
-        return self.dm.shape[0]
-
-    def dists_from(self, i: int, idx: np.ndarray) -> np.ndarray:
-        return self.dm[i, np.asarray(idx, dtype=np.int64)]
+    def dists_from(self, i, idx) -> np.ndarray:
+        return self.dm[np.asarray(i)[..., None], np.asarray(idx, dtype=np.int64)]
 
     @classmethod
     def from_csv(cls, path: str, y0: int = 0) -> "MatrixNet":
@@ -216,12 +284,75 @@ class MatrixNet(MetricSpaceView):
 def suggest_origin(view: MetricSpaceView, radius: float = 0.25) -> int:
     """Point with the most neighbors within ``radius`` (a crude stand-in for
     a full-dimension point), ties to the smallest index."""
-    best, best_n = 0, -1
-    for i in range(view.n_points):
-        n = len(view.ball(i, radius))
-        if n > best_n:
-            best, best_n = i, n
-    return best
+    sizes = [s for _, s in view._balls(np.arange(view.n_points), radius)]
+    return int(np.argmax(np.concatenate(sizes)))
+
+
+def _greedy_rows(view: MetricSpaceView, members: np.ndarray, sizes: np.ndarray,
+                 sep: float, need: int):
+    """Greedy packing at separation ``sep`` of every row of a ball table, all
+    rows a step at a time: each step takes the first live member of every
+    row and retires it and every live member within ``sep`` of it.  Returns
+    ``(picks, counts)``; a row stops at ``need`` points."""
+    alive = np.arange(members.shape[1]) < sizes[:, None]
+    picks = np.zeros((len(sizes), need), dtype=np.int64)
+    counts = np.zeros(len(sizes), dtype=np.int64)
+    act = np.arange(len(sizes))
+    for step in range(need):
+        act = act[alive[act].any(axis=1)]
+        if act.size == 0:
+            break
+        live = alive[act]
+        first = live.argmax(axis=1)
+        chosen = members[act, first]
+        picks[act, step] = chosen
+        counts[act] += 1
+        if step + 1 < need:
+            live &= ~(view.dists_from(chosen, members[act]) <= sep)
+            live[np.arange(act.size), first] = False
+            alive[act] = live
+    return picks, counts
+
+
+def _first_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
+                  alpha: Fraction, lo: int, hi: int, need_of) -> list:
+    """The net kernel: for each center in order, the first scale j in
+    [lo, hi] at which the greedy packing of the closed ball B(center, r), its
+    members in ascending index order, at separation 2^-j reaches
+    ``need_of(alpha, j)`` points.
+
+    Returns ``(j, ball size, packing)`` per center, with j None where no
+    scale does; the list ends after the block holding the first such center.
+    """
+    out = []
+    for members, sizes in view._balls(centers, r):
+        found = np.full(len(sizes), -1)
+        packs = [()] * len(sizes)
+        size_bits = int(sizes.max()).bit_length()
+        for j in range(lo, hi + 1):
+            e = alpha * j
+            if e.numerator // e.denominator >= size_bits:
+                break  # need >= 2^floor(e) exceeds every ball, here and beyond
+            need = need_of(alpha, j)
+            rows = np.flatnonzero((found < 0) & (sizes >= need))
+            if rows.size == 0:
+                continue
+            sep = 2.0 ** -j
+            if view.min_separation is not None and sep < view.min_separation:
+                picks, counts = members[rows, :need], sizes[rows]
+            else:
+                picks, counts = _greedy_rows(view, members[rows], sizes[rows], sep, need)
+            for row, pick, count in zip(rows.tolist(), picks.tolist(), counts.tolist()):
+                if count >= need:
+                    found[row] = j
+                    packs[row] = tuple(pick)
+            if (found >= 0).all():
+                break
+        out.extend((None if j < 0 else j, size, pack)
+                   for j, size, pack in zip(found.tolist(), sizes.tolist(), packs))
+        if (found < 0).any():
+            break
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,31 +410,20 @@ def level_schedule(view: MetricSpaceView, alphas: Sequence, variant: str,
     ks, gs, js = [0], [], []
     for n in range(levels):
         g_kn = _g_of(view, ks[n], g_mode)
-        r = 2.0 ** -g_kn
         alpha = alphas[n]
-        centers = [view.y0] if variant == "box" else list(range(view.n_points))
-        j_needed = None
-        for center in centers:
-            members = view.ball(center, r)
-            j = None
-            for cand in range(g_kn, j_cap + 1):
-                need = _ceil_pow2(alpha, cand)
-                if need > len(members):
-                    continue  # not even enough points in the ball
-                got = view.greedy_packing_indices(members, 2.0 ** -cand, stop_at=need)
-                if len(got) >= need:
-                    j = cand
-                    break
+        centers = np.array([view.y0]) if variant == "box" else np.arange(view.n_points)
+        rows = _first_scales(view, centers, 2.0 ** -g_kn, alpha, g_kn, j_cap, _ceil_pow2)
+        for center, (j, size, _) in zip(centers.tolist(), rows):
             if j is None:
                 span = (f"scales [{g_kn}, {j_cap}]" if g_kn <= j_cap
                         else f"required scale start {g_kn} beyond the cap {j_cap}")
                 raise ResolutionExhausted(
                     f"level {n + 1}: no admissible scale ({span}) packs "
                     f"2^({alpha}*j) points in the radius 2^-{g_kn} ball at "
-                    f"point {center} ({len(members)} net points inside)",
+                    f"point {center} ({size} net points inside)",
                     level=n + 1,
                 )
-            j_needed = j if j_needed is None else max(j_needed, j)
+        j_needed = max(j for j, _, _ in rows)
         ks.append(j_needed + gap)
         gs.append(g_kn)
         js.append(j_needed)
@@ -374,20 +494,21 @@ def _swap_in_origin(view: MetricSpaceView, s: list[int], ell: int) -> list[int]:
     return sorted([p for p in s if p != near[0]] + [y0])
 
 
-def _min_ell_and_packing(view, center: int, radius: float, phi: Fraction,
-                         lo: int, hi: int, who: str):
-    members = view.ball(center, radius)
-    for ell in range(lo, hi + 1):
-        need = floor_pow2(phi, ell)
-        if need > len(members):
-            continue
-        got = view.greedy_packing_indices(members, 2.0 ** -ell, stop_at=need)
-        if len(got) >= need:
-            return ell, got[:need]
-    raise ResolutionExhausted(
-        f"{who}: no scale in [{lo}, {hi}] yields a floor(2^({phi}*l))-point "
-        f"packing in the radius {radius} ball at point {center}"
-    )
+def _packings(view, centers: Sequence[int], radius: float, phi: Fraction,
+              lo: int, hi: int, who: str) -> list:
+    """``(ell, packing)`` per center: the first scale in [lo, hi] whose greedy
+    packing of the radius ball reaches ``floor(2^(phi*ell))`` points, with
+    those points.  ``who`` names the step in the error and may use ``{y}``."""
+    rows = _first_scales(view, np.array(centers, dtype=np.int64), radius, phi,
+                         lo, hi, floor_pow2)
+    for y, (ell, _, _) in zip(centers, rows):
+        if ell is None:
+            raise ResolutionExhausted(
+                f"{who.format(y=y)}: no scale in [{lo}, {hi}] yields a "
+                f"floor(2^({phi}*l))-point packing in the radius {radius} ball "
+                f"at point {y}"
+            )
+    return [(ell, pack) for ell, _, pack in rows]
 
 
 def _check_separation(view, centers: Sequence[int], threshold: float, what: str):
@@ -412,9 +533,8 @@ def extend_box(tree: BallTree, c: int, varphi) -> BallTree:
     phi = min(Fraction(varphi), kseq.alphas[n])
     g_kn = kseq.g_values[n]
     k_next = kseq.ks[n + 1]
-    ell, s = _min_ell_and_packing(
-        tree.view, tree.view.y0, 2.0 ** -g_kn, phi,
-        g_kn, k_next - 3, "box extension")
+    (ell, s), = _packings(tree.view, [tree.view.y0], 2.0 ** -g_kn, phi,
+                          g_kn, k_next - 3, "box extension")
     t_set = _swap_in_origin(tree.view, s, ell)
     _check_separation(tree.view, t_set, 2.0 ** -(ell + 1), "swapped packing")
     old = tree.centers
@@ -441,11 +561,10 @@ def extend_packing(tree: BallTree, c: int, varphi) -> BallTree:
     k_next = kseq.ks[n + 1]
     records = []
     union: list[int] = []
-    for y in tree.centers:
-        ell, s = _min_ell_and_packing(
-            tree.view, y, 2.0 ** -g_kn, phi, g_kn, k_next - 2,
-            f"packing extension at {y}")
-        records.append(PackingRecord(y, ell, tuple(s), phi))
+    found = _packings(tree.view, tree.centers, 2.0 ** -g_kn, phi, g_kn,
+                      k_next - 2, "packing extension at {y}")
+    for y, (ell, s) in zip(tree.centers, found):
+        records.append(PackingRecord(y, ell, s, phi))
         union.extend(s)
     centers = tuple(sorted(set(union)))
     if len(centers) != sum(len(r.selected) for r in records):

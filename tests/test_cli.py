@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microfract import __version__
 from microfract.cli import main, run
@@ -196,3 +201,88 @@ def test_malformed_input_one_line_exit_1(tmp_path, capsys, argv):
     assert rc == 1
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra,code,words", [
+    (["--target", "interval:1/2"], 1, "interval:lo:hi"),
+    (["--target", "finite:1e400"], 3, "no admissible scale"),
+    (["--target", "finite:1/2", "--depth", "27", "--branch", "1" * 27], 3,
+     "exceeds the limit"),
+], ids=["interval-one-bound", "huge-exponent", "depth-27"])
+def test_family_malformed_exit_code_and_message(tmp_path, capsys, extra, code, words):
+    rc = main(["family", "--net", "grid:9", "--out", str(tmp_path / "f.json")] + extra)
+    err = capsys.readouterr().err
+    assert rc == code and err.count("\n") == 1 and words in err
+    assert not (tmp_path / "f.json").exists()
+
+
+def _run_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_GOOD = {"net": "grid:9", "target": "finite:1/2", "depth": 1, "branch": "1",
+         "variant": "box"}
+_BAD = {
+    "net": st.one_of(st.sampled_from(["grid:", "grid:1", "grid:0", "grid:-4", "grid:x",
+                                      "grid:2.5", "grid:1e3", "grid:1449",
+                                      "grid:99999999999999999999", "line:9", ":", ""]),
+                     _TEXT.filter(lambda t: not t.startswith("grid:"))),
+    "target": st.one_of(st.sampled_from(["finite:", "finite:1/0", "finite:x", "finite:-1",
+                                         "finite:1e400", "finite:1/2,", "interval:1/2",
+                                         "interval:", "interval:1:0", "interval:0:1:2",
+                                         "interval:0:1/0", "circle:1/2", "1/2"]),
+                        _TEXT.filter(lambda t: not t.startswith(("finite:", "interval:")))),
+    "depth": st.one_of(st.integers(-3, 0), st.integers(27, 10 ** 12)),
+    "branch": st.one_of(st.sampled_from(["2", "01x", " 1"]),
+                        _TEXT.filter(lambda t: t != "" and set(t) - {"0", "1"})),
+    "variant": st.one_of(st.sampled_from(["", "Box", "triangle"]), _TEXT,
+                         st.integers(), st.none()).filter(lambda v: v not in ("box", "packing")),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad=st.lists(st.sampled_from(sorted(_BAD)), min_size=1, max_size=3, unique=True),
+       data=st.data(), via_config=st.booleans())
+def test_family_fuzz_one_line_error(bad, data, via_config):
+    """Malformed net, target, depth, branch or variant values, on the command
+    line or in a config file, end in one stderr line with exit 1-3."""
+    config = dict(_GOOD)
+    for key in bad:
+        config[key] = data.draw(_BAD[key], label=key)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "f.json")
+        argv = ["family", f"--out={out}"]
+        if via_config or "variant" in bad:
+            # the variant flag has fixed choices, so a bad one only reaches
+            # the program through a config file
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv.append(f"--config={path}")
+        else:
+            argv += [f"--{key}={val}" for key, val in config.items()]
+        rc, err = _run_captured(argv)
+        assert rc in (1, 2, 3), err
+        assert err.count("\n") == 1, err
+        assert not os.path.exists(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=st.one_of(st.sampled_from([b"[]", b"null", b"3", b'"family"', b"{", b"",
+                                       b"[{}]", b"\xff\xfe{}"]),
+                      st.recursive(st.none() | st.booleans() | st.integers() | _TEXT,
+                                   lambda kids: st.lists(kids, max_size=3),
+                                   max_leaves=5).map(lambda v: json.dumps(v).encode()),
+                      st.binary(max_size=16)))
+def test_family_config_not_an_object(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "wb") as fh:
+            fh.write(body)
+        rc, err = _run_captured(["family", f"--config={path}",
+                                 f"--out={os.path.join(tmp, 'f.json')}"])
+    assert rc == 1 and err.count("\n") == 1 and err.startswith("error: ")

@@ -1,13 +1,20 @@
+import contextlib
+import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from microfract import families
+from microfract.cli import main
 from microfract.dyadic import kx_set, product
-from microfract.errors import ResolutionExhausted
+from microfract.errors import ResolutionExhausted, ResourceLimitError
 from microfract.families import (
     EuclideanNet,
+    KSeq,
     MatrixNet,
     count_reaches_pow2,
     extend_box,
@@ -22,6 +29,174 @@ from microfract.families import (
 )
 from microfract.realize import TargetSpec, VarphiMap
 from microfract.seq import beatty_balanced, factor
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-center loops that the batched net kernel replaced, kept
+# verbatim (calls to the view's own ball/greedy methods now go to the oracle
+# versions).  The kernel must reproduce them exactly.
+# ---------------------------------------------------------------------------
+
+def oracle_ball(view, center, r):
+    idx = np.arange(view.n_points)
+    return idx[view.dists_from(center, idx) <= r]
+
+
+def oracle_greedy(view, candidates, delta, stop_at=None):
+    if view.min_separation is not None and delta < view.min_separation:
+        # every pair is already separated; the candidates pack as-is
+        out = [int(c) for c in candidates]
+        return out if stop_at is None else out[:stop_at]
+    alive = np.ones(len(candidates), dtype=bool)
+    chosen = []
+    while True:
+        rest = np.nonzero(alive)[0]
+        if rest.size == 0:
+            return chosen
+        i = int(rest[0])
+        chosen.append(int(candidates[i]))
+        if stop_at is not None and len(chosen) >= stop_at:
+            return chosen
+        d = view.dists_from(int(candidates[i]), candidates[rest])
+        alive[rest[d <= delta]] = False
+
+
+def oracle_global_packing_number(view, delta):
+    if view.min_separation is not None and delta < view.min_separation:
+        return view.n_points
+    return len(oracle_greedy(view, np.arange(view.n_points), delta))
+
+
+def oracle_g_of(view, k, g_mode):
+    if g_mode == "linear":
+        return k + 1
+    return max(k + 1, oracle_global_packing_number(view, 2.0 ** -k))
+
+
+def oracle_level_schedule(view, alphas, variant, levels=None, j_cap=200,
+                          g_mode="strict"):
+    if variant not in ("box", "packing"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if g_mode not in ("strict", "linear"):
+        raise ValueError(f"unknown g_mode {g_mode!r}")
+    alphas = tuple(Fraction(a) for a in alphas)
+    if levels is None:
+        levels = len(alphas)
+    if len(alphas) < levels:
+        raise ValueError("need one alpha per level")
+    gap = 3 if variant == "box" else 2
+    ks, gs, js = [0], [], []
+    for n in range(levels):
+        g_kn = oracle_g_of(view, ks[n], g_mode)
+        r = 2.0 ** -g_kn
+        alpha = alphas[n]
+        centers = [view.y0] if variant == "box" else list(range(view.n_points))
+        j_needed = None
+        for center in centers:
+            members = oracle_ball(view, center, r)
+            j = None
+            for cand in range(g_kn, j_cap + 1):
+                need = families._ceil_pow2(alpha, cand)
+                if need > len(members):
+                    continue  # not even enough points in the ball
+                got = oracle_greedy(view, members, 2.0 ** -cand, stop_at=need)
+                if len(got) >= need:
+                    j = cand
+                    break
+            if j is None:
+                span = (f"scales [{g_kn}, {j_cap}]" if g_kn <= j_cap
+                        else f"required scale start {g_kn} beyond the cap {j_cap}")
+                raise ResolutionExhausted(
+                    f"level {n + 1}: no admissible scale ({span}) packs "
+                    f"2^({alpha}*j) points in the radius 2^-{g_kn} ball at "
+                    f"point {center} ({len(members)} net points inside)",
+                    level=n + 1,
+                )
+            j_needed = j if j_needed is None else max(j_needed, j)
+        ks.append(j_needed + gap)
+        gs.append(g_kn)
+        js.append(j_needed)
+    return KSeq(variant, alphas, tuple(ks), tuple(gs), tuple(js), g_mode)
+
+
+def oracle_min_ell_and_packing(view, center, radius, phi, lo, hi, who):
+    members = oracle_ball(view, center, radius)
+    for ell in range(lo, hi + 1):
+        need = floor_pow2(phi, ell)
+        if need > len(members):
+            continue
+        got = oracle_greedy(view, members, 2.0 ** -ell, stop_at=need)
+        if len(got) >= need:
+            return ell, got[:need]
+    raise ResolutionExhausted(
+        f"{who}: no scale in [{lo}, {hi}] yields a floor(2^({phi}*l))-point "
+        f"packing in the radius {radius} ball at point {center}"
+    )
+
+
+def oracle_packings(view, centers, radius, phi, lo, hi, who):
+    """The extensions' former per-center loop over the oracle above."""
+    out = []
+    for y in centers:
+        ell, s = oracle_min_ell_and_packing(view, y, radius, phi, lo, hi,
+                                            who.format(y=y))
+        out.append((ell, tuple(s)))
+    return out
+
+
+def oracle_suggest_origin(view, radius=0.25):
+    best, best_n = 0, -1
+    for i in range(view.n_points):
+        n = len(oracle_ball(view, i, radius))
+        if n > best_n:
+            best, best_n = i, n
+    return best
+
+
+def outcome(fn):
+    """A call's result, or its exception as (type, message, level)."""
+    try:
+        return fn()
+    except (ValueError, ResolutionExhausted, families.InvariantViolation) as e:
+        return type(e), str(e), getattr(e, "level", None)
+
+
+@st.composite
+def random_nets(draw):
+    """Small Euclidean nets (d = 1-3; on the 1/8 lattice, so distances tie
+    exactly, or at arbitrary floats; with duplicate points) and the matrix
+    nets of their distances."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.integers(0, 8), min_size=n * d, max_size=n * d))
+        pts = np.array(coords, dtype=float).reshape(n, d) / 8
+    else:
+        coords = draw(st.lists(st.floats(0, 1), min_size=n * d, max_size=n * d))
+        pts = np.array(coords, dtype=float).reshape(n, d)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=4)):
+        pts[dst] = pts[src]
+    y0 = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        diff = pts[:, None, :] - pts[None, :, :]
+        return MatrixNet(np.sqrt((diff * diff).sum(axis=-1)), y0=y0)
+    gaps = [EuclideanNet(pts).dist(i, j) for i, j in itertools.combinations(range(n), 2)]
+    sep = min(gaps, default=0.0)
+    return EuclideanNet(pts, y0=y0,
+                        min_separation=sep if sep > 0 and draw(st.booleans()) else None)
+
+
+# the module's block size, and a size so small that every block holds one row
+BLOCKINGS = [None, 1]
+
+
+@contextlib.contextmanager
+def blocking(block):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(families, "_BLOCK_ELEMS", block)
+        yield
 
 
 def telescope_net(levels, alpha=Fraction(1, 8)):
@@ -51,6 +226,96 @@ def grid_1d(m):
     """Uniform 1-D net: rich around every point (packing-variant witnesses)."""
     return EuclideanNet(np.linspace(0.0, 1.0, 2 ** m + 1), y0=0,
                         min_separation=2.0 ** -m)
+
+
+class TestKernelMatchesOracles:
+    @settings(max_examples=120, deadline=None)
+    @given(net=random_nets(),
+           alpha=st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 4),
+                                  Fraction(1, 3), Fraction(1, 2), Fraction(1),
+                                  Fraction(3, 2)]),
+           low=st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 4)]),
+           levels=st.integers(1, 3),
+           variant=st.sampled_from(["box", "packing"]),
+           g_mode=st.sampled_from(["strict", "linear"]),
+           j_cap=st.integers(3, 40),
+           bits=st.lists(st.integers(0, 1), min_size=3, max_size=3))
+    def test_schedules_and_members(self, net, alpha, low, levels, variant,
+                                   g_mode, j_cap, bits):
+        alphas = [alpha] * levels
+        want = outcome(lambda: oracle_level_schedule(net, alphas, variant, levels,
+                                                     j_cap, g_mode))
+        spec = TargetSpec.finite_set([min(low, alpha), alpha])
+        branch = "".join(map(str, bits))
+        if isinstance(want, KSeq):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(families, "_packings", oracle_packings)
+                want_tree = outcome(lambda: family_member(
+                    branch, spec, net, variant, levels, kseq=want))
+        for block in BLOCKINGS:
+            with blocking(block):
+                got = outcome(lambda: level_schedule(net, alphas, variant, levels,
+                                                     j_cap, g_mode))
+                assert got == want
+                if isinstance(want, KSeq):
+                    tree = outcome(lambda: family_member(
+                        branch, spec, net, variant, levels, kseq=got))
+                    if isinstance(want_tree, tuple):
+                        assert tree == want_tree
+                    else:
+                        assert tree.levels == want_tree.levels
+
+    @settings(max_examples=120, deadline=None)
+    @given(net=random_nets(), data=st.data())
+    def test_ball_greedy_and_global_packing(self, net, data):
+        n = net.n_points
+        k = data.draw(st.integers(-2, 8))
+        r = data.draw(st.sampled_from([2.0 ** -k, 0.0, 0.3, 1e-300]))
+        center = data.draw(st.integers(0, n - 1))
+        cand = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=25)),
+                        dtype=np.int64)
+        stop_at = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+        for block in BLOCKINGS:
+            with blocking(block):
+                ball = net.ball(center, r)
+                assert np.array_equal(ball, oracle_ball(net, center, r))
+                assert ball.dtype == np.int64
+                assert (net.greedy_packing_indices(cand, r, stop_at)
+                        == oracle_greedy(net, cand, r, stop_at))
+                assert (net.global_packing_number(r)
+                        == oracle_global_packing_number(net, r))
+                assert suggest_origin(net, r) == oracle_suggest_origin(net, r)
+
+    def test_grid_global_packings_match(self):
+        net = EuclideanNet.grid_2d(65)
+        for k in range(8):
+            assert (net.global_packing_number(2.0 ** -k)
+                    == oracle_global_packing_number(net, 2.0 ** -k))
+
+    @pytest.mark.parametrize("side,alpha", [(73, Fraction(2, 3)), (81, Fraction(1, 3))])
+    def test_strict_grid_exhaustion_matches(self, side, alpha):
+        net = EuclideanNet.grid_2d(side)
+        got = outcome(lambda: level_schedule(net, [alpha] * 2, "box", 2))
+        assert got == outcome(lambda: oracle_level_schedule(net, [alpha] * 2, "box", 2))
+        assert got[0] is ResolutionExhausted and got[2] == 2
+
+    def test_packing_variant_grid_matches(self):
+        net = EuclideanNet.grid_2d(17)
+        want = oracle_level_schedule(net, [Fraction(1, 3)], "packing", 1)
+        for block in BLOCKINGS:
+            with blocking(block):
+                assert level_schedule(net, [Fraction(1, 3)], "packing", 1) == want
+
+    def test_first_failing_center_is_reported(self):
+        # centers 0-2 sit in a cluster and find a witness; the isolated point
+        # 3 is the first center whose ball holds no second point
+        net = EuclideanNet([0.0, 1 / 64, 2 / 64, 0.9] + [i / 64 for i in range(3, 9)])
+        args = ([Fraction(1, 8)], "packing", 1, 10, "linear")
+        want = outcome(lambda: oracle_level_schedule(net, *args))
+        assert "at point 3 (1 net points inside)" in want[1]
+        for block in BLOCKINGS:
+            with blocking(block):
+                assert outcome(lambda: level_schedule(net, *args)) == want
 
 
 class TestExactPowers:
@@ -97,6 +362,57 @@ class TestNets:
         bad = np.array([[0.0, 5, 1], [5, 0, 1], [1, 1, 0]])
         with pytest.raises(ValueError):
             MatrixNet(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: EuclideanNet(np.zeros((0, 2))),
+        lambda: EuclideanNet([[0.0, 0.0], [np.nan, 1.0]]),
+        lambda: EuclideanNet([[0.0, 0.0], [np.inf, 1.0]]),
+        lambda: EuclideanNet(np.zeros((2, 2, 2))),
+        lambda: EuclideanNet([[0.0, 0.0], [1.0, 1.0]], y0=5),
+        lambda: EuclideanNet([[0.0, 0.0], [1.0, 1.0]], y0=-1),
+        lambda: MatrixNet(np.zeros((0, 0))),
+        lambda: MatrixNet([[0.0, np.inf], [np.inf, 0.0]]),
+        lambda: MatrixNet([[0.0, 1.0], [1.0, 0.0]], y0=2),
+    ], ids=["empty", "nan", "inf", "3-d", "y0-5", "y0-neg", "matrix-empty",
+            "matrix-inf", "matrix-y0"])
+    def test_malformed_nets_rejected_where_built(self, make):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert "\n" not in str(err.value)
+
+    def test_non_finite_csv_rejected(self, tmp_path):
+        path = tmp_path / "net.csv"
+        path.write_text("0.0,0.0\nnan,1.0\n")
+        with pytest.raises(ValueError, match="finite"):
+            EuclideanNet.from_csv(str(path))
+
+    def test_chosen_point_always_retired(self):
+        # a point whose distance to itself is NaN (no longer constructible,
+        # so planted after validation) is packed once instead of forever
+        net = EuclideanNet([[0.0, 0.0], [0.0, 1.0]])
+        net.points[1, 1] = np.nan
+        assert net.greedy_packing_indices(np.array([0, 1]), 0.5) == [0, 1]
+        assert families._greedy_rows(net, np.array([[0, 1]]), np.array([2]),
+                                     0.5, 5)[1].tolist() == [2]
+
+    def test_grid_point_limit_allocates_nothing(self):
+        side = 1449  # 1449^2 = 2,099,601 > 2^21 points
+        assert side * side > families._MAX_POINTS >= 1448 * 1448
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="over the limit"):
+                EuclideanNet.grid_2d(side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_cli_grid_over_limit_exits_3(self, tmp_path, capsys):
+        rc = main(["family", "--net", "grid:1449", "--target", "finite:1/2",
+                   "--out", str(tmp_path / "f.json")])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.count("\n") == 1 and "over the limit" in err
+        assert not (tmp_path / "f.json").exists()
 
     def test_suggest_origin_prefers_density(self):
         pts = np.concatenate([np.linspace(0, 0.05, 20), np.array([0.9])])
@@ -318,3 +634,25 @@ class TestNetFiles:
         path.write_text("0,1,1\n1,0,1\n1,1,0\n")
         net = MatrixNet.from_csv(str(path))
         assert net.n_points == 3 and net.dist(0, 2) == 1.0
+
+
+# sha256 of `family --net grid:<side> --target finite:1/2 --variant <v>
+# --depth 1 --branch 1 --out family.json`, recorded before the batched net
+# kernel replaced the per-center loops
+PINNED_FAMILY_SHA256 = {
+    (33, "box"): "841a2b326e29b970518e2514e0b57e418adbdf53bfef359021a0f7a79d9294e6",
+    (33, "packing"): "c5dd8879b545471d41d849c15ab5251b349113c0b96d9b565052bdc186f19934",
+    (65, "box"): "068f1c3396353b949f4c43ea743df890d050a04f502f33e17c28c23c825972ae",
+    (65, "packing"): "3b09c40fd7d46a04ec377a685486920ede3b5292c409e2a8a71a2582b179e022",
+}
+
+
+@pytest.mark.parametrize("side,variant", sorted(PINNED_FAMILY_SHA256))
+def test_family_artifacts_unchanged(side, variant, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["family", "--net", f"grid:{side}", "--target", "finite:1/2",
+               "--variant", variant, "--depth", "1", "--branch", "1",
+               "--out", "family.json"])
+    assert rc == 0
+    digest = hashlib.sha256((tmp_path / "family.json").read_bytes()).hexdigest()
+    assert digest == PINNED_FAMILY_SHA256[side, variant]
