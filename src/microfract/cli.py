@@ -22,11 +22,14 @@ from .dyadic import full_cube, kx_set, pack_bits, to_json, zoom
 from .errors import InvariantViolation, OracleError, ResolutionExhausted, ResourceLimitError
 from .families import EuclideanNet, family_dim_report, family_member
 from .percolation import PercField, RetentionSchedule, hawkes_experiment, sample
-from .realize import BlockMap, TargetSpec, build_psi_prefix, realized_density_check
+from .realize import BlockMap, TargetSpec, _k_bounds, build_psi_prefix, realized_density_check
 from .seq import Word, beatty_balanced, factor, periodic
 
 MAX_DEPTH = 26
 MAX_TRIALS = 1_000_000
+# Longest coded prefix ``realize`` may build, in bits (one Python int each).
+# Block n holds at most n + ceil(n^1.5) bits, so 2^21 allows 477 blocks.
+MAX_CODED_BITS = 1 << 21
 SEED_ENV = "MICROFRACT_SEED"
 
 CONFIG_SCHEMA = {
@@ -176,9 +179,21 @@ def _cmd_hawkes(config: dict) -> str:
             f"monotone={rep.survival_nonincreasing} -> {out}")
 
 
+def _check_coded_length(blocks: int):
+    """Refuses, before any block is built, a prefix whose blocks could hold
+    more than MAX_CODED_BITS bits; stops summing once past the limit."""
+    total = 0
+    for n in range(1, blocks):
+        total += n + _k_bounds(n)[1]
+        if total > MAX_CODED_BITS:
+            raise ResourceLimitError(
+                f"{blocks} blocks may code more than {MAX_CODED_BITS} bits")
+
+
 def _cmd_realize(config: dict) -> str:
     spec = _parse_target_spec(config["target"])
     blocks = config["blocks"]
+    _check_coded_length(blocks)
     if config.get("branch"):
         x = Word.from_string(config["branch"])
     else:
@@ -294,9 +309,19 @@ def run(config: dict) -> str:
     return _COMMANDS[command](config)
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects: a bad flag value or choice."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print the whole usage and exit 2, the code for invariant
+    # violations; main prints one line and returns 1 instead.
+    def error(self, message):
+        raise _UsageError(" ".join(message.split()))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="microfract",
-                                description="dyadic fractal experiments")
+    p = _Parser(prog="microfract", description="dyadic fractal experiments")
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--print-schema", action="store_true",
                    help="print the config JSON schema and exit")
@@ -348,7 +373,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     if getattr(args, "print_schema", False):
         print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True))
         return 0

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, log2, sqrt
 from typing import Sequence
 
@@ -191,6 +193,39 @@ _SPLIT_CELLS = 1 << 13
 _MAX_CELLS = 1 << 21
 
 
+@lru_cache(maxsize=256)
+def _threshold(alpha: Fraction) -> int:
+    """``floor(2^(53 - alpha))``, the largest 53-bit ``v`` with ``v * 2^-53 <=
+    2^-alpha``: a float guess, corrected a unit at a time by the exact test
+    :func:`_at_most_pow2` (integer roots cost about q steps for alpha = p/q)."""
+    if alpha > 53:
+        return 0
+    e, t = 53 - alpha, int(2.0 ** 53 * 2.0 ** -float(alpha))
+    while not _at_most_pow2(t, e):
+        t -= 1
+    while _at_most_pow2(t + 1, e):
+        t += 1
+    return t
+
+
+def _at_most_pow2(c: int, e: Fraction) -> bool:
+    """Exact ``c <= 2^e`` for integers ``c >= 0`` and rationals ``e = p/q >=
+    0``.  For ``q > 1``, ``2^e`` is irrational, so ``q*ln(c) - p*ln(2)`` is
+    never 0; the decimal precision doubles until the computed difference
+    outweighs its rounding error (a few units in the last place)."""
+    p, q = e.numerator, e.denominator
+    if q == 1 or c == 0:
+        return c <= 1 << p
+    prec = 40
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            lhs, rhs = q * Decimal(c).ln(), p * Decimal(2).ln()
+            if abs(lhs - rhs) > (lhs + rhs) * Decimal(10) ** (3 - prec):
+                return lhs < rhs
+        prec *= 2
+
+
 def _restriction(k_set: DyadicSet | None, depth: int, d: int):
     """The reference set as (its sorted leaf Morton codes, its depth), None
     for the full cube, and the dimension."""
@@ -220,7 +255,7 @@ def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: 
         tables = [_distinct(ref_codes >> d * (ref_depth - m)) for m in range(depth + 1)]
     hashes = np.array([field._copy_hash(key) for key in keys], dtype=np.uint64)
     # (v >> 11) <= floor(r * 2^53) is exactly the uniform test (v >> 11) * 2^-53 <= r.
-    thresholds = [None] + [np.uint64(schedule.retention(n) * 2.0 ** 53)
+    thresholds = [None] + [np.uint64(_threshold(schedule.alpha(n)))
                            for n in range(1, depth + 1)]
     rows = {level: j for j, level in enumerate(count_levels)}
     counts = np.zeros((len(rows), len(keys)), dtype=np.int64)

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from typing import Callable, Iterator, Sequence
 
@@ -43,6 +44,11 @@ __all__ = [
 
 def _as_word(s) -> Word:
     return s if isinstance(s, Word) else Word.from_string(s)
+
+
+def _as_int(bits) -> int:
+    """The bits as one binary integer, most significant first."""
+    return int("".join(["1" if b else "0" for b in bits]) or "0", 2)
 
 
 class TargetSpec:
@@ -76,6 +82,10 @@ class TargetSpec:
         self.b = Fraction(b)
         self.values = values
         self.intervals = intervals
+        # each interval [lo, hi] as lo and hi - lo over lo.den * hi.den, and that den
+        self._affine = tuple((lo.numerator * hi.denominator,
+                              hi.numerator * lo.denominator - lo.numerator * hi.denominator,
+                              lo.denominator * hi.denominator) for lo, hi in intervals)
         self._m_index = m_index
         self._meets_g = meets_g
         self._f_range = f_range
@@ -162,28 +172,22 @@ class TargetSpec:
         idx_lo, idx_hi = self._selector_range(s)
         if self.mode == "finite_set":
             return self.values[idx_lo], self.values[idx_hi]
-        rest = s.bits[self.selector_bits:]
         if idx_lo != idx_hi:
             return (min(self.intervals[i][0] for i in range(idx_lo, idx_hi + 1)),
                     max(self.intervals[i][1] for i in range(idx_lo, idx_hi + 1)))
-        lo, hi = self.intervals[idx_lo]
-        v = Fraction(0)
-        for j, bit in enumerate(rest, start=1):
-            v += Fraction(bit, 1 << j)
-        width = Fraction(1, 1 << len(rest))
-        return lo + (hi - lo) * v, lo + (hi - lo) * (v + width)
+        # The L tail bits after the selector, read as one binary integer num,
+        # pick the piece lo + (hi - lo) * [num, num + 1] / 2^L of the interval.
+        rest = s.bits[self.selector_bits:]
+        num = _as_int(rest)
+        base, span, den = self._affine[idx_lo]
+        base, den = base << len(rest), den << len(rest)
+        return Fraction(base + span * num, den), Fraction(base + span * (num + 1), den)
 
     def _selector_range(self, s: Word) -> tuple[int, int]:
-        n_branches = max(len(self.values), len(self.intervals))
-        k = self.selector_bits
-        head = s.bits[:k]
-        free = k - len(head)
-        base = 0
-        for bit in head:
-            base = base * 2 + bit
-        lo = base << free
-        hi = ((base + 1) << free) - 1
-        return min(lo, n_branches - 1), min(hi, n_branches - 1)
+        head = s.bits[:self.selector_bits]
+        free = self.selector_bits - len(head)
+        base, last = _as_int(head), max(len(self.values), len(self.intervals)) - 1
+        return min(base << free, last), min(((base + 1) << free) - 1, last)
 
 
 class VarphiMap:
@@ -220,14 +224,13 @@ class VarphiMap:
 
     def _canonical(self, s: Word) -> Fraction:
         # Deterministic choice: follow the lexicographically least branch as
-        # far as the open part allows, then take the interval midpoint.
-        best = s
-        for _ in range(self.spec.canonical_pad):
-            cand = Word(best.bits + (0,))
-            if not self.spec.meets_g(cand):
-                break
-            best = cand
-        lo, hi = self.spec.f_range(best)
+        # far as the open part allows, then take the interval midpoint.  In
+        # the explicit modes the open part is everything: pad in one step.
+        pad = self.spec.canonical_pad
+        if self.spec.mode == "effective":
+            pad = next((j for j in range(pad)
+                        if not self.spec.meets_g(Word._of(s.bits + (0,) * (j + 1)))), pad)
+        lo, hi = self.spec.f_range(Word._of(s.bits + (0,) * pad))
         return (lo + hi) / 2
 
     def value(self, s) -> Fraction:
@@ -240,7 +243,7 @@ class VarphiMap:
             val = self._clamp(self.spec.a, 0)
             self.memo[key] = val
             return val
-        parent = Word(s.bits[:-1])
+        parent = Word._of(s.bits[:-1])
         parent_val = self.value(parent)
         m_child = self._m_index(s)
         m_parent = self._m_index(parent)
@@ -413,9 +416,8 @@ class BlockMap:
     def block_for(self, s) -> Word:
         s = _as_word(s)
         if len(s) == 0:
-            return Word(())
-        k = self.k_choice(s)
-        return concat([factor(self.alpha, 0, len(s)), factor(self.beta, 0, k)])
+            return Word._of(())
+        return concat([factor(self.alpha, 0, len(s)), factor(self.beta, 0, self.k_choice(s))])
 
 
 @dataclass(frozen=True)
@@ -432,7 +434,7 @@ class PsiPrefix:
         return len(self.boundaries) - 1
 
     def block_word(self, i: int) -> Word:
-        return Word(self.word.bits[self.boundaries[i]:self.boundaries[i + 1]])
+        return self.word[self.boundaries[i]:self.boundaries[i + 1]]
 
 
 def build_psi_prefix(x, spec: TargetSpec, blocks: int,
@@ -448,18 +450,15 @@ def build_psi_prefix(x, spec: TargetSpec, blocks: int,
         raise ValueError(f"blocks must lie in [0, {len(x) + 1}]")
     bm = block_map or BlockMap(spec, policy)
     bits: list[int] = []
-    bounds = [0]
-    lengths: list[tuple[int, int]] = []
-    phis: list[Fraction] = []
+    bounds, lengths, phis = [0], [], []
     for i in range(blocks):
         w = bm.block_for(x.prefix(i))
         bits.extend(w.bits)
         bounds.append(len(bits))
         if i >= 1:
-            k = len(w) - i
-            lengths.append((i, k))
+            lengths.append((i, len(w) - i))
             phis.append(bm.varphi.value(x.prefix(i)))
-    word = Word(tuple(bits))
+    word = Word._of(tuple(bits))
     if spec.b > 0 and word.sigma == 0:
         # The high-density tails alone contribute floor(k*b) ones per block.
         forced = sum((k * spec.b.numerator) // spec.b.denominator for _, k in lengths)
@@ -513,10 +512,13 @@ def realized_density_check(p: PsiPrefix, expected) -> DensityReport:
     if p.blocks < 2:
         raise ValueError("need at least two blocks")
     expected = Fraction(expected)
+    ones = list(accumulate(p.word.bits, initial=0))  # ones before each position
     checks = []
     for idx, ((n, k), phi) in enumerate(zip(p.block_lengths, p.phi_values), start=1):
-        w = p.block_word(idx)
-        rho = w.density
+        start, end = p.boundaries[idx], p.boundaries[idx + 1]
+        if end <= start:
+            raise ValueError(f"block {idx} is empty")
+        rho = Fraction(ones[end] - ones[start], end - start)
         err = abs(rho - phi)
         # err <= 2/(n+k) + 2/sqrt(n), exactly
         rem = err - Fraction(2, n + k)
@@ -525,7 +527,7 @@ def realized_density_check(p: PsiPrefix, expected) -> DensityReport:
             raise InvariantViolation(
                 f"block {idx}: density error {float(err):.4f} breaks the bound"
             )
-        frac = Fraction(len(w), p.boundaries[idx + 1])
+        frac = Fraction(end - start, end)
         checks.append(BlockCheck(idx, n, k, phi, rho, err, ok, frac))
     fracs = [c.length_fraction for c in checks]
     vanish = len(fracs) >= 2 and fracs[-1] <= max(fracs)
@@ -533,7 +535,7 @@ def realized_density_check(p: PsiPrefix, expected) -> DensityReport:
     # of length >= n(n+1)/2, so the tail ratio must fall under 4/sqrt(n).
     n_last = checks[-1].n
     vanish = vanish and (fracs[-1] * isqrt(n_last) <= 4)
-    cum = p.word.density
+    cum = Fraction(ones[-1], len(p.word))
     return DensityReport(tuple(checks), cum, expected, abs(cum - expected), vanish)
 
 

@@ -10,9 +10,11 @@ within ``1/n`` of ``a``.
 from __future__ import annotations
 
 import json
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, cycle
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,13 +35,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Word:
-    """An immutable finite binary word."""
+    """An immutable finite binary word.  Bits are checked once, where a word
+    enters from outside; words cut or joined from checked words skip it."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("word bits must be 0 or 1")
+
+    @classmethod
+    def _of(cls, bits: tuple[int, ...]) -> "Word":
+        """A word on bits already known to be 0 or 1."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "bits", bits)
+        return w
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Word":
@@ -49,14 +59,14 @@ class Word:
     def from_string(cls, s: str) -> "Word":
         if set(s) - {"0", "1"}:
             raise ValueError(f"not a binary string: {s!r}")
-        return cls(tuple(1 if ch == "1" else 0 for ch in s))
+        return cls._of(tuple(map(int, s)))
 
     def __len__(self) -> int:
         return len(self.bits)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.bits[i])
+            return Word._of(self.bits[i])
         return self.bits[i]
 
     def __iter__(self) -> Iterator[int]:
@@ -80,7 +90,7 @@ class Word:
     def prefix(self, n: int) -> "Word":
         if n < 0 or n > len(self.bits):
             raise ValueError(f"prefix length {n} out of range")
-        return Word(self.bits[:n])
+        return Word._of(self.bits[:n])
 
 
 def concat(ws: Sequence[Word | str]) -> Word:
@@ -90,7 +100,7 @@ def concat(ws: Sequence[Word | str]) -> Word:
         if isinstance(w, str):
             w = Word.from_string(w)
         bits.extend(w.bits)
-    return Word(tuple(bits))
+    return Word._of(tuple(bits))
 
 
 class SeqProgram:
@@ -122,12 +132,8 @@ class SeqProgram:
         self._shift = shift
         self._block_list = block_list
         self._block_iter = block_iter
-        if kind == "blocks":
-            self._buffer: list[int] = []
-            self._lock = threading.Lock()
-        else:
-            self._buffer = []
-            self._lock = None
+        self._buffer: list[int] = []
+        self._lock = threading.Lock() if kind == "blocks" else None
 
     def bit(self, i: int) -> int:
         """Evaluate the sequence at index ``i >= 0``."""
@@ -140,9 +146,6 @@ class SeqProgram:
             return (i + 1) * p // q - i * p // q
         if self.kind == "shifted":
             return self._base.bit(i + self._shift)
-        return self._block_bit(i)
-
-    def _block_bit(self, i: int) -> int:
         if i >= len(self._buffer):
             self._fill_buffer(i + 1)
         return self._buffer[i]
@@ -227,15 +230,8 @@ def block_program(blocks: Sequence[Word] | Iterator[Word]) -> SeqProgram:
                        for b in blocks)
         if not blocks or all(len(b) == 0 for b in blocks):
             raise ValueError("block list must contain a nonempty word")
-        prog = SeqProgram("blocks", block_list=blocks)
-        prog._block_iter = _cycle_blocks(blocks)
-        return prog
+        return SeqProgram("blocks", block_list=blocks, block_iter=cycle(blocks))
     return SeqProgram("blocks", block_iter=iter(blocks))
-
-
-def _cycle_blocks(blocks: tuple[Word, ...]) -> Iterator[Word]:
-    while True:
-        yield from blocks
 
 
 def shifted(p: SeqProgram, m: int) -> SeqProgram:
@@ -248,10 +244,15 @@ def shifted(p: SeqProgram, m: int) -> SeqProgram:
 
 
 def factor(p: SeqProgram, k: int, n: int) -> Word:
-    """The ``n`` bits of ``p`` starting at index ``k``."""
+    """The ``n`` bits of ``p`` starting at index ``k``; a Beatty factor in one
+    pass, as the differences of consecutive ``floor(i*a)``."""
     if k < 0 or n < 0:
         raise ValueError("factor indices must be nonnegative")
-    return Word(tuple(p.bit(i) for i in range(k, k + n)))
+    if p.kind == "beatty":
+        num, den = p._a.numerator, p._a.denominator
+        floors = [i * num // den for i in range(k, k + n + 1)]
+        return Word._of(tuple(map(operator.sub, floors[1:], floors)))
+    return Word._of(tuple(p.bit(i) for i in range(k, k + n)))
 
 
 def is_balanced(w: Word | str, max_factor_len: int | None = None) -> bool:
@@ -286,8 +287,4 @@ def density_profile(w: Word | str) -> list[Fraction]:
         w = Word.from_string(w)
     if len(w) == 0:
         raise ValueError("density profile of the empty word is undefined")
-    out, s = [], 0
-    for n, b in enumerate(w.bits, start=1):
-        s += b
-        out.append(Fraction(s, n))
-    return out
+    return [Fraction(s, n) for n, s in enumerate(accumulate(w.bits), start=1)]

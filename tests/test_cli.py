@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,59 @@ class TestRealize:
         rc = main(["realize", "--target", "finite:1/2", "--blocks", "10",
                    "--branch", "0101010101", "--out", str(out)])
         assert rc == 0
+
+
+# sha256 of the CSV rows (header comments excluded), recorded before the
+# integer-first f_range and closed-form Beatty blocks replaced per-bit sums
+PINNED_REALIZE = [
+    (["--target", "interval:3/10:7/10", "--blocks", "40", "--seed", "11"],
+     "9202fba4c2db6d97829a51b8ff22edfb50e3293aec61ee1e9406aa676b2e89de"),
+    (["--target", "finite:1/4,1/2,3/4", "--blocks", "30",
+      "--branch", "0110100110010110011010011001011"],
+     "170da720941032c10c6e3e2d13e5922f80129462dcf41db4997f6b6bc8e32cf0"),
+    (["--target", "interval:0:1/5,2/5:3/5,4/5:1", "--blocks", "60", "--branch", "10" * 30],
+     "900273929d32714eee8e676da98e9ac68c463174100dd1bee6346a68e6665bdb"),
+    (["--target", "finite:1/3,2/3", "--blocks", "45", "--seed", "5"],
+     "b672414ee354b2a6121b85e1b8d51f9b961ae826089d878666845d50182e7c52"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_sha", PINNED_REALIZE)
+def test_pinned_realize_outputs(tmp_path, argv, csv_sha):
+    out = tmp_path / "r.csv"
+    assert main(["realize"] + argv + ["--out", str(out)]) == 0
+    rows = "".join(ln for ln in read(out).splitlines(True) if not ln.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == csv_sha
+
+
+def test_realize_huge_blocks_exit_3_before_building(tmp_path, capsys):
+    start = time.perf_counter()
+    rc = main(["realize", "--target", "finite:1/2", "--blocks", str(10 ** 15),
+               "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and "blocks may code more than" in err
+    assert time.perf_counter() - start < 1
+    assert not (tmp_path / "r.csv").exists()
+    # the largest block count under the limit still runs
+    assert main(["realize", "--target", "finite:1/2", "--blocks", "477",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--target", "finite:1/2", "--blocks", "x"],
+    ["realize", "--target", "finite:1/2", "--blocks", "10", "--bogus"],
+    ["family", "--net", "grid:9", "--target", "finite:1/2", "--depth", "x"],
+    ["family", "--net", "grid:9", "--target", "finite:1/2", "--variant", "triangle"],
+    ["percolate", "--beta", "1/2", "--depth", "4", "--trials", "2.5"],
+    ["percolate", "--beta", "1/2", "--depth", "4", "--trials", "3", "extra\nline"],
+    ["nosuchcommand"],
+], ids=["realize-blocks-x", "realize-unknown-flag", "family-depth-x", "family-variant",
+        "percolate-trials-2.5", "percolate-extra-arg", "no-such-command"])
+def test_usage_errors_one_line_exit_1(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestFamily:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import sqrt
 
@@ -10,6 +11,7 @@ from microfract import percolation
 from microfract.cli import main
 from microfract.dyadic import DyadicSet, full_cube, hausdorff_distance, kx_set, product
 from microfract.errors import ResourceLimitError
+from microfract.families import floor_pow2
 from microfract.percolation import (
     Completion,
     GammaStarConfig,
@@ -94,6 +96,36 @@ class TestSchedule:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             RetentionSchedule.from_list([-1])
+
+
+class TestThreshold:
+    """``_threshold(alpha)`` is the exact ``floor(2^(53 - alpha))``."""
+
+    def test_half(self):
+        # the float product 2.0**-0.5 * 2**53 rounds one above the floor
+        assert percolation._threshold(Fraction(1, 2)) == 6369051672525772
+
+    def test_matches_integer_root(self):
+        for q in range(1, 25):
+            for p in range(2 * q + 1):
+                alpha = Fraction(p, q)
+                assert percolation._threshold(alpha) == floor_pow2(53 - alpha, 1), alpha
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 10 ** 6 + 3), Fraction(10 ** 30 + 1, 10 ** 30),
+                                       Fraction(123456789, 10 ** 9 + 7)])
+    def test_large_denominators(self, alpha):
+        # 2^(53 - alpha) at 60 digits; none of these lies within 10^-20 of an integer
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e = 53 - alpha
+            exact = (Decimal(e.numerator) / e.denominator * Decimal(2).ln()).exp()
+        assert percolation._threshold(alpha) == int(exact)
+
+    def test_edges(self):
+        assert percolation._threshold(Fraction(0)) == 1 << 53
+        assert percolation._threshold(Fraction(53)) == 1
+        assert percolation._threshold(Fraction(107, 2)) == 0
+        assert percolation._threshold(Fraction(10 ** 9)) == 0
 
 
 class TestSample:

@@ -367,6 +367,18 @@ class TestDensityReport:
         with pytest.raises(InvariantViolation):
             realized_density_check(bad, Fraction(1, 2))
 
+    def test_tampered_word_aborts(self):
+        # the report counts the ones in the word itself: a block set to all
+        # ones (density 1 against phi = 1/2) breaks its bound
+        spec = TargetSpec.finite_set([Fraction(1, 2)])
+        x = Word.from_bits([0, 1] * 50)
+        p = build_psi_prefix(x, spec, 101)
+        lo, hi = p.boundaries[50], p.boundaries[51]
+        bits = p.word.bits[:lo] + (1,) * (hi - lo) + p.word.bits[hi:]
+        bad = PsiPrefix(Word(bits), p.boundaries, p.block_lengths, p.phi_values)
+        with pytest.raises(InvariantViolation, match="block 50"):
+            realized_density_check(bad, Fraction(1, 2))
+
     def test_needs_two_blocks(self):
         spec = TargetSpec.finite_set([Fraction(1, 2)])
         p = build_psi_prefix(Word.from_string("1"), spec, 1)
@@ -421,3 +433,31 @@ class TestTargetSpecSerialization:
         spec = reciprocal_family_spec()
         with pytest.raises(TypeError):
             spec.to_json()
+
+
+def per_bit_f_range(spec, s):
+    """The interval-union ``f_range`` summed one Fraction per tail bit."""
+    idx_lo, idx_hi = spec._selector_range(s)
+    if idx_lo != idx_hi:
+        return (min(spec.intervals[i][0] for i in range(idx_lo, idx_hi + 1)),
+                max(spec.intervals[i][1] for i in range(idx_lo, idx_hi + 1)))
+    lo, hi = spec.intervals[idx_lo]
+    rest = s.bits[spec.selector_bits:]
+    v = Fraction(0)
+    for j, bit in enumerate(rest, start=1):
+        v += Fraction(bit, 1 << j)
+    width = Fraction(1, 1 << len(rest))
+    return lo + (hi - lo) * v, lo + (hi - lo) * (v + width)
+
+
+@pytest.mark.parametrize("intervals", [
+    [(Fraction(3, 10), Fraction(7, 10))],
+    [(Fraction(0), Fraction(1, 5)), (Fraction(2, 5), Fraction(3, 5)),
+     (Fraction(4, 5), Fraction(1))],
+], ids=["one", "three"])
+def test_f_range_matches_per_bit_sum(intervals):
+    spec = TargetSpec.interval_union(intervals)
+    for length in range(13):
+        for code in range(1 << length):
+            s = Word(tuple((code >> (length - 1 - j)) & 1 for j in range(length)))
+            assert spec.f_range(s) == per_bit_f_range(spec, s), s

@@ -41,6 +41,18 @@ class TestWord:
         with pytest.raises(ValueError):
             Word((0, 2))
 
+    def test_rejects_unhashable_and_non_binary_elements(self):
+        for bits in [(0, [1]), ({}, 0), (0.5,), (None,), ("1",)]:
+            with pytest.raises(ValueError):
+                Word(bits)
+        with pytest.raises(ValueError):
+            Word.from_bits([0, 1, 2])
+
+    def test_derived_words_equal_checked_ones(self):
+        w = Word.from_string("0110100")
+        for d in [w.prefix(4), w[2:6], w[::2], concat([w, "01", w[:3]])]:
+            assert d == Word(tuple(d.bits)) and hash(d) == hash(Word(tuple(d.bits)))
+
     def test_empty_density_undefined(self):
         with pytest.raises(ValueError):
             Word(()).density
@@ -85,6 +97,14 @@ class TestBeatty:
         prof = density_profile(beatty_balanced(a).prefix(100))
         for n, rho in enumerate(prof, start=1):
             assert abs(rho - a) <= Fraction(1, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.fractions(min_value=0, max_value=1, max_denominator=200),
+       k=st.integers(0, 5000), n=st.integers(0, 300))
+def test_closed_form_factor_matches_bit(a, k, n):
+    prog = beatty_balanced(a)
+    assert factor(prog, k, n).bits == tuple(prog.bit(i) for i in range(k, k + n))
 
 
 class TestIsBalanced:
