@@ -14,11 +14,12 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import dropwhile
 
 import jsonschema
 
 from . import __version__
-from .dyadic import full_cube, kx_set, pack_bits, to_json, zoom
+from .dyadic import from_json, full_cube, kx_set, pack_bits, to_json, zoom
 from .errors import InvariantViolation, OracleError, ResolutionExhausted, ResourceLimitError
 from .families import EuclideanNet, family_dim_report, family_member
 from .percolation import PercField, RetentionSchedule, hawkes_experiment, sample
@@ -62,6 +63,13 @@ CONFIG_SCHEMA = {
         "binary": {"type": "boolean"},
     },
 }
+
+
+# JSON Schema counts 2.0 as an integer; the commands need Python ints.
+_IntsOnlyValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: type(value) is int))
 
 
 def _fraction(s: str) -> Fraction:
@@ -254,9 +262,8 @@ def _cmd_family(config: dict) -> str:
 
 def _cmd_zoom(config: dict) -> str:
     if config.get("in_file"):
-        with open(config["in_file"]) as fh:
-            from .dyadic import from_json
-            base = from_json(fh.read())
+        with open(config["in_file"]) as fh:  # skipping a zoom artifact's header
+            base = from_json("".join(dropwhile(lambda line: line.startswith("#"), fh)))
     else:
         spec = config.get("set", "full:1")
         depth = config["depth"]
@@ -273,7 +280,7 @@ def _cmd_zoom(config: dict) -> str:
             fh.write(pack_bits(view))
     else:
         _write(out, _artifact_header(config) + to_json(view) + "\n")
-    return f"zoom: m={config['m']} leaves={len(view.leaves)} -> {out}"
+    return f"zoom: m={config['m']} leaves={view.count(view.depth)} -> {out}"
 
 
 _COMMANDS = {
@@ -298,7 +305,7 @@ _REQUIRED = {
 def run(config: dict) -> str:
     """Validate a config and dispatch; returns the one-line summary."""
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        jsonschema.validate(config, CONFIG_SCHEMA, cls=_IntsOnlyValidator)
     except jsonschema.ValidationError as e:
         raise ValueError(f"config {e.json_path}: {e.message}") from None
     command = config["command"]
@@ -389,7 +396,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
+        except (OSError, ValueError, RecursionError) as e:  # bad JSON, UTF-8 or nesting
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 1
         if not isinstance(loaded, dict):

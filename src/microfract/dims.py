@@ -93,8 +93,8 @@ def kx_covering_counts(x: Word | str, levels: Sequence[int]) -> CountSeries:
         sig.append(sig[-1] + b)
     entries = []
     for m in sorted(set(levels)):
-        if m > len(x):
-            raise ValueError(f"level {m} exceeds prefix length {len(x)}")
+        if not 0 <= m <= len(x):
+            raise ValueError(f"level {m} outside [0, {len(x)}], the prefix length")
         entries.append((m, 1 << sig[m]))
     return CountSeries("covering", tuple(entries))
 

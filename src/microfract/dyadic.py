@@ -1,9 +1,10 @@
 """Finite-depth dyadic-cube representations of compact subsets of [0,1]^d.
 
-A :class:`DyadicSet` stores the surviving level-``depth`` cells of the unit
-cube; every ancestor of a stored leaf counts as alive, so queries at a
-coarser level return the projected cell set.  All operations are pure and
-exact: coordinates are integers, distances are returned as ``Fraction``.
+A :class:`DyadicSet` is a set of level-``depth`` cells of the unit cube,
+its leaves; every ancestor of a leaf counts as alive.  A set stores only
+the sorted Morton codes of its leaves, every operation works on them, and
+coordinate tuples are a view derived on demand.  All operations are pure
+and exact: coordinates are integers, distances are ``Fraction``s.
 
 Distance computations exploit that for unions of same-grid cells the
 sup-metric Hausdorff distance is always attained on the half-step lattice
@@ -16,7 +17,7 @@ dimension the two metrics coincide.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -104,40 +105,54 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-@dataclass(frozen=True)
-class DyadicSet:
-    """An antichain-free union of level-``depth`` cells of [0,1]^d.
+def _check_shape(d: int, depth: int):
+    if d < 1 or depth < 0:
+        raise ValueError(f"need d >= 1 and depth >= 0, got d={d}, depth={depth}")
+    if d * max(depth, 1) > _CODE_BITS:
+        raise ResourceLimitError(f"cells at d={d}, depth={depth} need "
+                                 f"{d * max(depth, 1)}-bit codes, over {_CODE_BITS}")
 
-    ``leaves`` holds the cells as coordinate tuples; :attr:`codes` is the
-    one integer form behind every query, the sorted Morton codes of the
-    leaves (a linear quadtree).  A level-m ancestor is
-    ``code >> d*(depth-m)``, so the leaves under one cell form a
-    contiguous slice of it.
+
+@dataclass(frozen=True, init=False, eq=False)
+class DyadicSet:
+    """A union of level-``depth`` cells of [0,1]^d, its leaves.
+
+    A set stores only :attr:`codes`, the sorted distinct int64 Morton codes
+    of its leaves (a linear quadtree, read-only); a level-m ancestor is
+    ``code >> d*(depth-m)``, so the leaves under a cell form one slice.
+    :attr:`leaves`, the coordinate tuples, is derived on first read; the
+    constructor turns the tuples it is given into codes.
     """
 
     d: int
     depth: int
-    leaves: frozenset
+    codes: np.ndarray
 
-    def __post_init__(self):
-        if self.d < 1 or self.depth < 0:
-            raise ValueError(f"need d >= 1 and depth >= 0, got d={self.d}, depth={self.depth}")
-        if self.d * self.depth > _CODE_BITS:
-            raise ResourceLimitError(f"cells at d={self.d}, depth={self.depth} need "
-                                     f"{self.d * self.depth}-bit codes, over {_CODE_BITS}")
+    def __init__(self, d: int, depth: int, leaves):
+        # the leaves are Python or numpy integers, not bools; one array pass
+        # converts them, and anything else leaves a 1-D array _from_cells refuses
+        leaves, cells = list(leaves), np.zeros(0, dtype=np.int64)
+        with suppress(TypeError, ValueError, OverflowError):  # not ints, ragged, past int64
+            if all(t is int or issubclass(t, np.integer)
+                   for t in set(map(type, chain.from_iterable(leaves)))):
+                cells = np.array(leaves or np.zeros((0, d)), dtype=np.int64)
+        self.__dict__.update(_from_cells(d, depth, cells).__dict__)
+
+    def __eq__(self, other):
+        return (isinstance(other, DyadicSet) and (self.d, self.depth) == (other.d, other.depth)
+                and np.array_equal(self.codes, other.codes))
+
+    def __hash__(self):
+        return hash((self.d, self.depth, self.codes.tobytes()))
 
     @cached_property
-    def codes(self) -> np.ndarray:
-        """Sorted int64 Morton codes of the leaves (read-only, cached)."""
-        flat = np.fromiter(chain.from_iterable(self.leaves), dtype=np.int64,
-                           count=len(self.leaves) * self.d)
-        codes = np.sort(_morton(flat.reshape(-1, self.d), self.depth))
-        codes.flags.writeable = False
-        return codes
+    def leaves(self) -> frozenset:
+        """The leaves as coordinate tuples (derived from the codes, cached)."""
+        return self.level_cells(self.depth)
 
     @property
     def is_empty(self) -> bool:
-        return not self.leaves
+        return not self.codes.shape[0]
 
     def _level_codes(self, m: int) -> np.ndarray:
         if not 0 <= m <= self.depth:
@@ -145,10 +160,9 @@ class DyadicSet:
         return _distinct(self.codes >> (self.d * (self.depth - m)))
 
     def level_cells(self, m: int) -> frozenset:
-        """Alive cells at level ``m`` <= depth (ancestors of the leaves)."""
-        if m == self.depth:
-            return self.leaves
-        return _tuples(_unmorton(self._level_codes(m), m, self.d))
+        """Alive cells at level ``m`` <= depth (ancestors of the leaves), as tuples."""
+        cells = _unmorton(self._level_codes(m), m, self.d)
+        return frozenset(zip(*(col.tolist() for col in cells.T)))
 
     def count(self, m: int) -> int:
         return self._level_codes(m).shape[0]
@@ -164,26 +178,24 @@ class DyadicSet:
         return i < self.codes.shape[0] and int(self.codes[i]) >> shift == z
 
 
-def _tuples(coords: np.ndarray) -> frozenset:
-    return frozenset(zip(*(col.tolist() for col in coords.T)))
-
-
 def _from_codes(d: int, depth: int, codes: np.ndarray) -> DyadicSet:
     """The set whose sorted distinct Morton codes are ``codes``."""
-    s = DyadicSet(d, depth, _tuples(_unmorton(codes, depth, d)))
+    _check_shape(d, depth)
+    s = object.__new__(DyadicSet)
     codes.flags.writeable = False
-    s.__dict__["codes"] = codes  # seeds the cached property
+    s.__dict__.update(d=d, depth=depth, codes=codes)
     return s
 
 
-def _validated(d: int, depth: int, leaves) -> DyadicSet:
-    """The set of integer ``leaves``, after a check that each is a cell."""
-    s = DyadicSet(d, depth, frozenset(map(tuple, leaves)))
-    hi = 1 << depth
-    for leaf in s.leaves:
-        if len(leaf) != d or any(not 0 <= c < hi for c in leaf):
-            raise ValueError(f"bad leaf {leaf} for d={d}, depth={depth}")
-    return s
+def _from_cells(d: int, depth: int, cells: np.ndarray) -> DyadicSet:
+    """The set of the rows of an integer array, after a check that each is a
+    level-``depth`` cell of [0,1]^d; repeated rows count once."""
+    _check_shape(d, depth)
+    if cells.ndim != 2 or cells.shape[1] != d or cells.size and (
+            cells.min() < 0 or cells.max() >> depth):
+        raise ValueError(f"leaves of a set at d={d}, depth={depth} are "
+                         f"{d} integers in [0, 2^{depth})")
+    return _from_codes(d, depth, _distinct(np.sort(_morton(cells, depth))))
 
 
 def kx_set(x: Word | str) -> DyadicSet:
@@ -208,66 +220,57 @@ def kx_set(x: Word | str) -> DyadicSet:
 
 def full_cube(d: int, depth: int) -> DyadicSet:
     """All cells of [0,1]^d at ``depth`` alive."""
+    _check_shape(d, depth)
     if (1 << (d * depth)) > _MAX_LEAVES:
         raise ResourceLimitError(f"full cube at d={d}, depth={depth} too large")
-    side = range(1 << depth)
-    return DyadicSet(d, depth, frozenset(iter_product(side, repeat=d)))
+    return _from_codes(d, depth, np.arange(1 << (d * depth), dtype=np.int64))
 
 
 def singleton_chain(d: int, depth: int, corner: tuple[int, ...] | None = None) -> DyadicSet:
     """The single leaf cell at ``corner`` (default: the origin cell)."""
-    corner = tuple(map(int, corner)) if corner is not None else (0,) * d
-    return _validated(d, depth, [corner])
+    if corner is None:
+        return _from_codes(d, depth, np.zeros(1, dtype=np.int64))
+    return DyadicSet(d, depth, [tuple(map(int, corner))])
 
 
 def product(a: DyadicSet, b: DyadicSet) -> DyadicSet:
     """Cartesian product; leaf count multiplies, ambient dimensions add."""
     if a.depth != b.depth:
         raise ValueError(f"depth mismatch: {a.depth} != {b.depth}")
-    if len(a.leaves) * len(b.leaves) > _MAX_LEAVES:
+    if a.codes.shape[0] * b.codes.shape[0] > _MAX_LEAVES:
         raise ResourceLimitError("product would exceed the leaf budget")
-    leaves = frozenset(la + lb for la in a.leaves for lb in b.leaves)
-    return DyadicSet(a.d + b.d, a.depth, leaves)
+    # a Morton code is the OR of its axes' bits, so a leaf (la, lb) has the
+    # code of (la, 0) OR the code of (0, lb)
+    high = _morton(np.pad(_cells(a), ((0, 0), (0, b.d))), a.depth)
+    low = _morton(np.pad(_cells(b), ((0, 0), (a.d, 0))), a.depth)
+    return _from_codes(a.d + b.d, a.depth, np.sort((high[:, None] | low).ravel()))
 
 
 # ---------------------------------------------------------------------------
 # Hausdorff metric
 # ---------------------------------------------------------------------------
 
-def _intervals_half_units(s: DyadicSet) -> list[tuple[int, int]]:
-    """Maximal closed intervals of a 1-D cell union, in units of 2^-(depth+1)."""
+def _intervals_half_units(s: DyadicSet) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal closed intervals of a 1-D cell union, in units of 2^-(depth+1):
+    their starts and their ends, both increasing."""
     cs = s.codes
     cut = np.flatnonzero(np.diff(cs) != 1)  # runs of adjacent cells end here
-    starts, ends = np.r_[cs[0], cs[cut + 1]], np.r_[cs[cut], cs[-1]]
-    return list(zip((2 * starts).tolist(), (2 * ends + 2).tolist()))
-
-
-def _dist_to_intervals(x: int, starts: list[int], ends: list[int]) -> int:
-    j = bisect_right(starts, x) - 1
-    best = None
-    if j >= 0:
-        best = 0 if x <= ends[j] else x - ends[j]
-    if j + 1 < len(starts):
-        dnext = starts[j + 1] - x
-        best = dnext if best is None else min(best, dnext)
-    return best
+    return 2 * np.r_[cs[0], cs[cut + 1]], 2 * np.r_[cs[cut], cs[-1]] + 2
 
 
 def _directed_1d(a_iv, b_iv) -> int:
-    starts = [s for s, _ in b_iv]
-    ends = [e for _, e in b_iv]
-    a_starts = [s for s, _ in a_iv]
-    cands = []
-    for s, e in a_iv:
-        cands += [s, e]
+    """The largest distance from a point of A to B, both given as intervals."""
+    (a_lo, a_hi), (b_lo, b_hi) = a_iv, b_iv
     # Inside a gap of B the distance peaks at the midpoint; off-midpoint
-    # optima inside A are interval endpoints, already candidates.
-    for i in range(len(b_iv) - 1):
-        mid = (ends[i] + starts[i + 1]) // 2
-        j = bisect_right(a_starts, mid) - 1
-        if j >= 0 and a_iv[j][0] <= mid <= a_iv[j][1]:
-            cands.append(mid)
-    return max(_dist_to_intervals(x, starts, ends) for x in cands)
+    # optima inside A are interval endpoints, also candidates.
+    mids = (b_hi[:-1] + b_lo[1:]) // 2
+    j = np.searchsorted(a_lo, mids, "right") - 1
+    x = np.concatenate([a_lo, a_hi, mids[(j >= 0) & (mids <= a_hi[j])]])
+    # a point's nearest B intervals: the last one starting at or before it, and the next
+    k, n, far = np.searchsorted(b_lo, x, "right"), b_lo.shape[0], np.iinfo(np.int64).max
+    left = np.where(k > 0, x - b_hi[k - 1], far)  # <= 0 inside that interval
+    right = np.where(k < n, b_lo[np.minimum(k, n - 1)] - x, far)
+    return int(np.minimum(left, right).clip(0).max())
 
 
 def _cells(s: DyadicSet) -> np.ndarray:
@@ -331,21 +334,13 @@ def zoom(a: DyadicSet, m: int, u) -> DyadicSet:
     ``2^(depth-m)``); cells that only touch the boundary of the unit cube
     are dropped.  Raises if the view is empty or ``m`` exceeds the depth.
     """
-    if m < 0:
-        raise ValueError("zoom exponent must be nonnegative")
-    if m > a.depth:
-        raise ValueError(f"zoom exponent {m} exceeds depth {a.depth}")
+    if not 0 <= m <= a.depth:
+        raise ValueError(f"zoom exponent {m} outside [0, {a.depth}], the depth")
     new_depth = a.depth - m
-    shift = _grid_shift(u, a.d, new_depth)
-    hi = 1 << new_depth
-    leaves = set()
-    for leaf in a.leaves:
-        moved = tuple(c + s for c, s in zip(leaf, shift))
-        if all(0 <= c < hi for c in moved):
-            leaves.add(moved)
-    if not leaves:
+    cells, _ = _moved(_cells(a), _grid_shift(u, a.d, new_depth), new_depth)
+    if not cells.shape[0]:
         raise ValueError("zoom produced an empty view")
-    return DyadicSet(a.d, new_depth, frozenset(leaves))
+    return _from_cells(a.d, new_depth, cells)
 
 
 def decompose(x: Word | str, n: int) -> list[tuple[Fraction, DyadicSet]]:
@@ -373,21 +368,28 @@ def verify_sandwich(e: DyadicSet, c: DyadicSet, translates: Sequence) -> bool:
         raise ValueError("operands must share ambient dimension and depth")
     if not translates:
         raise ValueError("at least one translate is required")
-    shifted_sets = [frozenset(_translate_cells(c, v)) for v in translates]
-    if not shifted_sets[0] <= e.leaves:
+    cells = _cells(c)
+    moved = [_moved(cells, _grid_shift(v, c.d, c.depth), c.depth) for v in translates]
+    codes = [_morton(kept, c.depth) for kept, _ in moved]
+    # a cell of c + v_0 outside the cube is not in e; outside cells of the
+    # other translates cover nothing
+    if not moved[0][1] or not np.isin(codes[0], e.codes).all():
         return False
-    union = frozenset().union(*shifted_sets)
-    return e.leaves <= union
+    return bool(np.isin(e.codes, np.concatenate(codes)).all())
 
 
-def _translate_cells(c: DyadicSet, v) -> set:
-    shift = _grid_shift(v, c.d, c.depth)
-    return {tuple(x + s for x, s in zip(leaf, shift)) for leaf in c.leaves}
+def _moved(cells: np.ndarray, shift, level: int) -> tuple[np.ndarray, bool]:
+    """The rows of ``cells`` moved by ``shift`` that are level-``level``
+    cells, and whether all rows are."""
+    moved = cells + np.array(shift, dtype=np.int64)
+    inside = ((moved >= 0) & (moved < 1 << level)).all(axis=1)
+    return moved[inside], bool(inside.all())
 
 
 def _grid_shift(u, d: int, level: int) -> tuple[int, ...]:
     """A translation (one number for every axis, or d of them) in cells of
-    the level grid; it must be aligned to that grid."""
+    the level grid; it must be aligned to that grid.  Shifts past 2^62
+    cells, which move every cell out of the cube, are clipped to 2^62."""
     if isinstance(u, (int, float, Fraction, str)):
         u = (u,) * d
     u = tuple(u)
@@ -396,7 +398,8 @@ def _grid_shift(u, d: int, level: int) -> tuple[int, ...]:
     cells = [Fraction(ua) * (1 << level) for ua in u]
     if any(c.denominator != 1 for c in cells):
         raise ValueError(f"translation {u} not aligned to the level-{level} grid")
-    return tuple(map(int, cells))
+    lim = 1 << _CODE_BITS
+    return tuple(max(-lim, min(lim, int(c))) for c in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +412,16 @@ def to_json(a: DyadicSet) -> str:
 
 
 def from_json(s: str) -> DyadicSet:
-    obj = json.loads(s)
+    try:
+        obj = json.loads(s)
+    except RecursionError:
+        raise ValueError("dyadic set JSON is nested too deeply") from None
     leaves = obj.get("leaves") if isinstance(obj, dict) else None
-    if not (isinstance(leaves, list) and all(isinstance(leaf, list) for leaf in leaves)
-            and all(type(v) is int for v in chain((obj.get("d"), obj.get("depth")),
-                                                  chain.from_iterable(leaves)))):
+    if not (isinstance(leaves, list) and {list}.issuperset(map(type, leaves))
+            and type(obj.get("d")) is int and type(obj.get("depth")) is int):
         raise ValueError('a dyadic set is a JSON object with integers "d" and "depth" '
                          'and "leaves", a list of integer lists')
-    return _validated(obj["d"], obj["depth"], leaves)
+    return DyadicSet(obj["d"], obj["depth"], leaves)
 
 
 _MAGIC = b"DYB1"

@@ -10,7 +10,6 @@ cell for cell, not merely in distribution.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -20,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import CubeIdx, DyadicSet, _distinct, _morton, _unmorton
+from .dyadic import (CubeIdx, DyadicSet, _distinct, _from_cells, _lex_order, _morton,
+                     _unmorton, singleton_chain)
 from .errors import ResourceLimitError
 from .realize import TargetSpec, VarphiMap
 from .seq import Word
@@ -248,8 +248,13 @@ def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: 
     alive cells of trial ``t`` at level ``count_levels[j]``; with ``leaves``
     the cells alive at ``depth``, trial by trial; and with ``completions``
     (needs ``ref``) the alive cells without an alive child, ordered by trial,
-    then level, then frontier order.
+    then level, then frontier order, as arrays of their levels, cells and
+    least reference leaves.  Wide cells are refused before any array is built.
     """
+    PercField._check_width(depth, d)
+    if 1 << d > _MAX_CELLS:
+        raise ResourceLimitError(f"a cell at d={d} has 2^{d} children, "
+                                 f"over the limit {_MAX_CELLS}")
     if ref is not None:
         ref_codes, ref_depth = ref
         tables = [_distinct(ref_codes >> d * (ref_depth - m)) for m in range(depth + 1)]
@@ -302,15 +307,18 @@ def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: 
         stack.append((level + 1, trial, frontier))
     cells = np.concatenate(final) if leaves else None
     if not completions:
-        return counts, cells, []
+        return counts, cells, None
     trial, levels, idle = (np.concatenate(c) for c in zip(*dead))
     order = np.argsort(trial, kind="stable")
     levels, idle = levels[order], idle[order]
     # the least reference leaf under each dead cell starts its code slice
     first = np.searchsorted(ref_codes, _morton(idle, depth) << d * (ref_depth - levels))
-    z_cells = _unmorton(ref_codes[first], ref_depth, d)
-    return counts, cells, [Completion(*c) for c in zip(
-        levels.tolist(), map(tuple, idle.tolist()), map(tuple, z_cells.tolist()))]
+    return counts, cells, (levels, idle, _unmorton(ref_codes[first], ref_depth, d))
+
+
+def _completions(levels: np.ndarray, cells: np.ndarray, z_cells: np.ndarray) -> list:
+    return [Completion(*c) for c in zip(
+        levels.tolist(), map(tuple, cells.tolist()), map(tuple, z_cells.tolist()))]
 
 
 def sample(schedule: RetentionSchedule, field: PercField, copy_key,
@@ -326,11 +334,11 @@ def sample(schedule: RetentionSchedule, field: PercField, copy_key,
         raise ValueError("depth must be >= 1")
     ref, d = _restriction(k_set, depth, d)
     schedule.validate_dim(d, depth)
-    counts, cells, done = _grow(field, [copy_key], schedule, depth, d, ref,
+    counts, cells, dead = _grow(field, [copy_key], schedule, depth, d, ref,
                                 range(1, depth + 1), leaves=True,
                                 completions=completions and ref is not None)
-    leaves = frozenset(map(tuple, cells.tolist()))
-    return PercSample(DyadicSet(d, depth, leaves), tuple(done), depth, copy_key,
+    done = tuple(_completions(*dead)) if dead else ()
+    return PercSample(_from_cells(d, depth, cells), done, depth, copy_key,
                       (1, *counts[:, 0].tolist()))
 
 
@@ -453,14 +461,14 @@ def select_anchor_cell(k_set: DyadicSet, window_level: int | None = None) -> tup
     the steepest local count slope, ties broken lexicographically."""
     if k_set.is_empty:
         raise ValueError("cannot anchor an empty set")
-    m = k_set.depth // 2 if window_level is None else window_level
-    m = max(1, min(k_set.depth, m))
-    shift = k_set.depth - m
-    groups = Counter(tuple(c >> shift for c in leaf) for leaf in k_set.leaves)
-    top = max(groups.values())
-    best = min(a for a, c in groups.items() if c == top)
-    return min(leaf for leaf in k_set.leaves
-               if tuple(c >> shift for c in leaf) == best)
+    d, depth = k_set.d, k_set.depth
+    m = min(depth, max(1, depth // 2 if window_level is None else window_level))
+    shift = d * (depth - m)
+    cells, counts = np.unique(k_set.codes >> shift, return_counts=True)
+    top = cells[counts == counts.max()]
+    best = top[_lex_order(top, m, d)[0]]
+    under = k_set.codes[(k_set.codes >> shift) == best]
+    return tuple(_unmorton(under[_lex_order(under, depth, d)[:1]], depth, d)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +531,15 @@ def gamma_star(config: GammaStarConfig, x: Word | str, spec: TargetSpec,
         raise ValueError(f"branch prefix must have at least {depth} bits")
     alphas = tuple(config.gamma - vm.value(x.prefix(n)) for n in range(1, depth + 1))
     schedule = RetentionSchedule.from_list(alphas)
-    leaves: set = {config.y0_leaf}
-    done: list[Completion] = []
-    y0_code = int(_morton(np.array([config.y0_leaf], dtype=np.int64), depth)[0])
+    y0 = singleton_chain(d, depth, config.y0_leaf)
+    y0_code, y0_cell = int(y0.codes[0]), _unmorton(y0.codes, depth, d)[0]
+    cells, done = [y0_cell[None]], []
     for k in range(1, config.k_max + 1):
         local_depth = depth - k
         if local_depth < 1:
             break
-        q = tuple(c >> local_depth for c in config.y0_leaf)
-        base = tuple(qc << local_depth for qc in q)
+        q = y0_cell >> local_depth
+        base = q << local_depth
         # the reference leaves in the stage cube: a code slice, prefix masked off
         shift = d * local_depth
         top = y0_code >> shift
@@ -541,12 +549,9 @@ def gamma_star(config: GammaStarConfig, x: Word | str, spec: TargetSpec,
         schedule.validate_dim(d, local_depth)
         ref = (k_set.codes[lo:hi] & ((1 << shift) - 1), local_depth)
         keys = [("gstar", k, i) for i in range(1, config.copies[k - 1] + 1)]
-        _, cells, local_done = _grow(field, keys, schedule, local_depth, d, ref,
-                                     leaves=True, completions=True)
-        leaves.update(map(tuple, (cells + np.array(base)).tolist()))
-        for comp in local_done:
-            cell = tuple(c + (qc << comp.level) for c, qc in zip(comp.cell, q))
-            z = tuple(c + b for c, b in zip(comp.z_cell, base))
-            done.append(Completion(comp.level + k, cell, z))
-    return PercSample(DyadicSet(d, depth, frozenset(leaves)), tuple(done),
+        _, local, (levels, idle, z_cells) = _grow(field, keys, schedule, local_depth, d,
+                                                  ref, leaves=True, completions=True)
+        cells.append(local + base)
+        done += _completions(levels + k, idle + (q << levels[:, None]), z_cells + base)
+    return PercSample(_from_cells(d, depth, np.concatenate(cells)), tuple(done),
                       depth, ("gstar", str(x)))

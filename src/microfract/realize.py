@@ -23,7 +23,9 @@ from itertools import accumulate
 from math import isqrt
 from typing import Callable, Iterator, Sequence
 
-from .dyadic import DyadicSet
+import numpy as np
+
+from .dyadic import DyadicSet, _cells, _from_cells
 from .errors import InvariantViolation, OracleError
 from .seq import SeqProgram, Word, beatty_balanced, block_program, concat, factor
 
@@ -561,8 +563,7 @@ def assemble_gallery(generators: Sequence[Callable[[int], DyadicSet]],
             f"placement overflow: {len(generators)} generators need depth "
             f">= {len(generators) + 1}"
         )
-    d = None
-    leaves: set = set()
+    d, cells = None, []
     for j in range(1, n_place + 1):
         g = generators[(j - 1) % len(generators)]
         piece = g(depth - j)
@@ -572,10 +573,8 @@ def assemble_gallery(generators: Sequence[Callable[[int], DyadicSet]],
             )
         if d is None:
             d = piece.d
-            leaves.add((0,) * d)
+            cells.append(np.zeros((1, d), dtype=np.int64))  # the origin cell
         elif piece.d != d:
             raise ValueError("generators disagree on ambient dimension")
-        offset = 1 << (depth - j)
-        for leaf in piece.leaves:
-            leaves.add(tuple(c + offset for c in leaf))
-    return DyadicSet(d, depth, frozenset(leaves))
+        cells.append(_cells(piece) + (1 << (depth - j)))
+    return _from_cells(d, depth, np.concatenate(cells))

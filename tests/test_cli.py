@@ -341,3 +341,122 @@ def test_family_config_not_an_object(body):
         rc, err = _run_captured(["family", f"--config={path}",
                                  f"--out={os.path.join(tmp, 'f.json')}"])
     assert rc == 1 and err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_wide_full_cube_exits_3_before_allocating(tmp_path, capsys):
+    # 2^40 children per cell: refused before the child offsets are built
+    rc = main(["hawkes", "--k", "full:40", "--beta", "1/2", "--depths", "4",
+               "--trials", "3", "--out", str(tmp_path / "h.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("resource limit: ")
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("m", [1.0, 0.0, True])
+def test_config_integers_must_be_json_integers(tmp_path, m):
+    # JSON Schema counts 1.0 as an integer, but the commands need Python ints
+    path, out = tmp_path / "cfg.json", tmp_path / "z.json"
+    path.write_text(json.dumps({"set": "word:1011", "depth": 4, "m": m}))
+    rc, err = _run_captured(["zoom", f"--config={path}", f"--out={out}"])
+    assert rc == 1 and err.count("\n") == 1 and "is not of type 'integer'" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--set", "word:1011", "--depth", "4", "--m", "1"],
+    ["--set", "full:2", "--depth", "3", "--m", "1", "--u", "1/4,0"],
+])
+def test_zoom_reads_back_its_own_artifact(tmp_path, argv):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["zoom", *argv, "--out", str(first)]) == 0
+    assert main(["zoom", "--in-file", str(first), "--m", "0", "--out", str(second)]) == 0
+    body = [from_json(ln) for ln in (read(first), read(second))
+            for ln in ln.splitlines() if not ln.startswith("#")]
+    assert body[0] == body[1] and body[0].leaves == body[1].leaves
+
+
+_WORDS = ["beatty:1/3", "beatty:2/5", "beatty:0", "beatty:1", "beatty:3", "beatty:-1",
+          "beatty:1/0", "beatty:x", "word:1011", "word:", "word:12", "periodic:01",
+          "periodic:", "x:1", ""]
+_SETS = ["full:1", "full:2", "full:3", "full:0", "full:-1", "full:22", "full:40",
+         "full:x", "beatty:1/3", "word:1101", "word:", "periodic:10", "line:2", ""]
+_FRACTIONS = ["1/2", "1/3", "3/2", "1/10", "0", "2", "-1", "1/0", "x", "nan", "1e400", ""]
+_COUNTS = ["3,6", "4", "26", "0", "-1", "27", "3,,4", "x", ""]
+_TARGETS = ["finite:1/2", "finite:1/3,2/3", "interval:1/4:3/4", "finite:", "finite:5",
+            "interval:1:0", "interval:", "circle:1", ""]
+_SHIFTS = ["0", "1/2", "-1/4", "1/3", "1/0", "x", "1,0", "1/4,1/4", "-1/2,1/8", ""]
+
+
+def _fuzz(values):
+    return st.one_of(st.sampled_from(values), _TEXT)
+
+
+# Valid and invalid values of each option.  Every case is refused before it
+# allocates or runs with bounded memory: depth <= 26, trials <= 4, and for
+# zoom depth <= 6 without full:22 (full cubes of 2^22 or more cells pass
+# the leaf limit but need hundreds of MB).
+
+_CLI_FUZZ = {
+    "dims": ({"word": "beatty:1/3", "depth": 8}, {
+        "word": _fuzz(_WORDS),
+        "depth": st.one_of(st.integers(-2, 26), st.just(10 ** 12)),
+        "levels": _fuzz(["1,2", "0", "-1", "-9", "-99", "8", "99", "x", "1,,2", ""]),
+    }),
+    "percolate": ({"k": "full:1", "beta": "1/2", "depth": 6, "trials": 3}, {
+        "k": _fuzz(_SETS),
+        "beta": _fuzz(_FRACTIONS),
+        "depth": st.one_of(st.integers(-2, 26), st.just(10 ** 12)),
+        "trials": st.one_of(st.integers(-1, 4), st.just(10 ** 7)),
+    }),
+    "hawkes": ({"k": "full:1", "beta": "1/2", "depths": "3,6", "trials": 3}, {
+        "k": _fuzz(_SETS),
+        "beta": _fuzz(_FRACTIONS),
+        "depths": _fuzz(_COUNTS),
+        "trials": st.one_of(st.integers(-1, 4), st.just(10 ** 7)),
+    }),
+    "realize": ({"target": "finite:1/2", "blocks": 6}, {
+        "target": _fuzz(_TARGETS),
+        "blocks": st.one_of(st.integers(-1, 12), st.just(10 ** 12)),
+        "branch": _fuzz(["0101", "1", "2", "01x", " 1", ""]),
+    }),
+    "zoom": ({"set": "word:1011", "depth": 4, "m": 1}, {
+        "set": _fuzz([s for s in _SETS if s != "full:22"]),
+        "depth": st.one_of(st.integers(-2, 6), st.just(10 ** 12)),
+        "m": st.one_of(st.integers(-1, 14), st.just(10 ** 12)),
+        "u": _fuzz(_SHIFTS),
+    }),
+}
+_JSON_ODDITIES = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-2 ** 70, 2 ** 70),
+                           st.lists(st.integers(), max_size=2))
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_FUZZ))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), via_config=st.booleans())
+def test_cli_fuzz_one_line_error(command, data, via_config):
+    """Drawn option values, on the command line or in a config file (there
+    also of the wrong JSON type), end in exit 0 with a silent stderr or in
+    exit 1-3 with one stderr line and no artifact."""
+    good, strategies = _CLI_FUZZ[command]
+    config = dict(good)
+    for key in data.draw(st.lists(st.sampled_from(sorted(strategies)), min_size=1,
+                                  max_size=3, unique=True), label="keys"):
+        odd = via_config and data.draw(st.integers(0, 4), label="odd") == 0
+        config[key] = data.draw(_JSON_ODDITIES if odd else strategies[key], label=key)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "artifact")
+        argv = [command, f"--out={out}"]
+        if via_config:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv.append(f"--config={path}")
+        else:
+            argv += [f"--{key}={val}" for key, val in config.items()]
+        rc, err = _run_captured(argv)
+        assert rc in (0, 1, 2, 3), err
+        if rc:
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+            assert not os.path.exists(out)
+        else:
+            assert err == "" and os.path.exists(out)

@@ -1,5 +1,7 @@
+import bisect
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -413,3 +415,284 @@ class TestUnpackRejects:
         except (ValueError, ResourceLimitError):
             return
         assert pack_bits(s) == data
+
+
+# ---------------------------------------------------------------------------
+# The code-based operations against the tuple implementations they replaced
+# ---------------------------------------------------------------------------
+
+def oracle_validated(d, depth, leaves):
+    """Reference: the leaf set, after a per-leaf check that each is a cell."""
+    s = frozenset(map(tuple, leaves))
+    for leaf in s:
+        if len(leaf) != d or any(not 0 <= c < 1 << depth for c in leaf):
+            raise ValueError(f"bad leaf {leaf}")
+    return s
+
+
+def oracle_full_cube(d, depth):
+    return frozenset(itertools.product(range(1 << depth), repeat=d))
+
+
+def oracle_product(a, b):
+    return frozenset(la + lb for la in a.leaves for lb in b.leaves)
+
+
+def oracle_translate(c, shift):
+    return {tuple(x + s for x, s in zip(leaf, shift)) for leaf in c.leaves}
+
+
+def oracle_zoom(a, m, shift):
+    """The leaves of the zoomed view for a translation of ``shift`` cells."""
+    hi = 1 << (a.depth - m)
+    return frozenset(leaf for leaf in oracle_translate(a, shift)
+                     if all(0 <= c < hi for c in leaf))
+
+
+def oracle_sandwich(e, c, shifts):
+    shifted = [frozenset(oracle_translate(c, s)) for s in shifts]
+    return shifted[0] <= e.leaves and e.leaves <= frozenset().union(*shifted)
+
+
+def morton_of(leaves, d, depth):
+    """Reference Morton codes, bit by bit: level-j bit of axis a at j*d + d-1-a."""
+    return sorted(sum(((c >> j) & 1) << (j * d + d - 1 - a)
+                      for a, c in enumerate(leaf) for j in range(depth)) for leaf in leaves)
+
+
+def oracle_hausdorff_1d(a, b):
+    """Reference: the interval sweep over Python ints the array version
+    replaced, in units of half a cell."""
+    def intervals(s):
+        runs = []
+        for (c,) in sorted(s.leaves):
+            if runs and runs[-1][1] == 2 * c:
+                runs[-1][1] = 2 * c + 2
+            else:
+                runs.append([2 * c, 2 * c + 2])
+        return runs
+
+    def dist(x, starts, ends):
+        j = bisect.bisect_right(starts, x) - 1
+        near = [] if j < 0 else [0 if x <= ends[j] else x - ends[j]]
+        return min(near + ([starts[j + 1] - x] if j + 1 < len(starts) else []))
+
+    def directed(a_iv, b_iv):
+        starts, ends = [s for s, _ in b_iv], [e for _, e in b_iv]
+        cands = [x for iv in a_iv for x in iv]
+        for i in range(len(b_iv) - 1):
+            mid = (ends[i] + starts[i + 1]) // 2
+            j = bisect.bisect_right([s for s, _ in a_iv], mid) - 1
+            if j >= 0 and a_iv[j][0] <= mid <= a_iv[j][1]:
+                cands.append(mid)
+        return max(dist(x, starts, ends) for x in cands)
+
+    ai, bi = intervals(a), intervals(b)
+    return Fraction(max(directed(ai, bi), directed(bi, ai)), 1 << (a.depth + 1))
+
+
+@st.composite
+def cell_sets(draw, d=None, depth=None, max_leaves=40):
+    d = draw(st.integers(1, 3)) if d is None else d
+    depth = draw(st.integers(0, 9 // d)) if depth is None else depth
+    coord = st.integers(0, (1 << depth) - 1)
+    return DyadicSet(d, depth, draw(st.frozensets(st.tuples(*[coord] * d),
+                                                  max_size=max_leaves)))
+
+
+def grid_shifts(draw, d, depth, level):
+    """Integer shifts, in level cells, reaching from fully out to fully in."""
+    reach = st.integers(-(1 << depth) - 1, (1 << level) + 1)
+    return tuple(draw(reach) for _ in range(d))
+
+
+class TestCodesMatchTupleOracles:
+    @given(d=st.integers(1, 3), depth=st.integers(0, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_and_json_validate_like_the_leaf_check(self, d, depth, data):
+        lengths = st.integers(max(0, d - 1), d + 1) if data.draw(st.booleans()) else st.just(d)
+        values = st.integers(-1, (1 << depth) + 1) if data.draw(st.booleans()) \
+            else st.integers(0, (1 << depth) - 1)
+        leaves = data.draw(st.lists(lengths.flatmap(
+            lambda n: st.lists(values, min_size=n, max_size=n)), max_size=12))
+        try:
+            want = oracle_validated(d, depth, leaves)
+        except ValueError:
+            with pytest.raises(ValueError):
+                DyadicSet(d, depth, map(tuple, leaves))
+            with pytest.raises(ValueError):
+                from_json(f'{{"d":{d},"depth":{depth},"leaves":{leaves}}}')
+            return
+        for s in (DyadicSet(d, depth, map(tuple, leaves)),
+                  from_json(f'{{"d":{d},"depth":{depth},"leaves":{leaves}}}')):
+            assert s.leaves == want
+            assert s.codes.tolist() == morton_of(want, d, depth)
+            assert s == DyadicSet(d, depth, want) and hash(s) == hash(DyadicSet(d, depth, want))
+
+    def test_out_of_range_leaf_rejected(self):
+        # accepted before, as code 5 of a depth-2 set, with a bogus pack_bits
+        with pytest.raises(ValueError):
+            DyadicSet(1, 2, frozenset({(5,)}))
+        with pytest.raises(ValueError):
+            DyadicSet(2, 2, frozenset({(1,)}))
+        with pytest.raises(ValueError):
+            DyadicSet(1, 2, frozenset({(True,)}))
+        with pytest.raises(ValueError):
+            DyadicSet(1, 2, frozenset({(np.bool_(True),)}))
+        with pytest.raises(ValueError):
+            DyadicSet(1, 2, frozenset({(np.uint64(2**64 - 1),)}))
+
+    def test_numpy_integer_leaves_accepted(self):
+        want = DyadicSet(2, 3, {(1, 2), (7, 0)})
+        assert DyadicSet(2, 3, {(np.int64(1), np.int64(2)), (np.uint8(7), 0)}) == want
+        arr = np.array([[1, 2], [7, 0], [1, 2]], dtype=np.int32)
+        assert DyadicSet(2, 3, map(tuple, arr)) == want
+        assert DyadicSet(2, 3, map(tuple, arr)).leaves == want.leaves == {(1, 2), (7, 0)}
+
+    @pytest.mark.parametrize("d, depth", [(1, 0), (1, 7), (2, 0), (2, 4), (3, 3)])
+    def test_full_cube(self, d, depth):
+        s = full_cube(d, depth)
+        assert s.leaves == oracle_full_cube(d, depth)
+        assert s.codes.tolist() == morton_of(s.leaves, d, depth)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_product(self, data):
+        depth = data.draw(st.integers(0, 3))
+        a = data.draw(cell_sets(depth=depth))
+        b = data.draw(cell_sets(depth=depth))
+        p = product(a, b)
+        assert (p.d, p.depth) == (a.d + b.d, depth)
+        assert p.leaves == oracle_product(a, b)
+        assert p.codes.tolist() == morton_of(p.leaves, p.d, depth)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_zoom(self, data):
+        a = data.draw(cell_sets())
+        m = data.draw(st.integers(0, a.depth))
+        level = a.depth - m
+        shift = grid_shifts(data.draw, a.d, a.depth, level)
+        u = tuple(Fraction(s, 1 << level) for s in shift)
+        want = oracle_zoom(a, m, shift)
+        if not want:
+            with pytest.raises(ValueError, match="empty"):
+                zoom(a, m, u)
+            return
+        view = zoom(a, m, u)
+        assert (view.d, view.depth) == (a.d, level) and view.leaves == want
+        assert view.codes.tolist() == morton_of(want, a.d, level)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_zoom_unaligned_translation_rejected(self, data):
+        a = data.draw(cell_sets())
+        m = data.draw(st.integers(0, a.depth))
+        level = a.depth - m
+        u = [Fraction(data.draw(st.integers(-9, 9)), 1 << level) for _ in range(a.d)]
+        u[data.draw(st.integers(0, a.d - 1))] += Fraction(1, 2 << level)
+        with pytest.raises(ValueError, match="aligned"):
+            zoom(a, m, tuple(u))
+
+    def test_zoom_far_translation_is_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            zoom(full_cube(2, 3), 1, (10 ** 30, 0))
+        assert not verify_sandwich(full_cube(1, 3), full_cube(1, 3), [-10 ** 30])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_verify_sandwich(self, data):
+        c = data.draw(cell_sets())
+        shifts = [grid_shifts(data.draw, c.d, c.depth, c.depth)
+                  for _ in range(data.draw(st.integers(1, 3)))]
+        inside = frozenset(leaf for s in shifts for leaf in oracle_translate(c, s)
+                           if all(0 <= x < 1 << c.depth for x in leaf))
+        # e: the in-cube union of the translates, one leaf of it dropped or one added
+        e = set(inside)
+        if data.draw(st.booleans()):
+            if e and data.draw(st.booleans()):
+                e.discard(data.draw(st.sampled_from(sorted(e))))
+            else:
+                e.add(tuple(data.draw(st.integers(0, (1 << c.depth) - 1))
+                            for _ in range(c.d)))
+        e = DyadicSet(c.d, c.depth, e)
+        u = [tuple(Fraction(x, 1 << c.depth) for x in s) for s in shifts]
+        assert verify_sandwich(e, c, u) == oracle_sandwich(e, c, shifts)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hausdorff_1d(self, data):
+        depth = data.draw(st.integers(0, 10))
+        a, b = (data.draw(cell_sets(d=1, depth=depth, max_leaves=60).filter(
+            lambda s: not s.is_empty)) for _ in range(2))
+        assert hausdorff_distance(a, b) == oracle_hausdorff_1d(a, b)
+
+
+class TestJsonFuzz:
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+        | st.floats(allow_nan=True) | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.sampled_from(["d", "depth", "leaves", "x"]), inner, max_size=4),
+        max_leaves=20)
+
+    @given(st.one_of(
+        json_values,
+        st.fixed_dictionaries({
+            "d": st.one_of(st.integers(-3, 4), st.integers(-2 ** 70, 2 ** 70), st.booleans()),
+            "depth": st.one_of(st.integers(-3, 8), st.integers(-2 ** 70, 2 ** 70),
+                               st.booleans(), st.floats()),
+            "leaves": st.lists(st.lists(st.one_of(
+                st.integers(-2, 9), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                st.floats(), st.none()), max_size=4), max_size=6),
+        }),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_from_json_raises_only_documented_errors(self, obj):
+        try:
+            s = from_json(json.dumps(obj))
+        except (ValueError, ResourceLimitError):
+            return
+        assert from_json(to_json(s)) == s
+        assert sorted(map(list, s.leaves)) == sorted(
+            map(list, {tuple(leaf) for leaf in obj["leaves"]}))
+
+    def test_deep_nesting_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            from_json("[" * 100_000 + "]" * 100_000)
+
+
+class TestTupleViewIsDerived:
+    """Only reading ``leaves`` (or ``level_cells(depth)``) builds coordinate
+    tuples: builders and operations work on the codes alone."""
+
+    def test_builders_and_operations_build_no_tuples(self, monkeypatch, tmp_path):
+        from microfract.cli import main
+        from microfract.percolation import (GammaStarConfig, PercField, RetentionSchedule,
+                                            gamma_star, sample)
+        from microfract.realize import TargetSpec
+
+        def refuse(s, m):
+            raise AssertionError("coordinate tuples built")
+
+        monkeypatch.setattr(DyadicSet, "level_cells", refuse)
+        a = kx_set("1101101")
+        sq = product(a, full_cube(1, 7))
+        field = PercField(1)
+        cfg = GammaStarConfig(Fraction(1), (Fraction(1, 2),), (3,), (0.5,), (64, 3), 1)
+        spec = TargetSpec.interval_union([(Fraction(2, 5), Fraction(9, 10))])
+        built = [a, full_cube(2, 3), sq, zoom(sq, 2, (Fraction(1, 4), 0)),
+                 unpack_bits(pack_bits(sq)), from_json(to_json(sq)),
+                 singleton_chain(3, 2, (1, 2, 3)), DyadicSet(2, 2, {(1, 2), (3, 0)}),
+                 sample(RetentionSchedule.constant(Fraction(1, 2)), field, "t", 7,
+                        k_set=sq, completions=True).survivors,
+                 gamma_star(cfg, "0110101", spec, field, 7, sq).survivors]
+        assert verify_sandwich(sq, sq, [(0, 0)])
+        assert all(not s.is_empty and s.count(2) > 0 for s in built)
+        assert all("leaves" not in s.__dict__ for s in built)
+        out = tmp_path / "z.json"
+        assert main(["zoom", "--set", "word:1101101", "--depth", "7", "--m", "2",
+                     "--out", str(out)]) == 0
+        assert main(["zoom", "--in-file", str(out), "--m", "1", "--out", str(out)]) == 0
+        with pytest.raises(AssertionError, match="tuples built"):
+            built[0].leaves

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microfract import percolation
 from microfract.cli import main
@@ -581,3 +583,71 @@ class TestLimitsAndValidation:
                    "--out", str(tmp_path / "h.csv")])
         assert rc == 1
         assert capsys.readouterr().err != "error: 0\n"
+
+
+# ---------------------------------------------------------------------------
+# The code-based anchor and stage union against their tuple versions
+# ---------------------------------------------------------------------------
+
+def oracle_anchor(k_set, window_level=None):
+    """Reference: the leaf-tuple loop select_anchor_cell replaced."""
+    m = k_set.depth // 2 if window_level is None else window_level
+    m = max(1, min(k_set.depth, m))
+    shift = k_set.depth - m
+    groups = Counter(tuple(c >> shift for c in leaf) for leaf in k_set.leaves)
+    top = max(groups.values())
+    best = min(a for a, c in groups.items() if c == top)
+    return min(leaf for leaf in k_set.leaves if tuple(c >> shift for c in leaf) == best)
+
+
+@st.composite
+def reference_sets(draw, min_depth=1):
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(min_depth, max(min_depth, 9 // d)))
+    coord = st.integers(0, (1 << depth) - 1)
+    return DyadicSet(d, depth, draw(st.frozensets(st.tuples(*[coord] * d),
+                                                  min_size=1, max_size=40)))
+
+
+class TestCodesMatchTupleOracles:
+    @given(k_set=reference_sets(), window=st.one_of(st.none(), st.integers(-1, 10)))
+    @settings(max_examples=300, deadline=None)
+    def test_anchor(self, k_set, window):
+        assert select_anchor_cell(k_set, window) == oracle_anchor(k_set, window)
+
+    def test_anchor_ties_are_lexicographic_not_morton(self):
+        # (1, 0) precedes (0, 2) in Morton order, (0, 2) precedes (1, 0) in
+        # lexicographic order; both windows hold two leaves
+        k = DyadicSet(2, 3, frozenset({(0, 4), (0, 5), (2, 0), (3, 0)}))
+        assert select_anchor_cell(k, window_level=2) == (0, 4) == oracle_anchor(k, 2)
+        k = DyadicSet(2, 2, frozenset({(0, 2), (1, 0)}))
+        assert select_anchor_cell(k, window_level=2) == (0, 2)
+
+    @given(k_set=reference_sets(min_depth=3), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_gamma_star(self, k_set, data):
+        y0 = data.draw(st.sampled_from(sorted(k_set.leaves)))
+        cfg = GammaStarConfig(Fraction(1), (Fraction(1, 2), Fraction(3, 4)), (3, 3),
+                              (0.5, 0.5), y0, 2)
+        spec = TargetSpec.interval_union([(Fraction(1, 5), Fraction(4, 5))])
+        x = Word(tuple(data.draw(st.lists(st.integers(0, 1), min_size=k_set.depth,
+                                          max_size=k_set.depth))))
+        seed = data.draw(st.integers(0, 1 << 20))
+        smp = gamma_star(cfg, x, spec, PercField(seed), k_set.depth, k_set)
+        leaves, done = oracle_gamma_star(cfg, x, spec, PercField(seed), k_set.depth, k_set)
+        assert smp.survivors.leaves == leaves
+        assert list(smp.completions) == done
+
+    def test_gamma_star_rejects_an_anchor_off_the_grid(self):
+        cfg = GammaStarConfig(Fraction(1), (Fraction(1, 2),), (3,), (0.5,), (64,), 1)
+        spec = TargetSpec.interval_union([(Fraction(1, 5), Fraction(4, 5))])
+        with pytest.raises(ValueError):
+            gamma_star(cfg, "010110", spec, PercField(1), 6, full_cube(1, 6))
+
+
+@pytest.mark.parametrize("d, depth", [(40, 4), (30, 2), (22, 1)])
+def test_wide_cells_refused_before_any_array(d, depth):
+    with pytest.raises(ResourceLimitError):
+        hawkes_experiment(None, Fraction(1, 2), [depth], 3, PercField(1), d=d)
+    with pytest.raises(ResourceLimitError):
+        sample(RetentionSchedule.constant(Fraction(1, 2)), PercField(1), "w", depth, d=d)

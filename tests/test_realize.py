@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microfract.dyadic import kx_set, zoom
-from microfract.errors import InvariantViolation, OracleError
+from microfract.dyadic import kx_set, product, singleton_chain, zoom
+from microfract.errors import InvariantViolation, OracleError, ResourceLimitError
 from microfract.realize import (
     BlockMap,
     PsiPrefix,
@@ -411,6 +411,35 @@ class TestGallery:
         deepest = gen(depth - 1)
         for m in range(depth - 1):
             assert g.count(m + 1) >= deepest.count(m)
+
+    @given(d=st.integers(1, 3), n_gen=st.integers(1, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_codes_match_tuple_oracle(self, d, n_gen, data):
+        words = [data.draw(st.lists(st.integers(0, 1), min_size=9, max_size=9))
+                 for _ in range(n_gen * d)]
+
+        def generator(i):
+            def gen(dep):
+                s = kx_set(Word(tuple(words[i * d][:dep])))
+                for w in words[i * d + 1:(i + 1) * d]:
+                    s = product(s, kx_set(Word(tuple(w[:dep]))))
+                return s
+            return gen
+
+        gens = [generator(i) for i in range(n_gen)]
+        depth = data.draw(st.integers(n_gen + 1, 9 // d + 1))
+        g = assemble_gallery(gens, depth)
+        # the leaf-tuple loop assemble_gallery replaced
+        want = {(0,) * d}
+        for j in range(1, depth):
+            want |= {tuple(c + (1 << (depth - j)) for c in leaf)
+                     for leaf in gens[(j - 1) % n_gen](depth - j).leaves}
+        assert (g.d, g.depth) == (d, depth) and g.leaves == want
+
+    def test_too_deep_for_codes(self):
+        # the depth-31 placement fits 62-bit codes; the depth-32 gallery does not
+        with pytest.raises(ResourceLimitError):
+            assemble_gallery([lambda dep: singleton_chain(2, dep)], 32)
 
     def test_placement_overflow(self):
         gen = lambda dep: kx_set(Word((1,) * dep))
