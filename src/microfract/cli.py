@@ -72,7 +72,19 @@ _IntsOnlyValidator = jsonschema.validators.extend(
         "integer", lambda _, value: type(value) is int))
 
 
+# Largest decimal exponent a number may carry: ``Fraction`` builds 10^e, and
+# "1e10000000" alone takes seconds.
+MAX_EXPONENT = 1000
+
+
 def _fraction(s: str) -> Fraction:
+    _, e, exp = s.lower().partition("e")
+    try:
+        too_big = bool(e) and abs(int(exp)) > MAX_EXPONENT
+    except ValueError:  # no integer exponent: Fraction reports the literal
+        too_big = False
+    if too_big:
+        raise ValueError(f"exponent of {s!r} is outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]")
     try:
         return Fraction(s)
     except ZeroDivisionError:

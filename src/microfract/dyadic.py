@@ -6,12 +6,21 @@ the sorted Morton codes of its leaves, every operation works on them, and
 coordinate tuples are a view derived on demand.  All operations are pure
 and exact: coordinates are integers, distances are ``Fraction``s.
 
-Distance computations exploit that for unions of same-grid cells the
-sup-metric Hausdorff distance is always attained on the half-step lattice
-(every constraint surface is axis-aligned at half-cell coordinates), so a
-finite candidate scan is exact.  Euclidean cube-union distances in d >= 2
-have algebraic optima off every fixed lattice and are not offered; in one
-dimension the two metrics coincide.
+For unions of same-grid cells the sup-metric Hausdorff distance is
+attained on the half-step lattice (every constraint surface is
+axis-aligned at half-cell coordinates), so it is a whole number of half
+leaf sides.  It is found by branch-and-bound on pairs of alive cells, one
+of each set, coarse to fine on both sets' codes.  Integer bounds on each
+pair's distances drop the pairs that cannot bring a point nearer to the
+other set and the cells that cannot hold its farthest point; only the
+leaves left are scanned, on their half-step lattice, against the leaves
+left paired with them.  The bounds hold for every point, so what is
+dropped never changes the maximum and the result is exact.  The pair
+frontier is expanded in chunks of at most 2^20 child pairs (whole runs of
+one cell's pairs), so memory stays bounded on dense, nearly equal sets.
+Euclidean cube-union distances in d >= 2 have algebraic optima off every
+fixed lattice and are not offered; in one dimension the two metrics
+coincide, and an interval sweep computes them.
 """
 
 from __future__ import annotations
@@ -277,23 +286,110 @@ def _cells(s: DyadicSet) -> np.ndarray:
     return _unmorton(s.codes, s.depth, s.d)
 
 
-def _half_lattice_candidates(s: DyadicSet) -> np.ndarray:
-    cells = _cells(s)
-    offs = np.array(list(iter_product((0, 1, 2), repeat=s.d)), dtype=np.int64)
-    pts = (2 * cells[:, None, :] + offs[None, :, :]).reshape(-1, s.d)
-    return np.unique(pts, axis=0)
+# Child pairs one chunk of the pair frontier expands to at a time: whole
+# A-cell runs, one at least.  A chunk's arrays then hold up to d * 2^20
+# elements, less than the 2^22-element blocks of the candidate scan this
+# kernel replaced.
+_PAIR_BUDGET = 1 << 20
+
+
+def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[i], ..., lo[i] + cnt[i] - 1`` (``cnt`` nonempty), concatenated."""
+    ends = cnt.cumsum()
+    return np.arange(ends[-1]) + (lo - ends + cnt).repeat(cnt)
+
+
+def _tree(s: DyadicSet, top: int) -> tuple[list[np.ndarray], ...]:
+    """The alive cells of ``s`` from level ``top``, where it has one, to its
+    leaves, in Morton order.  Per level m >= top: the cells' (count, d)
+    coordinates, and whether each cell is short of some of its leaves; per
+    level m < depth: where each cell's run of children starts at level
+    m + 1, the last run's end appended.  A child's coordinates are twice
+    its parent's plus the low d bits of its code."""
+    d, codes, firsts = s.d, [s.codes], []
+    leaf_runs = [np.arange(s.codes.shape[0] + 1)]  # where each cell's leaves start
+    for _ in range(s.depth - top):
+        up = codes[-1] >> d
+        new = np.ones(up.shape[0] + 1, dtype=bool)
+        np.not_equal(up[1:], up[:-1], out=new[1:-1])
+        firsts.append(new.nonzero()[0])
+        codes.append(up[firsts[-1][:-1]])
+        leaf_runs.append(leaf_runs[-1][firsts[-1]])
+    short = [run[1:] - run[:-1] < 1 << d * i for i, run in enumerate(leaf_runs)]
+    firsts.reverse()
+    root, bits = int(codes[-1][0]), np.arange(d - 1, -1, -1)
+    xs = [np.array([[sum((root >> (j * d + d - 1 - a) & 1) << j for j in range(top))
+                     for a in range(d)]], dtype=np.int64)]
+    for kids, first in zip(codes[-2::-1], firsts):
+        xs.append(2 * xs[-1].repeat(first[1:] - first[:-1], axis=0) + (kids[:, None] >> bits & 1))
+    return xs, short[::-1], firsts
 
 
 def _directed_sup(a: DyadicSet, b: DyadicSet) -> int:
-    pts = _half_lattice_candidates(a)
-    centers = 2 * _cells(b) + 1
-    # a point's sup distance to a cell is max(|p - center|_sup - 1, 0), and
-    # that map is monotone, so it is applied once to the max-min
-    best = 0
-    chunk = max(1, (1 << 22) // max(1, centers.shape[0] * a.d))
-    for i in range(0, pts.shape[0], chunk):
-        gaps = np.abs(pts[i:i + chunk][:, None, :] - centers)
-        best = max(best, int(gaps.max(axis=2).min(axis=1).max()))
+    """The largest sup-metric distance from a point of A to B, in half-units
+    of a leaf side, by branch-and-bound on pairs of alive cells.
+
+    Level by level, each A-cell keeps a run of B-cells.  For a pair whose
+    cells lie D cells of side S apart on the chessboard, ``max(D-1, 0)*S``
+    bounds every point-to-point distance between them from below, and
+    ``(D+1)*S`` (``D*S`` when the B-cell holds all its leaves) bounds from
+    above the distance from each point of the A-cell to the B leaves in the
+    B-cell.  A pair whose lower bound reaches its A-cell's least upper
+    bound, which another of its pairs sets, brings no point of the A-cell
+    nearer to B, and an A-cell whose least upper bound is below the largest
+    least lower bound of any A-cell holds no point at the maximum: both are
+    dropped (the early break of Taha and Hanbury, IEEE TPAMI 37(11), 2015),
+    and so is an A-cell at distance 0.  Each leaf left is scanned exactly,
+    on its half-step lattice against its own B leaves.
+    """
+    if np.isin(a.codes, b.codes).all():
+        return 0
+    # start at the deepest level (above the leaves) where A and B are one cell each
+    split = max(int(s.codes[0] ^ s.codes[-1]).bit_length() for s in (a, b))
+    top = min(a.depth + -split // a.d, a.depth - 1)
+    (ax, _, af), (bx, b_short, bf) = _tree(a, top), _tree(b, top)
+    n = a.depth - top  # levels below the start
+    # the frontier: A-cells ga, the i-th with the B-cells pb[gs[i]:gs[i+1]]
+    ga, gs, pb = np.zeros(1, np.int64), np.array([0, 1]), np.zeros(1, np.int64)
+    low = best = 0  # low: the largest least lower bound yet, in half-units
+    for m in range(n):
+        side, leaf = 1 << (n - m), m + 1 == n  # level m+1's cell side, in half-units
+        a0, b0 = af[m][ga], bf[m][pb]  # where the cells' children start
+        ca, cb = af[m][ga + 1] - a0, bf[m][pb + 1] - b0
+        if not leaf and ca.max() == cb.max() == 1:  # a level of single children: no pruning
+            ga, pb = a0, b0
+            continue
+        tb = np.add.reduceat(cb, gs[:-1])  # children of each A-cell's B-cells
+        cost = ca * tb
+        cuts = [0, ga.shape[0]]
+        if cost.sum() > _PAIR_BUDGET:
+            cuts[1:1] = (np.diff((cost.cumsum() - cost) // _PAIR_BUDGET).nonzero()[0] + 1).tolist()
+        parts = []
+        for g0, g1 in zip(cuts[:-1], cuts[1:]):
+            # each child of an A-cell meets every child of that A-cell's B-cells
+            kids_b = _ranges(b0[gs[g0]:gs[g1]], cb[gs[g0]:gs[g1]])
+            t, c = tb[g0:g1], ca[g0:g1]
+            na, size = _ranges(a0[g0:g1], c), t.repeat(c)
+            nb = kids_b[_ranges((t.cumsum() - t).repeat(c), size)]
+            gap = np.abs(ax[m + 1][na.repeat(size)] - bx[m + 1][nb]).max(axis=1)
+            start = size.cumsum() - size
+            near = np.minimum.reduceat(gap, start)  # less 1: the least lower bound, in sides
+            far = np.minimum.reduceat(gap + b_short[m + 1][nb], start)  # least upper bound
+            low = max(low, (int(near.max()) - 1) * side)
+            keep_a = far * side >= max(low, 1)
+            keep = (gap <= far.repeat(size)) & keep_a.repeat(size)
+            na, nb, size = na[keep_a], nb[keep], np.add.reduceat(keep, start)[keep_a]
+            if not leaf:
+                parts.append((na, size, nb))
+            elif na.shape[0]:
+                # a leaf's half-lattice points 2x + (0, 1 or 2) less B centres 2y + 1
+                twice, start = 2 * (ax[n][na.repeat(size)] - bx[n][nb]), size.cumsum() - size
+                for off in iter_product((-1, 0, 1), repeat=a.d):
+                    dist = np.abs(twice + off).max(axis=1)
+                    best = max(best, int(np.minimum.reduceat(dist, start).max()))
+        if not leaf:
+            ga, size, pb = (np.concatenate(p) for p in zip(*parts))
+            gs = np.concatenate(([0], size.cumsum()))
     return max(best - 1, 0)
 
 

@@ -24,6 +24,7 @@ on purpose-built nets; reports record which mode produced the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,10 +58,17 @@ __all__ = [
 
 
 def _iroot(x: int, q: int) -> int:
-    """floor(x ** (1/q)) by integer Newton iteration."""
+    """floor(x ** (1/q)) by integer Newton iteration from just above the root."""
     if x < 2:
         return x
-    r = 1 << (x.bit_length() // q + 1)
+    # 2^(log2(x)/q) in floats, raised by 2^-32 of itself to clear their error,
+    # and further while not above the root: Newton falls from any start
+    # above the root, and from one this close in a few steps
+    e = math.log2(x) / q
+    whole = math.floor(e)
+    r = (int(2 ** (e - whole + 52) * (1 + 2 ** -32)) << whole >> 52) + 1
+    while r ** q <= x:
+        r += (r >> 16) + 1
     while True:
         nr = ((q - 1) * r + x // r ** (q - 1)) // q
         if nr >= r:

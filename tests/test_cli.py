@@ -258,6 +258,19 @@ def test_malformed_input_one_line_exit_1(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_exponent_refused_at_once(tmp_path, capsys):
+    """Fraction builds 10^e for a number in exponent notation, which takes
+    seconds at e = 10^7; such a value is refused before it is parsed."""
+    start = time.perf_counter()
+    rc = main(["percolate", "--k", "full:1", "--beta", "1e10000000", "--depth", "4",
+               "--trials", "3", "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1 and "exponent" in err
+    assert not (tmp_path / "out").exists()
+    assert elapsed < 2
+
+
 @pytest.mark.parametrize("extra,code,words", [
     (["--target", "interval:1/2"], 1, "interval:lo:hi"),
     (["--target", "finite:1e400"], 3, "no admissible scale"),
@@ -376,15 +389,18 @@ def test_zoom_reads_back_its_own_artifact(tmp_path, argv):
 
 
 _WORDS = ["beatty:1/3", "beatty:2/5", "beatty:0", "beatty:1", "beatty:3", "beatty:-1",
-          "beatty:1/0", "beatty:x", "word:1011", "word:", "word:12", "periodic:01",
+          "beatty:1/0", "beatty:x", "beatty:1e10000000", "word:1011", "word:", "word:12", "periodic:01",
           "periodic:", "x:1", ""]
 _SETS = ["full:1", "full:2", "full:3", "full:0", "full:-1", "full:22", "full:40",
          "full:x", "beatty:1/3", "word:1101", "word:", "periodic:10", "line:2", ""]
-_FRACTIONS = ["1/2", "1/3", "3/2", "1/10", "0", "2", "-1", "1/0", "x", "nan", "1e400", ""]
+_FRACTIONS = ["1/2", "1/3", "3/2", "1/10", "0", "2", "-1", "1/0", "x", "nan", "1e400",
+              "1e10000000", "-2.5E+99999999", "1e-10000000", ""]
 _COUNTS = ["3,6", "4", "26", "0", "-1", "27", "3,,4", "x", ""]
 _TARGETS = ["finite:1/2", "finite:1/3,2/3", "interval:1/4:3/4", "finite:", "finite:5",
-            "interval:1:0", "interval:", "circle:1", ""]
-_SHIFTS = ["0", "1/2", "-1/4", "1/3", "1/0", "x", "1,0", "1/4,1/4", "-1/2,1/8", ""]
+            "interval:1:0", "interval:", "circle:1", "finite:1e10000000",
+            "interval:0:1E-10000000", ""]
+_SHIFTS = ["0", "1/2", "-1/4", "1/3", "1/0", "x", "1,0", "1/4,1/4", "-1/2,1/8",
+           "1e10000000", "0,-1e99999999", ""]
 
 
 def _fuzz(values):

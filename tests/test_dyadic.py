@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -696,3 +697,103 @@ class TestTupleViewIsDerived:
         assert main(["zoom", "--in-file", str(out), "--m", "1", "--out", str(out)]) == 0
         with pytest.raises(AssertionError, match="tuples built"):
             built[0].leaves
+
+
+def oracle_half_lattice_candidates(s):
+    cells = dyadic._cells(s)
+    offs = np.array(list(itertools.product((0, 1, 2), repeat=s.d)), dtype=np.int64)
+    pts = (2 * cells[:, None, :] + offs[None, :, :]).reshape(-1, s.d)
+    return np.unique(pts, axis=0)
+
+
+def oracle_directed_sup(a, b):
+    """The candidate scan: every half-lattice point of A against every
+    cell of B, in half-units of a leaf side."""
+    pts = oracle_half_lattice_candidates(a)
+    centers = 2 * dyadic._cells(b) + 1
+    # a point's sup distance to a cell is max(|p - center|_sup - 1, 0), and
+    # that map is monotone, so it is applied once to the max-min
+    best = 0
+    chunk = max(1, (1 << 22) // max(1, centers.shape[0] * a.d))
+    for i in range(0, pts.shape[0], chunk):
+        gaps = np.abs(pts[i:i + chunk][:, None, :] - centers)
+        best = max(best, int(gaps.max(axis=2).min(axis=1).max()))
+    return max(best - 1, 0)
+
+
+@st.composite
+def sup_pairs(draw):
+    """Two nonempty sets on one grid, d = 1-3 and depth 0-5: sparse, dense
+    (grids of at most 2^10 cells), one inside the other, in opposite
+    corners, or with every cell on a face of the cube."""
+    d, depth = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["sparse", "dense", "subset", "apart", "boundary"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    side = 1 << depth
+    if kind == "dense" and side ** d <= 1 << 10:
+        grid = np.array(list(itertools.product(range(side), repeat=d)))
+        a, b = (grid[(rng.random(grid.shape[0]) < 0.85) | (np.arange(grid.shape[0]) == i)]
+                for i in rng.integers(0, grid.shape[0], 2))
+    else:
+        a, b = (rng.integers(0, side, (rng.integers(1, 13), d)) for _ in range(2))
+    if kind == "apart":
+        a, b = a // 4, side - 1 - b // 4
+    if kind == "boundary":
+        for c in (a, b):
+            c[np.arange(c.shape[0]), rng.integers(0, d, c.shape[0])] = \
+                rng.choice([0, side - 1], c.shape[0])
+    if kind == "subset":
+        b = np.concatenate([a, b])
+    return tuple(DyadicSet(d, depth, map(tuple, c.tolist())) for c in (a, b))
+
+
+class TestSupKernel:
+    """The pair-pruning kernel against the candidate scan it replaced."""
+
+    @given(pair=sup_pairs(), budget=st.sampled_from([1, 7, 100, dyadic._PAIR_BUDGET]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_candidate_scan(self, pair, budget):
+        # small budgets split the pair frontier into many chunks
+        a, b = pair
+        want = [oracle_directed_sup(a, b), oracle_directed_sup(b, a)]
+        with mock.patch.object(dyadic, "_PAIR_BUDGET", budget):
+            assert [dyadic._directed_sup(a, b), dyadic._directed_sup(b, a)] == want
+            assert hausdorff_distance(a, b) == Fraction(max(want), 1 << (a.depth + 1))
+
+    @pytest.mark.parametrize("d, depth", [(2, 30), (3, 20)])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_deep_single_cells_closed_form(self, d, depth, data):
+        # the farthest point of one cell from another is a corner, a chessboard
+        # gap of whole cells away
+        corner = st.tuples(*[st.integers(0, (1 << depth) - 1)] * d)
+        x, y = data.draw(corner), data.draw(corner)
+        a, b = singleton_chain(d, depth, x), singleton_chain(d, depth, y)
+        gap = max(abs(p - q) for p, q in zip(x, y))
+        assert dyadic._directed_sup(a, b) == dyadic._directed_sup(b, a) == 2 * gap
+        assert hausdorff_distance(a, b) == Fraction(gap, 1 << depth)
+
+    def test_dense_nearly_equal_sets_stay_in_budget(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(17)
+        full = full_cube(2, 7)
+        cut = rng.choice(1 << 14, (1 << 14) // 10, replace=False)
+        sub = DyadicSet(2, 7, dyadic._cells(full)[np.isin(np.arange(1 << 14), cut,
+                                                          invert=True)].tolist())
+        tracemalloc.start()
+        try:
+            value = hausdorff_distance(full, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 20
+        # the chessboard distance from each half-lattice point of the cube to
+        # the nearest centre of a cell of sub, by repeated 3x3 dilation
+        covered, steps = np.zeros((257, 257), dtype=bool), 0
+        covered[tuple((2 * dyadic._cells(sub) + 1).T)] = True
+        while not covered.all():
+            grown = np.pad(covered, 1)
+            grown = grown[:-2] | grown[1:-1] | grown[2:]
+            covered, steps = grown[:, :-2] | grown[:, 1:-1] | grown[:, 2:], steps + 1
+        assert value == Fraction(steps - 1, 1 << 8)

@@ -1,12 +1,13 @@
 import contextlib
 import hashlib
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microfract import families
 from microfract.cli import main
@@ -335,6 +336,35 @@ class TestExactPowers:
                     assert r ** e.denominator <= 2 ** e.numerator
                     assert (r + 1) ** e.denominator > 2 ** e.numerator
         assert floor_pow2(Fraction(1, 2), 1024) == 2 ** 512
+
+    @given(q=st.one_of(st.integers(1, 12), st.sampled_from([1009, 3001])),
+           root=st.integers(0, 2 ** 60), offset=st.integers(-1, 1),
+           top=st.integers(1, 2 ** 64), data=st.data())
+    @example(q=3001, root=0, offset=0, top=1, data=None)  # floor_pow2(53 - 1/3001, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_iroot_matches_bisection(self, q, root, offset, top, data):
+        def bisection(x):  # lo^q <= x < hi^q throughout
+            lo, hi = 0, 1
+            while hi ** q <= x:
+                hi *= 2
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if mid ** q <= x else (lo, mid)
+            return lo
+
+        if data is None:
+            xs = [1 << (53 * q - 1)]
+        else:  # near a q-th power, and a few top bits over many zeros
+            xs = [max(root ** q + offset, 0), top << data.draw(st.integers(0, 60 * q))]
+        for x in xs:
+            assert families._iroot(x, q) == bisection(x)
+
+    def test_floor_pow2_large_denominator_is_quick(self):
+        # Newton's iteration started at twice the root took seconds here
+        start = time.perf_counter()
+        r = floor_pow2(53 - Fraction(1, 3001), 1)
+        assert time.perf_counter() - start < 1
+        assert r ** 3001 <= 2 ** (53 * 3001 - 1) < (r + 1) ** 3001
 
     def test_count_reaches(self):
         assert count_reaches_pow2(32, Fraction(1, 2), 10)
