@@ -6,6 +6,10 @@ that cancels in slopes.  Packing and covering numbers of finite point sets
 are exact (branch and bound) up to a size limit and greedy beyond it, with
 the series flagged accordingly; the ``N_n <= P_n <= N_{n+1}`` chain is only
 asserted for exact counts.
+Point-set distances all come from one :mod:`.families` net view, and the
+solvers at a radius share one table of ball bitmasks.  Non-finite points or
+distances, a negative or NaN radius and a separation that is not positive
+raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dyadic import DyadicSet, product
+from .families import EuclideanNet, MatrixNet, MetricSpaceView
 from .seq import Word
 
 __all__ = [
@@ -118,56 +123,45 @@ def box_dim_estimate(series: CountSeries, window: int | None = None) -> tuple[fl
 # Point-set packing and covering
 # ---------------------------------------------------------------------------
 
-def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
-
-
-def _dist_matrix(points, dist: Callable | None) -> np.ndarray:
+def _view(pts: list, dist: Callable | None) -> MetricSpaceView:
+    """The net view of a nonempty point list: a Euclidean net on its
+    coordinates, or a matrix net of ``dist`` evaluated once per pair."""
     if dist is None:
-        arr = _as_points(points)
-        diff = arr[:, None, :] - arr[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2))
-    n = len(points)
-    out = np.zeros((n, n))
+        return EuclideanNet(pts)
+    n = len(pts)
+    dm = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            out[i, j] = out[j, i] = dist(points[i], points[j])
-    return out
+            dm[i, j] = dm[j, i] = dist(pts[i], pts[j])
+    return MatrixNet(dm)
 
 
-def greedy_packing(points, delta: float, dist: Callable | None = None) -> list:
-    """Inclusion-maximal delta-packing, greedy in the given point order."""
-    if delta <= 0:
-        raise ValueError("packing separation must be positive")
-    pts = list(points)
-    if not pts:
-        return []
-    dm = _dist_matrix(pts, dist)
-    chosen: list[int] = []
-    for i in range(len(pts)):
-        if all(dm[i, j] > delta for j in chosen):
-            chosen.append(i)
-    return [pts[i] for i in chosen]
+def _ball_masks(view: MetricSpaceView, r: float) -> list[int]:
+    """Per point, the int bitmask of the points within closed distance r.
+    Both nets' distances are exactly symmetric, so entry i is also the set
+    of balls that cover point i."""
+    idx = np.arange(view.n_points)
+    rows = np.packbits(view.dists_from(idx, idx) <= r, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def exact_packing_number(points, delta: float, dist: Callable | None = None) -> int:
-    """Maximum size of a delta-packing (pairwise distances > delta)."""
-    pts = list(points)
-    n = len(pts)
-    if n == 0:
-        return 0
-    if n > EXACT_POINT_LIMIT:
-        raise ValueError(f"exact packing limited to {EXACT_POINT_LIMIT} points")
-    dm = _dist_matrix(pts, dist)
-    # A maximum packing is a maximum clique of the "farther than delta" graph.
-    adj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and dm[i, j] > delta:
-                adj[i] |= 1 << j
+def _greedy_cover(covers: list[int]) -> list[int]:
+    """Greedy cover: each pick covers the most uncovered points, ties to the
+    first index.  Every point lies in its own ball, so the loop ends."""
+    uncovered, picks = (1 << len(covers)) - 1, []
+    while uncovered:
+        i = max(range(len(covers)), key=lambda i: (covers[i] & uncovered).bit_count())
+        picks.append(i)
+        uncovered &= ~covers[i]
+    return picks
+
+
+def _packing_number(view: MetricSpaceView, delta: float) -> int:
+    """Maximum size of a delta-packing: a maximum clique of the "farther
+    than delta" graph, the complement of the delta balls (each point lies in
+    its own ball, so no point is its own neighbor)."""
+    full = (1 << view.n_points) - 1
+    adj = [full ^ m for m in _ball_masks(view, delta)]
     best = 0
 
     def expand(size: int, cand: int):
@@ -193,36 +187,16 @@ def exact_packing_number(points, delta: float, dist: Callable | None = None) -> 
             expand(size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    expand(0, (1 << n) - 1)
+    expand(0, full)
     return best
 
 
-def exact_covering_number(points, radius: float, dist: Callable | None = None) -> int:
-    """Minimum number of closed balls of ``radius`` centered at points of the
-    set needed to cover it."""
-    pts = list(points)
-    n = len(pts)
-    if n == 0:
-        return 0
-    if n > EXACT_POINT_LIMIT:
-        raise ValueError(f"exact covering limited to {EXACT_POINT_LIMIT} points")
-    dm = _dist_matrix(pts, dist)
-    covers = [0] * n
-    covered_by = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if dm[i, j] <= radius:
-                covers[i] |= 1 << j
-                covered_by[j] |= 1 << i
-    full = (1 << n) - 1
+def _covering_number(view: MetricSpaceView, radius: float) -> int:
+    """Minimum number of closed balls of ``radius`` centered at the points
+    that cover them: iterative deepening below the greedy cover's size."""
+    covers = _ball_masks(view, radius)
+    n = len(covers)
     max_cover = max(m.bit_count() for m in covers)
-
-    # Greedy upper bound.
-    uncovered, upper = full, 0
-    while uncovered:
-        pick = max(covers, key=lambda m: (m & uncovered).bit_count())
-        uncovered &= ~pick
-        upper += 1
 
     def dfs(uncovered: int, budget: int) -> bool:
         if uncovered == 0:
@@ -235,9 +209,9 @@ def exact_covering_number(points, radius: float, dist: Callable | None = None) -
         while u:
             e = (u & -u).bit_length() - 1
             u &= u - 1
-            c = covered_by[e].bit_count()
+            c = covers[e].bit_count()
             if c < pick_count:
-                pick_mask, pick_count = covered_by[e], c
+                pick_mask, pick_count = covers[e], c
                 if c == 1:
                     break
         cands = []
@@ -248,66 +222,87 @@ def exact_covering_number(points, radius: float, dist: Callable | None = None) -
         cands.sort(key=lambda i: (covers[i] & uncovered).bit_count(), reverse=True)
         return any(dfs(uncovered & ~covers[i], budget - 1) for i in cands)
 
-    lower = -(-n // max_cover)
-    for budget in range(lower, upper):
-        if dfs(full, budget):
+    upper = len(_greedy_cover(covers))
+    for budget in range(-(-n // max_cover), upper):
+        if dfs((1 << n) - 1, budget):
             return budget
     return upper
 
 
-def point_covering_counts(points, levels: Sequence[int],
-                          dist: Callable | None = None,
-                          exact_limit: int = EXACT_POINT_LIMIT) -> CountSeries:
-    """Covering numbers N_n of a finite point set at radii 2^-n."""
+def _exact_points(points, what: str) -> list:
     pts = list(points)
-    exact = len(pts) <= exact_limit
-    entries = []
-    for n in sorted(set(levels)):
-        r = 2.0 ** -n
-        if exact:
-            c = exact_covering_number(pts, r, dist)
-        else:
-            c = len(greedy_cover(pts, r, dist))
-        entries.append((n, c))
-    return CountSeries("covering", tuple(entries), exact=exact)
+    if len(pts) > EXACT_POINT_LIMIT:
+        raise ValueError(f"exact {what} limited to {EXACT_POINT_LIMIT} points")
+    return pts
+
+
+def greedy_packing(points, delta: float, dist: Callable | None = None) -> list:
+    """Inclusion-maximal delta-packing, greedy in the given point order."""
+    if not delta > 0:
+        raise ValueError("packing separation must be positive")
+    pts = list(points)
+    if not pts:
+        return []
+    picks = _view(pts, dist).greedy_packing_indices(np.arange(len(pts)), delta)
+    return [pts[i] for i in picks]
 
 
 def greedy_cover(points, radius: float, dist: Callable | None = None) -> list:
     """Greedy ball cover (upper bound on the covering number)."""
+    if not radius >= 0:
+        raise ValueError(f"covering radius must be >= 0, got {radius}")
     pts = list(points)
     if not pts:
         return []
-    dm = _dist_matrix(pts, dist)
-    n = len(pts)
-    covers = [set(np.nonzero(dm[i] <= radius)[0].tolist()) for i in range(n)]
-    uncovered = set(range(n))
-    centers = []
-    while uncovered:
-        i = max(range(n), key=lambda i: len(covers[i] & uncovered))
-        centers.append(pts[i])
-        uncovered -= covers[i]
-    return centers
+    return [pts[i] for i in _greedy_cover(_ball_masks(_view(pts, dist), radius))]
+
+
+def exact_packing_number(points, delta: float, dist: Callable | None = None) -> int:
+    """Maximum size of a delta-packing (pairwise distances > delta)."""
+    if not delta > 0:
+        raise ValueError("packing separation must be positive")
+    pts = _exact_points(points, "packing")
+    return _packing_number(_view(pts, dist), delta) if pts else 0
+
+
+def exact_covering_number(points, radius: float, dist: Callable | None = None) -> int:
+    """Minimum number of closed balls of ``radius`` centered at points of the
+    set needed to cover it."""
+    if not radius >= 0:
+        raise ValueError(f"covering radius must be >= 0, got {radius}")
+    pts = _exact_points(points, "covering")
+    return _covering_number(_view(pts, dist), radius) if pts else 0
+
+
+def _series(kind: str, points, levels: Sequence[int], dist: Callable | None,
+            exact_count, greedy_count, empty: int) -> CountSeries:
+    """Counts at scales 2^-n from one view of the points, exact up to
+    ``EXACT_POINT_LIMIT`` points; the empty set counts ``empty``."""
+    pts = list(points)
+    exact = len(pts) <= EXACT_POINT_LIMIT
+    count = exact_count if exact else greedy_count
+    view = _view(pts, dist) if pts else None
+    entries = tuple((n, count(view, 2.0 ** -n) if pts else empty)
+                    for n in sorted(set(levels)))
+    return CountSeries(kind, entries, exact=exact)
+
+
+def point_covering_counts(points, levels: Sequence[int],
+                          dist: Callable | None = None) -> CountSeries:
+    """Covering numbers N_n of a finite point set at radii 2^-n."""
+    return _series("covering", points, levels, dist, _covering_number,
+                   lambda view, r: len(_greedy_cover(_ball_masks(view, r))), 0)
 
 
 def packing_counts(points, levels: Sequence[int],
-                   dist: Callable | None = None,
-                   exact_limit: int = EXACT_POINT_LIMIT) -> CountSeries:
+                   dist: Callable | None = None) -> CountSeries:
     """Packing numbers P_n of a finite point set at separations 2^-n.
 
-    Exact (maximum cardinality) up to ``exact_limit`` points, greedy
+    Exact (maximum cardinality) up to ``EXACT_POINT_LIMIT`` points, greedy
     (inclusion-maximal, a lower bound) beyond; the flag records which.
     """
-    pts = list(points)
-    exact = len(pts) <= exact_limit
-    entries = []
-    for n in sorted(set(levels)):
-        delta = 2.0 ** -n
-        if exact:
-            c = exact_packing_number(pts, delta, dist)
-        else:
-            c = len(greedy_packing(pts, delta, dist))
-        entries.append((n, max(c, 1)))
-    return CountSeries("packing", tuple(entries), exact=exact)
+    return _series("packing", points, levels, dist, _packing_number,
+                   MetricSpaceView.global_packing_number, 1)
 
 
 def chain_check(n_series: CountSeries, p_series: CountSeries) -> bool:

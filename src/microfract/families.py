@@ -188,7 +188,7 @@ class MetricSpaceView:
 
     def greedy_packing_indices(self, candidates: np.ndarray, delta: float,
                                stop_at: int | None = None) -> list[int]:
-        """Canonical packing: greedy over candidates in ascending index order."""
+        """Canonical packing: greedy over the candidates in the order given."""
         cand = np.asarray(candidates, dtype=np.int64)
         if self.min_separation is not None and delta < self.min_separation:
             # every pair is already separated; the candidates pack as-is
@@ -261,7 +261,7 @@ class EuclideanNet(MetricSpaceView):
 
 
 class MatrixNet(MetricSpaceView):
-    def __init__(self, dmatrix, y0: int = 0, check_triples: int = 64, seed: int = 0):
+    def __init__(self, dmatrix, y0: int = 0):
         dm = np.asarray(dmatrix, dtype=float)
         if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
             raise ValueError("distance matrix must be square")
@@ -271,8 +271,8 @@ class MatrixNet(MetricSpaceView):
         self._index(np.zeros(n), int(y0))
         if not np.allclose(dm, dm.T) or np.diagonal(dm).any():
             raise ValueError("distance matrix must be symmetric with zero diagonal")
-        rng = np.random.default_rng(seed)
-        for _ in range(min(check_triples, n ** 3)):
+        rng = np.random.default_rng(0)
+        for _ in range(min(64, n ** 3)):
             i, j, k = rng.integers(0, n, size=3)
             if dm[i, k] > dm[i, j] + dm[j, k] + 1e-12:
                 raise ValueError(f"triangle inequality fails on ({i},{j},{k})")
@@ -667,15 +667,12 @@ def family_dim_report(tree: BallTree, variant: str | None = None) -> FamilyDimRe
 
     chain_ok = True
     for lvl in tree.levels[1:]:
+        pts = np.array(lvl.centers, dtype=np.int64)
         for rec in lvl.records:
             ell = rec.ell
-            pts = np.array(lvl.centers, dtype=np.int64)
-            covered = np.zeros(len(pts), dtype=bool)
-            n_balls = 0
-            while not covered.all():
-                i = int(np.nonzero(~covered)[0][0])
-                covered |= view.dists_from(int(pts[i]), pts) <= 2.0 ** -ell
-                n_balls += 1
+            # a greedy 2^-ell packing of the centers covers them with balls
+            # of that radius
+            n_balls = len(view.greedy_packing_indices(pts, 2.0 ** -ell))
             bound = ell + floor_pow2(rec.phi, ell) + 1
             if n_balls > bound:
                 chain_ok = False

@@ -356,13 +356,14 @@ def gw_extinction(p: float, children: int) -> float:
     offspring: the smallest fixed point of ``q = (1 - p + p*q)^children``.
 
     Monotone iteration from 0; the children=2 case uses the closed-form root
-    of the quadratic.
+    of the quadratic.  With ``p = 1`` and one child every cell has exactly one
+    child, every q is a fixed point and the answer is 0.
     """
     if not 0 <= p <= 1:
         raise ValueError("retention probability must lie in [0, 1]")
     if children < 1:
         raise ValueError("need at least one child per cell")
-    if p * children <= 1:
+    if p * children <= 1 and p < 1:
         return 1.0
     if children == 2:
         disc = sqrt(1.0 - 4.0 * p * (1.0 - p))

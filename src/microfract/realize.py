@@ -75,8 +75,7 @@ class TargetSpec:
                  intervals: tuple[tuple[Fraction, Fraction], ...] = (),
                  m_index: Callable[[str], int | None] | None = None,
                  meets_g: Callable[[str], bool] | None = None,
-                 f_range: Callable[[str], tuple] | None = None,
-                 nesting_slack: Fraction = Fraction(0)):
+                 f_range: Callable[[str], tuple] | None = None):
         if a > b:
             raise ValueError("need a <= b")
         self.mode = mode
@@ -91,7 +90,6 @@ class TargetSpec:
         self._m_index = m_index
         self._meets_g = meets_g
         self._f_range = f_range
-        self.nesting_slack = Fraction(nesting_slack)
         n_branches = max(len(values), len(intervals), 1)
         self.selector_bits = max(0, (n_branches - 1).bit_length())
         self.canonical_pad = max(16, self.selector_bits)
@@ -121,11 +119,9 @@ class TargetSpec:
                    intervals=tuple(ivs))
 
     @classmethod
-    def effective(cls, *, m_index, meets_g, f_range, a, b,
-                  nesting_slack=Fraction(0)) -> "TargetSpec":
+    def effective(cls, *, m_index, meets_g, f_range, a, b) -> "TargetSpec":
         return cls("effective", a=Fraction(a), b=Fraction(b),
-                   m_index=m_index, meets_g=meets_g, f_range=f_range,
-                   nesting_slack=nesting_slack)
+                   m_index=m_index, meets_g=meets_g, f_range=f_range)
 
     def to_json(self) -> str:
         """Serialize explicit presentations; effective mode is a pluggable
@@ -255,7 +251,7 @@ class VarphiMap:
                     f"family hit-index not monotone: {m_parent} at {parent} "
                     f"vs {m_child} at {s}"
                 )
-        if self.spec.nesting_slack is not None and len(parent) > 0:
+        if len(parent) > 0:
             self._check_nesting(parent, s)
         if m_child is None:
             val = self._canonical(s)
@@ -274,8 +270,7 @@ class VarphiMap:
             return
         plo, phi = self.spec.f_range(parent)
         clo, chi = self.spec.f_range(child)
-        slack = self.spec.nesting_slack
-        if clo < plo - slack or chi > phi + slack:
+        if clo < plo or chi > phi:
             raise OracleError(
                 f"f_range not nested at {child}: [{clo},{chi}] vs [{plo},{phi}]"
             )
@@ -396,12 +391,8 @@ class BlockMap:
     the low-density balanced sequence followed by ``k(s)`` bits of the
     high-density one, with ``k(s)`` admissible for the value map at ``s``."""
 
-    def __init__(self, spec: TargetSpec, policy: str = "closest",
-                 varphi: VarphiMap | None = None):
-        if policy not in ("closest", "minimal"):
-            raise ValueError(f"unknown k policy {policy!r}")
+    def __init__(self, spec: TargetSpec, varphi: VarphiMap | None = None):
         self.spec = spec
-        self.policy = policy
         self.varphi = varphi or VarphiMap(spec)
         self.alpha = beatty_balanced(spec.a)
         self.beta = beatty_balanced(spec.b)
@@ -412,8 +403,7 @@ class BlockMap:
         if n == 0:
             raise ValueError("blocks are defined for nonempty prefixes")
         target = self.varphi.value(s)
-        pick = closest_k if self.policy == "closest" else choose_k
-        return pick(n, self.spec.a, self.spec.b, target)
+        return closest_k(n, self.spec.a, self.spec.b, target)
 
     def block_for(self, s) -> Word:
         s = _as_word(s)
@@ -440,7 +430,6 @@ class PsiPrefix:
 
 
 def build_psi_prefix(x, spec: TargetSpec, blocks: int,
-                     policy: str = "closest",
                      block_map: BlockMap | None = None) -> PsiPrefix:
     """First ``blocks`` blocks of the coded sequence of branch ``x``.
 
@@ -450,7 +439,7 @@ def build_psi_prefix(x, spec: TargetSpec, blocks: int,
     x = _as_word(x)
     if blocks < 0 or blocks > len(x) + 1:
         raise ValueError(f"blocks must lie in [0, {len(x) + 1}]")
-    bm = block_map or BlockMap(spec, policy)
+    bm = block_map or BlockMap(spec)
     bits: list[int] = []
     bounds, lengths, phis = [0], [], []
     for i in range(blocks):
@@ -469,9 +458,9 @@ def build_psi_prefix(x, spec: TargetSpec, blocks: int,
     return PsiPrefix(word, tuple(bounds), tuple(lengths), tuple(phis))
 
 
-def psi_program(x: SeqProgram, spec: TargetSpec, policy: str = "closest") -> SeqProgram:
+def psi_program(x: SeqProgram, spec: TargetSpec) -> SeqProgram:
     """The full coded sequence of an infinite branch, as a block program."""
-    bm = BlockMap(spec, policy)
+    bm = BlockMap(spec)
 
     def gen() -> Iterator[Word]:
         i = 1

@@ -1,4 +1,7 @@
+import contextlib
 import itertools
+import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from microfract.dims import (
     covering_counts,
     exact_covering_number,
     exact_packing_number,
+    greedy_cover,
     greedy_packing,
     kx_covering_counts,
     packing_counts,
@@ -240,3 +244,252 @@ class TestCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "level,count,log2count_over_n"
         assert lines[1].startswith("1,2,")
+
+
+# Oracles: the point-set solvers as they computed their own distance matrix,
+# before they ran on the net views.
+
+def oracle_dist_matrix(points, dist):
+    if dist is None:
+        arr = np.asarray(points, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        diff = arr[:, None, :] - arr[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=2))
+    n = len(points)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = dist(points[i], points[j])
+    return out
+
+
+def oracle_greedy_packing(points, delta, dist=None):
+    pts = list(points)
+    if not pts:
+        return []
+    dm = oracle_dist_matrix(pts, dist)
+    chosen = []
+    for i in range(len(pts)):
+        if all(dm[i, j] > delta for j in chosen):
+            chosen.append(i)
+    return [pts[i] for i in chosen]
+
+
+def oracle_greedy_cover(points, radius, dist=None):
+    pts = list(points)
+    if not pts:
+        return []
+    dm = oracle_dist_matrix(pts, dist)
+    n = len(pts)
+    covers = [set(np.nonzero(dm[i] <= radius)[0].tolist()) for i in range(n)]
+    uncovered = set(range(n))
+    centers = []
+    while uncovered:
+        i = max(range(n), key=lambda i: len(covers[i] & uncovered))
+        centers.append(pts[i])
+        uncovered -= covers[i]
+    return centers
+
+
+def oracle_exact_packing_number(points, delta, dist=None):
+    pts = list(points)
+    n = len(pts)
+    if n == 0:
+        return 0
+    dm = oracle_dist_matrix(pts, dist)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and dm[i, j] > delta:
+                adj[i] |= 1 << j
+    best = 0
+
+    def expand(size, cand):
+        nonlocal best
+        if cand == 0:
+            best = max(best, size)
+            return
+        order = []
+        uncolored, color = cand, 0
+        while uncolored:
+            color += 1
+            cls = uncolored
+            while cls:
+                v = (cls & -cls).bit_length() - 1
+                order.append((v, color))
+                cls &= ~adj[v] & ~(1 << v)
+                uncolored &= ~(1 << v)
+        for v, c in reversed(order):
+            if size + c <= best:
+                return
+            expand(size + 1, cand & adj[v])
+            cand &= ~(1 << v)
+
+    expand(0, (1 << n) - 1)
+    return best
+
+
+def oracle_exact_covering_number(points, radius, dist=None):
+    pts = list(points)
+    n = len(pts)
+    if n == 0:
+        return 0
+    dm = oracle_dist_matrix(pts, dist)
+    covers = [0] * n
+    covered_by = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if dm[i, j] <= radius:
+                covers[i] |= 1 << j
+                covered_by[j] |= 1 << i
+    full = (1 << n) - 1
+    max_cover = max(m.bit_count() for m in covers)
+    uncovered, upper = full, 0
+    while uncovered:
+        pick = max(covers, key=lambda m: (m & uncovered).bit_count())
+        uncovered &= ~pick
+        upper += 1
+
+    def dfs(uncovered, budget):
+        if uncovered == 0:
+            return True
+        if budget * max_cover < uncovered.bit_count():
+            return False
+        u, pick_mask, pick_count = uncovered, 0, n + 1
+        while u:
+            e = (u & -u).bit_length() - 1
+            u &= u - 1
+            c = covered_by[e].bit_count()
+            if c < pick_count:
+                pick_mask, pick_count = covered_by[e], c
+                if c == 1:
+                    break
+        cands = []
+        while pick_mask:
+            i = (pick_mask & -pick_mask).bit_length() - 1
+            pick_mask &= pick_mask - 1
+            cands.append(i)
+        cands.sort(key=lambda i: (covers[i] & uncovered).bit_count(), reverse=True)
+        return any(dfs(uncovered & ~covers[i], budget - 1) for i in cands)
+
+    for budget in range(-(-n // max_cover), upper):
+        if dfs(full, budget):
+            return budget
+    return upper
+
+
+def sup_dist(p, q):
+    """The sup metric of criterion 10."""
+    return float(np.max(np.abs(np.subtract(p, q))))
+
+
+@st.composite
+def point_sets(draw, max_size):
+    """Point lists in d = 1-3: random points or 1/8-lattice points (distance
+    ties), with repeats; 1-D sets sometimes as plain scalars."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pool = rng.integers(0, 9, size=(n, d)) / 8
+    else:
+        pool = rng.random((n, d))
+    if draw(st.booleans()):  # duplicates
+        pool = pool[rng.integers(0, max(1, n // 2), size=n)]
+    if d == 1 and draw(st.booleans()):
+        return [float(x) for x in pool[:, 0]]
+    return [tuple(float(x) for x in p) for p in pool]
+
+
+_metrics = st.sampled_from([None, sup_dist])
+
+
+class TestNetViewOracles:
+    @given(point_sets(80), st.integers(0, 5), _metrics)
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_functions_match(self, pts, k, dist):
+        r = 2.0 ** -k
+        assert greedy_packing(pts, r, dist) == oracle_greedy_packing(pts, r, dist)
+        assert greedy_cover(pts, r, dist) == oracle_greedy_cover(pts, r, dist)
+
+    @given(point_sets(18), st.integers(0, 5), _metrics)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_numbers_match(self, pts, k, dist):
+        r = 2.0 ** -k
+        assert exact_packing_number(pts, r, dist) == oracle_exact_packing_number(pts, r, dist)
+        assert exact_covering_number(pts, r, dist) == oracle_exact_covering_number(pts, r, dist)
+
+    @given(st.one_of(point_sets(14), point_sets(80)), _metrics)
+    @settings(max_examples=40, deadline=None)
+    def test_series_equals_one_call_per_level(self, pts, dist):
+        levels = range(0, 6)
+        exact = len(pts) <= 64
+        n_series = point_covering_counts(pts, levels, dist)
+        p_series = packing_counts(pts, levels, dist)
+        assert n_series.exact == p_series.exact == exact
+        for n in levels:
+            r = 2.0 ** -n
+            if exact:
+                want_n = oracle_exact_covering_number(pts, r, dist)
+                want_p = oracle_exact_packing_number(pts, r, dist)
+            else:
+                want_n = len(oracle_greedy_cover(pts, r, dist))
+                want_p = len(oracle_greedy_packing(pts, r, dist))
+            assert n_series.count_at(n) == want_n
+            assert p_series.count_at(n) == want_p
+
+    def test_empty_sets(self):
+        assert greedy_packing([], 0.5) == greedy_cover([], 0.5) == []
+        assert exact_packing_number([], 0.5) == exact_covering_number([], 0.5) == 0
+        assert packing_counts([], [0, 1]).entries == ((0, 1), (1, 1))
+
+
+@contextlib.contextmanager
+def within_one_second():
+    """Turn a call that runs past one second into a failure, not a hang."""
+    def expire(signum, frame):
+        raise TimeoutError("call ran past one second")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestRefusals:
+    pair = [(0.0,), (1.0,)]
+    with_nan = [(0.0,), (math.nan,)]
+
+    @pytest.mark.parametrize("call", [
+        lambda: exact_covering_number(TestRefusals.pair, -1.0),
+        lambda: exact_covering_number(TestRefusals.pair, math.nan),
+        lambda: exact_covering_number(TestRefusals.with_nan, 0.5),
+        lambda: greedy_cover(TestRefusals.pair, -1.0),
+        lambda: greedy_cover(TestRefusals.with_nan, 0.5),
+        lambda: point_covering_counts(TestRefusals.with_nan, range(3)),
+        lambda: packing_counts(TestRefusals.with_nan, range(3)),
+        lambda: greedy_packing(TestRefusals.with_nan, 0.5),
+        lambda: greedy_packing(TestRefusals.pair, math.nan),
+        lambda: exact_packing_number(TestRefusals.with_nan, 0.5),
+        lambda: exact_packing_number(TestRefusals.pair, 0.0),
+        lambda: exact_packing_number(TestRefusals.pair, -1.0),
+        lambda: exact_packing_number(TestRefusals.pair, math.nan),
+        lambda: exact_covering_number(TestRefusals.pair, 0.5, lambda p, q: math.inf),
+    ])
+    def test_refused_at_once(self, call):
+        with within_one_second(), pytest.raises(ValueError):
+            call()
+
+    def test_radius_zero_covers_each_point_alone(self):
+        with within_one_second():
+            assert exact_covering_number(self.pair, 0.0) == 2
+            assert greedy_cover(self.pair, 0.0) == self.pair
+
+    def test_callable_breaking_the_triangle_inequality_refused(self):
+        pts = [(float(i),) for i in range(10)]
+        squared = lambda p, q: (p[0] - q[0]) ** 2
+        with pytest.raises(ValueError, match="triangle"):
+            exact_packing_number(pts, 0.5, squared)

@@ -217,6 +217,12 @@ class TestGW:
             assert abs((1 - p + p * q) ** ch - q) < 1e-12
             assert abs(q - iterate_extinction(p, ch)) < 1e-10
 
+    def test_single_sure_child_never_dies(self):
+        # Binomial(1, 1): every cell has exactly one child, so every q solves
+        # q = q and the smallest fixed point is 0
+        assert gw_extinction(1.0, 1) == 0.0
+        assert gw_extinction(0.5, 1) == 1.0
+
 
 class TestHawkes:
     def test_full_interval_supercritical(self):
