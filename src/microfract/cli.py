@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import dropwhile
 
 import jsonschema
@@ -70,6 +71,15 @@ _IntsOnlyValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
         "integer", lambda _, value: type(value) is int))
+
+
+@lru_cache(maxsize=None)
+def _validator():
+    """The config validator, checked against the metaschema and built on first
+    use only: jsonschema.validate redoes both on every call, which took
+    longer than most commands."""
+    _IntsOnlyValidator.check_schema(CONFIG_SCHEMA)
+    return _IntsOnlyValidator(CONFIG_SCHEMA)
 
 
 # Largest decimal exponent a number may carry: ``Fraction`` builds 10^e, and
@@ -316,10 +326,9 @@ _REQUIRED = {
 
 def run(config: dict) -> str:
     """Validate a config and dispatch; returns the one-line summary."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA, cls=_IntsOnlyValidator)
-    except jsonschema.ValidationError as e:
-        raise ValueError(f"config {e.json_path}: {e.message}") from None
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(config))  # as validate picks
+    if e is not None:
+        raise ValueError(f"config {e.json_path}: {e.message}")
     command = config["command"]
     missing = [k for k in _REQUIRED[command] if k not in config]
     if missing:
@@ -339,6 +348,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(" ".join(message.split()))
 
 
+@lru_cache(maxsize=None)  # built on first use, then reused
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="microfract", description="dyadic fractal experiments")
     p.add_argument("--version", action="version", version=__version__)

@@ -29,7 +29,7 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, product as iter_product
 from typing import Sequence
 
@@ -80,6 +80,21 @@ class CubeIdx:
 _CODE_BITS = 62
 
 
+@lru_cache(maxsize=None)
+def _spread_steps(level: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The magic-number bit spread that moves bit j of a ``level``-bit integer
+    to bit ``j*d`` (Anderson, "Bit Twiddling Hacks", "Interleave bits by
+    Binary Magic Numbers"): ``masks[0]`` keeps the level bits, and step k ORs
+    in a copy shifted left by ``shifts[k]`` and keeps ``masks[k + 1]``, which
+    halves the blocks of bits kept together.  Run backwards, it gathers."""
+    masks, shifts, b = [(1 << level) - 1], [], 1 << max(level - 1, 0).bit_length()
+    while b > 1:
+        b //= 2
+        shifts.append(b * (d - 1))
+        masks.append(sum(1 << (j // b * b * d + j % b) for j in range(level)))
+    return tuple(masks), tuple(shifts)
+
+
 def _morton(coords: np.ndarray, level: int) -> np.ndarray:
     """Morton codes of an (m, d) array of cells below level ``level``: bit j
     of axis a goes to bit ``j*d + d-1-a``, so axis 0 takes the high bit of
@@ -88,11 +103,13 @@ def _morton(coords: np.ndarray, level: int) -> np.ndarray:
     m, d = coords.shape
     if d == 1:
         return coords[:, 0].astype(np.int64)
+    masks, shifts = _spread_steps(level, d)
     code = np.zeros(m, dtype=np.int64)
     for a in range(d):
-        c = coords[:, a].astype(np.int64)
-        for j in range(level):
-            code |= ((c >> j) & 1) << (j * d + d - 1 - a)
+        c = coords[:, a].astype(np.int64) & masks[0]
+        for shift, mask in zip(shifts, masks[1:]):
+            c = (c | c << shift) & mask
+        code |= c << d - 1 - a
     return code
 
 
@@ -100,10 +117,13 @@ def _unmorton(codes: np.ndarray, level: int, d: int) -> np.ndarray:
     """The (m, d) coordinates of level-``level`` Morton codes."""
     if d == 1:
         return codes.astype(np.int64)[:, None]
-    coords = np.zeros((codes.shape[0], d), dtype=np.int64)
+    masks, shifts = _spread_steps(level, d)
+    coords = np.empty((codes.shape[0], d), dtype=np.int64)
     for a in range(d):
-        for j in range(level):
-            coords[:, a] |= ((codes >> (j * d + d - 1 - a)) & 1) << j
+        c = codes >> d - 1 - a & masks[-1]
+        for shift, mask in zip(shifts[::-1], masks[-2::-1]):
+            c = (c | c >> shift) & mask
+        coords[:, a] = c
     return coords
 
 

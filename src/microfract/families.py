@@ -260,6 +260,15 @@ class EuclideanNet(MetricSpaceView):
         return cls(pts, y0=y0)
 
 
+# A matrix net checks the triangle inequality on all n^3 triples, one n-by-n
+# pass per middle point (about 0.3 s at this many points on one core), and
+# refuses larger matrices before checking.
+_MAX_MATRIX_POINTS = 1 << 9
+# d(i, k) may exceed d(i, j) + d(j, k) by this share of the larger side, a few
+# units in the last place: the rounding of distances computed in floats.
+_TRIANGLE_SLACK = 8 * np.finfo(float).eps
+
+
 class MatrixNet(MetricSpaceView):
     def __init__(self, dmatrix, y0: int = 0):
         dm = np.asarray(dmatrix, dtype=float)
@@ -268,13 +277,17 @@ class MatrixNet(MetricSpaceView):
         if not np.isfinite(dm).all():
             raise ValueError("distances must be finite")
         n = dm.shape[0]
+        if n > _MAX_MATRIX_POINTS:
+            raise ResourceLimitError(f"a distance matrix on {n} points is over the limit "
+                                     f"{_MAX_MATRIX_POINTS} for its triangle check")
         self._index(np.zeros(n), int(y0))
-        if not np.allclose(dm, dm.T) or np.diagonal(dm).any():
+        if not np.array_equal(dm, dm.T) or np.diagonal(dm).any():
             raise ValueError("distance matrix must be symmetric with zero diagonal")
-        rng = np.random.default_rng(0)
-        for _ in range(min(64, n ** 3)):
-            i, j, k = rng.integers(0, n, size=3)
-            if dm[i, k] > dm[i, j] + dm[j, k] + 1e-12:
+        shrunk = dm * (1 - _TRIANGLE_SLACK)
+        for j in range(n):  # every triple (i, j, k), one pass per middle point
+            bad = dm[:, j, None] + dm[j] < shrunk
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
                 raise ValueError(f"triangle inequality fails on ({i},{j},{k})")
         self.dm = dm
         off = dm[~np.eye(n, dtype=bool)]

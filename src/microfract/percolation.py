@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import ceil, log2, sqrt
 from typing import Sequence
 
@@ -45,24 +45,23 @@ __all__ = [
 _M64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 _SALT = 0xD1B54A32D192ED03
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))  # SplitMix64 (shift, multiplier)
 
 
 def _mix64(z: int) -> int:
     z &= _M64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _M64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _M64
+    for shift, mul in _MIX:
+        z = (z ^ z >> shift) * mul & _M64
     return z ^ (z >> 31)
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    """:func:`_mix64` of a uint64 array, in place."""
+    t = np.empty_like(z)
+    for shift, mul in _MIX:
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= np.uint64(mul)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -108,19 +107,25 @@ class PercField:
 
     def variates(self, copy_key, level: int, coords: np.ndarray) -> np.ndarray:
         """Vectorized variates for an (m, d) array of same-level cells."""
-        v = _mix64_np(_cell_codes(level, coords) ^ np.uint64(self._copy_hash(copy_key)))
-        return (v >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        self._check_width(level, coords.shape[1])
+        v = _counter_codes(level, coords).view(np.uint64) ^ np.uint64(self._copy_hash(copy_key))
+        return (_mix64_np(v) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+    def _trial_hashes(self, prefix: tuple, start: int, stop: int) -> np.ndarray:
+        """``_copy_hash(prefix + (t,))`` for ``start <= t < stop``, caching only the prefix."""
+        t = np.arange(start, stop, dtype=np.uint64) + np.uint64(_SALT)
+        return _mix64_np(_mix64_np(t) ^ np.uint64(self._copy_hash(prefix)))
 
 
-def _cell_codes(level: int, coords: np.ndarray) -> np.ndarray:
-    """Counter codes of an (m, d) array of same-level cells: a leading 1 bit
-    above the level-bit coordinates, axis 0 lowest."""
-    m, d = coords.shape
-    PercField._check_width(level, d)
-    code = np.full(m, 1 << (level * d), dtype=np.uint64)
-    for a in range(d):
-        code |= coords[:, a].astype(np.uint64) << np.uint64(level * a)
-    return code
+def _counter_codes(level: int, cells: np.ndarray) -> np.ndarray:
+    """The counter codes (hash inputs) ``1 << level*d | OR_a x_a << level*a`` of (m, d) cells."""
+    return reduce(np.bitwise_or, (c.astype(np.int64) << level * a for a, c in enumerate(cells.T)),
+                  np.int64(1 << level * cells.shape[1]))
+
+
+def _decode(codes: np.ndarray, levels, d: int) -> np.ndarray:
+    """The (m, d) cells of counter codes at ``levels`` (one level, or one per code)."""
+    return np.stack([(codes >> levels * a) & (1 << levels) - 1 for a in range(d)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -238,36 +243,50 @@ def _restriction(k_set: DyadicSet | None, depth: int, d: int):
     return (k_set.codes, k_set.depth), k_set.d
 
 
-def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: int,
-          d: int, ref: tuple[np.ndarray, int] | None = None, count_levels=(),
-          leaves: bool = False, completions: bool = False):
-    """The percolation level kernel: grows one trial per copy key to ``depth``,
-    all trials a level at a time, each row tagged with its trial id so every
-    variate is the one a per-trial run draws; with ``ref`` (see
-    ``_restriction``) only cells meeting it.  Returns ``counts[j, t]``, the
-    alive cells of trial ``t`` at level ``count_levels[j]``; with ``leaves``
-    the cells alive at ``depth``, trial by trial; and with ``completions``
-    (needs ``ref``) the alive cells without an alive child, ordered by trial,
-    then level, then frontier order, as arrays of their levels, cells and
-    least reference leaves.  Wide cells are refused before any array is built.
-    """
+@lru_cache(maxsize=256)
+def _level_steps(schedule: RetentionSchedule, d: int, depth: int) -> tuple:
+    """:func:`_grow`'s checks and per-level constants (index 0 unused): the largest
+    uint64 ``v`` with ``(v >> 11) <= _threshold(alpha)``, clamped to 64 bits; the
+    pairs with ``OR (c & mask) << shift`` the common part of parent ``c``'s
+    children; and the child offsets in Morton order."""
+    schedule.validate_dim(d, depth)
     PercField._check_width(depth, d)
     if 1 << d > _MAX_CELLS:
         raise ResourceLimitError(f"a cell at d={d} has 2^{d} children, "
                                  f"over the limit {_MAX_CELLS}")
+    steps, units = [None], _unmorton(np.arange(1 << d), 1, d)
+    for p in range(depth):  # the parent level
+        pairs = [(((1 << p) - 1) << p * a, a + 1) for a in range(d - 1) if p]
+        steps.append((np.uint64(min(_threshold(schedule.alpha(p + 1)) << 11 | 0x7FF, _M64)),
+                      (*pairs, (-(1 << p * (d - 1)) if p * (d - 1) else None, d)),
+                      _counter_codes(p + 1, units) ^ 1 << (p + 1) * d))
+    return tuple(steps)
+
+
+def _grow(hashes: np.ndarray, schedule: RetentionSchedule, depth: int, d: int,
+          ref: tuple[np.ndarray, int] | None = None, count_levels=(),
+          leaves: bool = False, completions: bool = False):
+    """The percolation level kernel: grows one trial per copy hash to ``depth``,
+    all trials a level at a time, each row tagged with its trial id so every
+    variate is the one a per-trial run draws; with ``ref`` (see
+    ``_restriction``) only cells meeting it, the frontier as counter codes.
+    Returns ``counts[j, t]``, the alive cells of trial ``t`` at level
+    ``count_levels[j]``; with ``leaves`` the cells alive at ``depth``, trial by
+    trial; and with ``completions`` (needs ``ref``) the alive cells without an
+    alive child, ordered by trial, then level, then frontier order, as arrays of
+    their levels, cells and least reference leaves.
+    """
+    steps = _level_steps(schedule, d, depth)
     if ref is not None:
         ref_codes, ref_depth = ref
-        tables = [_distinct(ref_codes >> d * (ref_depth - m)) for m in range(depth + 1)]
-    hashes = np.array([field._copy_hash(key) for key in keys], dtype=np.uint64)
-    # (v >> 11) <= floor(r * 2^53) is exactly the uniform test (v >> 11) * 2^-53 <= r.
-    thresholds = [None] + [np.uint64(_threshold(schedule.alpha(n)))
-                           for n in range(1, depth + 1)]
+        tables = [np.sort(_counter_codes(m, _unmorton(
+            _distinct(ref_codes >> d * (ref_depth - m)), m, d))) for m in range(depth + 1)]
+    hashes = hashes.view(np.int64)  # XOR on the bit patterns, mixed as uint64
     rows = {level: j for j, level in enumerate(count_levels)}
-    counts = np.zeros((len(rows), len(keys)), dtype=np.int64)
+    counts = np.zeros((len(rows), hashes.shape[0]), dtype=np.int64)
     fan = 1 << d
-    offsets = _unmorton(np.arange(fan), 1, d)  # children in Morton order
     final, dead = [], []
-    stack = [(1, np.arange(len(keys)), np.zeros((len(keys), d), dtype=np.int64))]
+    stack = [(1, np.arange(hashes.shape[0]), np.ones(hashes.shape[0], dtype=np.int64))]
     while stack:
         level, trial, frontier = stack.pop()
         m = trial.shape[0]
@@ -285,32 +304,39 @@ def _grow(field: PercField, keys: Sequence, schedule: RetentionSchedule, depth: 
         if m * fan > _MAX_CELLS:
             raise ResourceLimitError(f"level {level} of one trial would hold "
                                      f"{m * fan} cells, over the limit {_MAX_CELLS}")
-        kids = (2 * frontier[:, None, :] + offsets).reshape(-1, d)
-        kid_trial = np.repeat(trial, fan)
-        parent = np.repeat(np.arange(m), fan) if completions else None
-        if ref is not None:
-            z = _morton(kids, level)
-            keep = tables[level].take(np.searchsorted(tables[level], z), mode="clip") == z
-            kids, kid_trial = kids[keep], kid_trial[keep]
-            parent = parent[keep] if completions else None
-        v = _mix64_np(_cell_codes(level, kids) ^ hashes[kid_trial])
-        alive = (v >> np.uint64(11)) <= thresholds[level]
+        bound, pairs, offs = steps[level]
+        base = reduce(np.bitwise_or, [(frontier if mask is None else frontier & mask) << shift
+                                      for mask, shift in pairs])
+        bases = np.array([base, base ^ hashes.take(trial)])  # bare, and salted with the hash
+        if fan <= 4 and m > 256:  # on long frontiers column writes beat a broadcast
+            both = np.empty((2, m, fan), dtype=np.int64)
+            for o, off in enumerate(offs.tolist()):
+                np.bitwise_xor(bases, off, out=both[:, :, o])
+        else:
+            both = bases[:, :, None] ^ offs
+        kids, v = both.reshape(2, -1)
+        if ref is None:
+            alive = (_mix64_np(v.view(np.uint64)) <= bound).nonzero()[0]
+        else:  # hash only the children that meet the reference set
+            table = tables[level]
+            meets = (table.take(table.searchsorted(kids), mode="clip") == kids).nonzero()[0]
+            alive = meets.take((_mix64_np(v.take(meets).view(np.uint64)) <= bound).nonzero()[0])
+        parent = alive >> d
         if completions:
-            fertile = np.zeros(m, dtype=bool)
-            fertile[parent[alive]] = True
-            idle = np.flatnonzero(~fertile)
-            dead.append((trial[idle], np.full(idle.shape[0], level - 1), frontier[idle]))
-        trial, frontier = kid_trial[alive], kids[alive]
+            idle = (np.bincount(parent, minlength=m) == 0).nonzero()[0]
+            dead.append((trial.take(idle), np.full(idle.shape[0], level - 1),
+                         frontier.take(idle)))
+        trial, frontier = trial.take(parent), kids.take(alive)
         j = rows.get(level)
         if j is not None and trial.shape[0]:
             counts[j, trial[0]:trial[-1] + 1] = np.bincount(trial - trial[0])
         stack.append((level + 1, trial, frontier))
-    cells = np.concatenate(final) if leaves else None
+    cells = _decode(np.concatenate(final), depth, d) if leaves else None
     if not completions:
         return counts, cells, None
     trial, levels, idle = (np.concatenate(c) for c in zip(*dead))
     order = np.argsort(trial, kind="stable")
-    levels, idle = levels[order], idle[order]
+    levels, idle = levels[order], _decode(idle[order], levels[order], d)
     # the least reference leaf under each dead cell starts its code slice
     first = np.searchsorted(ref_codes, _morton(idle, depth) << d * (ref_depth - levels))
     return counts, cells, (levels, idle, _unmorton(ref_codes[first], ref_depth, d))
@@ -333,9 +359,8 @@ def sample(schedule: RetentionSchedule, field: PercField, copy_key,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ref, d = _restriction(k_set, depth, d)
-    schedule.validate_dim(d, depth)
-    counts, cells, dead = _grow(field, [copy_key], schedule, depth, d, ref,
-                                range(1, depth + 1), leaves=True,
+    counts, cells, dead = _grow(np.array([field._copy_hash(copy_key)], dtype=np.uint64),
+                                schedule, depth, d, ref, range(1, depth + 1), leaves=True,
                                 completions=completions and ref is not None)
     done = tuple(_completions(*dead)) if dead else ()
     return PercSample(_from_cells(d, depth, cells), done, depth, copy_key,
@@ -424,24 +449,20 @@ def hawkes_experiment(k_set: DyadicSet | None, beta, depths: Sequence[int],
     ref, d = _restriction(k_set, depths[-1], d)
     if not 0 < beta < d:
         raise ValueError(f"beta must lie in (0, {d})")
-    counts, _, _ = _grow(field, [(copy_prefix, t) for t in range(trials)],
-                         RetentionSchedule.constant(beta), depths[-1], d, ref,
-                         depths)
-    rows, flagged = [], []
+    counts, _, _ = _grow(field._trial_hashes((copy_prefix,), 0, trials),
+                         RetentionSchedule.constant(beta), depths[-1], d, ref, depths)
+    rows = []
     for dep, at_dep in zip(depths, counts):
         alive = at_dep[at_dep > 0]
         n_alive = alive.shape[0]
         frac = n_alive / trials
         half = 1.96 * sqrt(max(frac * (1 - frac), 1e-12) / trials)
-        if n_alive:
-            cond = float((np.log2(alive) / dep).mean())
-        else:
-            cond = None
-            flagged.append(dep)
+        cond = float((np.log2(alive) / dep).mean()) if n_alive else None
         rows.append(HawkesRow(dep, frac, max(0.0, frac - half),
                               min(1.0, frac + half), cond, n_alive))
     noninc = all(rows[i].survival >= rows[i + 1].survival for i in range(len(rows) - 1))
-    return HawkesReport(beta, trials, tuple(rows), noninc, tuple(flagged))
+    return HawkesReport(beta, trials, tuple(rows), noninc,
+                        tuple(r.depth for r in rows if not r.n_alive))
 
 
 def choose_copies(c_hat: float, cap: int = 64) -> int:
@@ -547,10 +568,9 @@ def gamma_star(config: GammaStarConfig, x: Word | str, spec: TargetSpec,
         lo, hi = np.searchsorted(k_set.codes, [top << shift, top + 1 << shift])
         if lo == hi:
             continue
-        schedule.validate_dim(d, local_depth)
         ref = (k_set.codes[lo:hi] & ((1 << shift) - 1), local_depth)
-        keys = [("gstar", k, i) for i in range(1, config.copies[k - 1] + 1)]
-        _, local, (levels, idle, z_cells) = _grow(field, keys, schedule, local_depth, d,
+        hashes = field._trial_hashes(("gstar", k), 1, config.copies[k - 1] + 1)
+        _, local, (levels, idle, z_cells) = _grow(hashes, schedule, local_depth, d,
                                                   ref, leaves=True, completions=True)
         cells.append(local + base)
         done += _completions(levels + k, idle + (q << levels[:, None]), z_cells + base)

@@ -365,6 +365,43 @@ def test_wide_full_cube_exits_3_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "h.csv").exists()
 
 
+# Configs that fail the schema, one or more ways each; the error run() raises
+# must be the one jsonschema.validate picks, in the same one-line form.
+BAD_CONFIGS = [
+    {"command": "dims", "word": "beatty:1/2", "depth": 4, "bogus": 1},
+    {"command": "launch"},
+    {"word": "beatty:1/2"},
+    {"command": "zoom", "set": "word:1011", "depth": 4, "m": 1.0},
+    {"command": "zoom", "set": "word:1011", "depth": 4, "m": True},
+    {"command": "hawkes", "k": "full:1", "beta": "1/2", "depths": "4", "trials": 0},
+    {"command": "hawkes", "k": 3, "beta": 0.5, "depths": [4], "trials": -1, "seed": -2},
+    {"command": "family", "net": "grid:5", "target": "finite:1/2", "variant": "disk"},
+    {"command": "realize", "target": "finite:1/2", "blocks": 1, "extra": None},
+    {"command": "zoom", "set": "full:1", "depth": 0, "m": -1, "binary": "yes"},
+    [],
+    "percolate",
+]
+
+
+@pytest.mark.parametrize("config", BAD_CONFIGS)
+def test_config_errors_match_jsonschema_validate(tmp_path, capsys, config):
+    import jsonschema
+    from microfract.cli import CONFIG_SCHEMA, _IntsOnlyValidator
+
+    with pytest.raises(jsonschema.ValidationError) as oracle:
+        jsonschema.validate(config, CONFIG_SCHEMA, cls=_IntsOnlyValidator)
+    want = f"config {oracle.value.json_path}: {oracle.value.message}"
+    with pytest.raises(ValueError) as got:
+        run(config)
+    assert str(got.value) == want
+    if isinstance(config, dict) and config.get("command") in ("dims", "hawkes", "family",
+                                                               "realize", "zoom"):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([config["command"], "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+
 @pytest.mark.parametrize("m", [1.0, 0.0, True])
 def test_config_integers_must_be_json_integers(tmp_path, m):
     # JSON Schema counts 1.0 as an integer, but the commands need Python ints

@@ -354,6 +354,25 @@ def cells(d, depth, seed, fill):
         itertools.compress(itertools.product(range(1 << depth), repeat=d), picked)))
 
 
+def oracle_morton(cells, level):
+    """Reference: the bit loop the magic-number spread replaced."""
+    m, d = cells.shape
+    code = np.zeros(m, dtype=np.int64)
+    for a in range(d):
+        for j in range(level):
+            code |= ((cells[:, a] >> j) & 1) << (j * d + d - 1 - a)
+    return code
+
+
+def oracle_unmorton(codes, level, d):
+    """Reference: the bit loop the magic-number gather replaced."""
+    cells = np.zeros((codes.shape[0], d), dtype=np.int64)
+    for a in range(d):
+        for j in range(level):
+            cells[:, a] |= ((codes >> (j * d + d - 1 - a)) & 1) << j
+    return cells
+
+
 class TestMortonCodes:
     @pytest.mark.parametrize("d, depth", [(1, 9), (2, 5), (3, 3)])
     def test_queries_match_leaf_tuples(self, d, depth):
@@ -369,6 +388,22 @@ class TestMortonCodes:
     def test_axis_0_takes_the_high_bit(self):
         assert dyadic._unmorton(np.arange(4), 1, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
         assert dyadic._morton(np.array([[1, 2]]), 2).tolist() == [0b0110]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_magic_spreads_match_bit_loops(self, d):
+        rng = np.random.default_rng(d)
+        for level in range(min(31, 62 // d) + 1):
+            cells = rng.integers(0, 1 << level, size=(64, d))
+            cells[0], cells[1] = 0, (1 << level) - 1
+            codes = oracle_morton(cells, level)
+            assert dyadic._morton(cells, level).tolist() == codes.tolist()
+            assert dyadic._unmorton(codes, level, d).tolist() == cells.tolist()
+            if d > 1:  # bits at and above the level are ignored, as by the loop
+                high = cells | rng.integers(0, 4, size=cells.shape) << level
+                assert dyadic._morton(high, level).tolist() == oracle_morton(high, level).tolist()
+            noise = rng.integers(0, 1 << d * level, size=64)
+            assert dyadic._unmorton(noise, level, d).tolist() == \
+                oracle_unmorton(noise, level, d).tolist()
 
     def test_code_width_limit(self):
         with pytest.raises(ResourceLimitError):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from microfract import families
 from microfract.cli import main
+from microfract.dims import exact_packing_number
 from microfract.dyadic import kx_set, product
 from microfract.errors import ResolutionExhausted, ResourceLimitError
 from microfract.families import (
@@ -392,6 +393,40 @@ class TestNets:
         bad = np.array([[0.0, 5, 1], [5, 0, 1], [1, 1, 0]])
         with pytest.raises(ValueError):
             MatrixNet(bad)
+
+    def test_matrix_net_symmetry_is_exact(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            MatrixNet([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
+
+    def test_matrix_net_checks_every_triple(self):
+        # one broken pair among 40 points, d(0, 39/40) = 5; random triples missed it
+        pts = [(i / 40,) for i in range(40)]
+
+        def dist(p, q):
+            return 5.0 if {p, q} == {pts[0], pts[39]} else abs(p[0] - q[0])
+        with pytest.raises(ValueError, match="triangle inequality"):
+            exact_packing_number(pts, 0.5, dist)
+        dm = np.abs(np.subtract.outer(np.arange(40.0), np.arange(40.0)))
+        dm[3, 17] = dm[17, 3] = dm[3, 17] + 2.5
+        with pytest.raises(ValueError, match="triangle inequality"):
+            MatrixNet(dm)
+
+    def test_matrix_net_triangle_slack_is_a_few_ulps(self):
+        # distances on a line, computed in floats, break the triangle inequality by
+        # rounding alone; a relative excess of 1e-9 is a real break
+        x = np.random.default_rng(5).random(60) * 1e6
+        MatrixNet(np.abs(np.subtract.outer(x, x)))
+        pts = np.random.default_rng(6).random(60)[:, None] * [0.6, 0.8]
+        MatrixNet(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)))
+        dm = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]) * 1e6
+        dm[0, 2] = dm[2, 0] = 2e6 * (1 + 1e-9)
+        with pytest.raises(ValueError, match="triangle inequality"):
+            MatrixNet(dm)
+
+    def test_matrix_net_size_refused_before_check(self):
+        n = families._MAX_MATRIX_POINTS + 1
+        with pytest.raises(ResourceLimitError, match="over the limit"):
+            MatrixNet(np.zeros((n, n)))
 
     @pytest.mark.parametrize("make", [
         lambda: EuclideanNet(np.zeros((0, 2))),

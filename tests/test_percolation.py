@@ -7,7 +7,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from microfract import percolation
 from microfract.cli import main
@@ -100,6 +100,18 @@ class TestSchedule:
             RetentionSchedule.from_list([-1])
 
 
+@pytest.fixture
+def unchecked_dims(monkeypatch):
+    """Switches the dimension check off, so that exponents past d (54 among
+    them, past 53 where the threshold is 0, needs d > 53 otherwise) reach
+    the kernel; its per-call cache is emptied before and after, so that no
+    unchecked entry outlives the test."""
+    monkeypatch.setattr(RetentionSchedule, "validate_dim", lambda *args: None)
+    percolation._level_steps.cache_clear()
+    yield
+    percolation._level_steps.cache_clear()
+
+
 class TestThreshold:
     """``_threshold(alpha)`` is the exact ``floor(2^(53 - alpha))``."""
 
@@ -128,6 +140,18 @@ class TestThreshold:
         assert percolation._threshold(Fraction(53)) == 1
         assert percolation._threshold(Fraction(107, 2)) == 0
         assert percolation._threshold(Fraction(10 ** 9)) == 0
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 2), Fraction(53),
+                                       Fraction(107, 2), Fraction(10 ** 9)])
+    def test_kernel_bound_is_the_threshold_test(self, unchecked_dims, alpha):
+        # the kernel's one comparison v <= bound is (v >> 11) <= _threshold(alpha),
+        # clamped at alpha = 0, where the threshold is 2^53
+        bound = percolation._level_steps(RetentionSchedule.constant(alpha), 1, 1)[1][0]
+        t = percolation._threshold(alpha)
+        for v in [0, 0x7FF, 0x800, (t << 11) - 1, t << 11, (t << 11) | 0x7FF,
+                  (t + 1) << 11, (1 << 64) - 1]:
+            v &= (1 << 64) - 1  # t << 11 - 1 wraps at t = 0, (t + 1) << 11 at t = 2^53
+            assert (np.uint64(v) <= bound) == ((v >> 11) <= t), (alpha, v)
 
 
 class TestSample:
@@ -359,7 +383,7 @@ def least_morton_leaf(k_set, cell, level):
 
 def oracle_sample(schedule, field, copy_key, depth, d=1, k_set=None, completions=False):
     """Reference: the per-trial level loop the batched kernel replaced, one
-    trial grown level by level with float variates, the reference filter and
+    trial grown level by level with the scalar float variates, the reference filter and
     the completion points taken from the leaf tuples.  Returns (survivor
     leaves, completions, level counts)."""
     if k_set is not None:
@@ -374,7 +398,8 @@ def oracle_sample(schedule, field, copy_key, depth, d=1, k_set=None, completions
             meets = ancestors(k_set, level)
             keep = np.array([tuple(kid) in meets for kid in kids.tolist()], dtype=bool)
             kids, parents = kids[keep], parents[keep]
-        alive = field.variates(copy_key, level, kids) <= schedule.retention(level)
+        alive = np.array([field.variate(copy_key, level, kid) for kid in map(tuple, kids.tolist())],
+                         dtype=float) <= schedule.retention(level)
         if completions and k_set is not None:
             fertile = set(parents[alive].tolist())
             for p in range(frontier.shape[0]):
@@ -503,6 +528,99 @@ class TestKernelMatchesPerTrialLoop:
             k_set.depth, k_set=k_set, completions=True).completions]
         assert len({comp.level for comp in done}) > 2
         assert_completions_inside(done, k_set)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A dimension, a depth, a reference set (or none) at that depth or one
+    deeper, and a retention schedule whose exponents include 0 and, past the
+    dimension, 54 (whose threshold is 0)."""
+    d = draw(st.integers(1, 4))
+    depth = draw(st.integers(1, {1: 9, 2: 5, 3: 4, 4: 3}[d]))
+    k_set = None
+    if draw(st.booleans()):
+        ref_depth = depth + draw(st.integers(0, 1))
+        leaves = draw(st.sets(st.tuples(*[st.integers(0, (1 << ref_depth) - 1)] * d),
+                              min_size=1, max_size=24))
+        k_set = DyadicSet(d, ref_depth, leaves)
+    alphas = draw(st.lists(st.sampled_from([Fraction(0), Fraction(d, 4), Fraction(d, 2),
+                                            Fraction(3 * d, 4), Fraction(d), Fraction(54)]),
+                           min_size=depth, max_size=depth))
+    return d, depth, k_set, RetentionSchedule.from_list(alphas)
+
+
+class TestKernelProperties:
+    """Drawn cases of the batched kernel against the per-trial oracle, which
+    grows each trial alone through the scalar PercField.variate."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=kernel_cases(), seed=st.integers(0, 2 ** 64 - 1),
+           key=st.one_of(st.integers(0, 2 ** 40), st.text(max_size=4),
+                         st.tuples(st.text(max_size=3), st.integers(0, 99))),
+           completions=st.booleans())
+    def test_sample(self, split, unchecked_dims, case, seed, key, completions):
+        d, depth, k_set, sched = case
+        smp = sample(sched, PercField(seed), key, depth, d, k_set, completions=completions)
+        leaves, done, counts = oracle_sample(sched, PercField(seed), key, depth, d, k_set,
+                                             completions=completions)
+        assert smp.survivors.leaves == leaves
+        assert list(smp.level_counts) == counts
+        assert list(smp.completions) == done
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=kernel_cases(), seed=st.integers(0, 2 ** 32), trials=st.integers(1, 12),
+           data=st.data())
+    def test_hawkes(self, split, case, seed, trials, data):
+        d, depth, k_set, _ = case
+        beta = Fraction(data.draw(st.integers(1, 4 * d - 1)), 4)
+        depths = data.draw(st.sets(st.integers(1, depth), min_size=1, max_size=3))
+        got = hawkes_experiment(k_set, beta, depths, trials, PercField(seed), d=d)
+        want = oracle_hawkes(k_set, beta, depths, trials, PercField(seed), d=d)
+        assert got.to_csv() == want.to_csv()
+        assert got == want
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2 ** 32),
+           copies=st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    def test_gamma_star(self, split, d, data, seed, copies):
+        depth = data.draw(st.integers(3, {1: 8, 2: 5, 3: 4}[d]))
+        leaves = data.draw(st.sets(st.tuples(*[st.integers(0, (1 << depth) - 1)] * d),
+                                   min_size=1, max_size=30))
+        k_set = DyadicSet(d, depth, leaves)
+        cfg = GammaStarConfig(Fraction(1), (Fraction(1, 2), Fraction(3, 4)), copies,
+                              (0.9, 0.9), select_anchor_cell(k_set), 2)
+        spec = TargetSpec.interval_union([(Fraction(1, 5), Fraction(4, 5))])
+        x = Word(tuple(data.draw(st.lists(st.integers(0, 1), min_size=depth,
+                                          max_size=depth))))
+        smp = gamma_star(cfg, x, spec, PercField(seed), depth, k_set)
+        leaves, done = oracle_gamma_star(cfg, x, spec, PercField(seed), depth, k_set)
+        assert smp.survivors.leaves == leaves
+        assert list(smp.completions) == done
+        assert_completions_inside(smp.completions, k_set)
+
+
+class TestTrialHashes:
+    @settings(max_examples=50, deadline=None)
+    @given(prefix=st.lists(st.one_of(st.text(max_size=6), st.integers(0, 2 ** 64 - 1)),
+                           min_size=1, max_size=3).map(tuple),
+           start=st.one_of(st.integers(0, 2 ** 63), st.just(2 ** 64 - percolation._SALT - 3)),
+           count=st.integers(0, 40), seed=st.integers(0, 2 ** 64 - 1))
+    def test_equal_to_copy_hash_key_by_key(self, prefix, start, count, seed):
+        # the start near 2^64 - _SALT makes the salted trial numbers wrap
+        got = PercField(seed)._trial_hashes(prefix, start, start + count)
+        oracle = PercField(seed)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [oracle._copy_hash(prefix + (t,))
+                                for t in range(start, start + count)]
+
+    def test_hawkes_caches_one_entry(self):
+        field = PercField(8)
+        hawkes_experiment(None, Fraction(1, 2), [6], 5000, field)
+        hawkes_experiment(None, Fraction(1, 2), [6], 3000, field, copy_prefix="other")
+        assert len(field._copy_cache) == 2
 
 
 def assert_completions_inside(completions, k_set):
