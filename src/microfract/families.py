@@ -12,6 +12,9 @@ target value and ``l`` is the smallest admissible scale of the level
 schedule.  The box variant packs inside the origin ball and keeps every
 older center (the origin is swapped into each new packing); the packing
 variant refines every ball separately and keeps only the new points.
+Packing sizes, witness counts and percolation's survival thresholds all
+compare integers with ``2^(p/q)`` through one exact test, behind
+:func:`floor_pow2` and :func:`count_reaches_pow2`.
 
 Scheduling note: the level function ``g(n) = max(n+1, P_n(K))`` feeds the
 net's own packing number back into the next radius exponent, so radii
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,40 +61,71 @@ __all__ = [
 ]
 
 
-def _iroot(x: int, q: int) -> int:
-    """floor(x ** (1/q)) by integer Newton iteration from just above the root."""
-    if x < 2:
-        return x
-    # 2^(log2(x)/q) in floats, raised by 2^-32 of itself to clear their error,
-    # and further while not above the root: Newton falls from any start
-    # above the root, and from one this close in a few steps
-    e = math.log2(x) / q
-    whole = math.floor(e)
-    r = (int(2 ** (e - whole + 52) * (1 + 2 ** -32)) << whole >> 52) + 1
-    while r ** q <= x:
-        r += (r >> 16) + 1
+# The float filter's error in ``log2(c / 2^w) - r/q`` is under 2^-50: cutting c
+# to 53 bits moves the logarithm by under 1.5 * 2^-52, and math.log2 (on [1, 2)),
+# r/q and the difference round by at most 2^-53, 2^-54 and 2^-53.
+_LOG2_SLACK = 2.0 ** -48
+
+
+def _at_most_pow2(c: int, p: int, q: int) -> bool:
+    """Exact ``c <= 2^(p/q)`` for integers ``c, p >= 0`` and ``q >= 1``.  With
+    ``w, r = divmod(p, q)``, bit length decides unless ``2^w <= c < 2^(w+1)``;
+    then ``r = 0`` does, then a float filter on ``log2(c / 2^w) - r/q``; in the
+    band it leaves, ``2^(p/q)`` is irrational and decimal logarithms decide at
+    doubling precision (Shewchuk's adaptive precision, DCG 18(3), 1997)."""
+    w, r = divmod(p, q)
+    n = c.bit_length()
+    if n != w + 1:
+        return n <= w
+    if r == 0:
+        return c == 1 << w
+    s = max(n - 53, 0)
+    diff = math.log2(math.ldexp(c >> s, s - w)) - r / q
+    if abs(diff) > _LOG2_SLACK:
+        return diff < 0
+    prec = 40
     while True:
-        nr = ((q - 1) * r + x // r ** (q - 1)) // q
-        if nr >= r:
-            return r
-        r = nr
+        with localcontext() as ctx:
+            ctx.prec = prec
+            lhs, rhs = q * Decimal(c).ln(), p * Decimal(2).ln()
+            if abs(lhs - rhs) > (lhs + rhs) * Decimal(10) ** (3 - prec):
+                return lhs < rhs
+        prec *= 2
+
+
+def _exponent(alpha, ell: int) -> tuple[int, int]:
+    num, q = Fraction(alpha).as_integer_ratio()  # p/q = alpha*ell, left unreduced
+    if num * ell < 0:
+        raise ValueError("exponent must be nonnegative")
+    return num * ell, q
 
 
 def floor_pow2(alpha: Fraction, ell: int) -> int:
-    """Exact ``floor(2^(alpha*ell))`` for rational alpha >= 0."""
-    e = Fraction(alpha) * ell
-    p, q = e.numerator, e.denominator
-    if p < 0:
-        raise ValueError("exponent must be nonnegative")
-    return (1 << p) if q == 1 else _iroot(1 << p, q)
+    """Exact ``floor(2^(alpha*ell))`` for rational ``alpha*ell = w + r/q >= 0``:
+    a guess, ``2^(r/q)`` in floats times ``2^w`` up to w = 52 and a decimal
+    power at the result's digit count plus guard digits past it, that
+    :func:`_at_most_pow2` corrects by a unit or two."""
+    p, q = _exponent(alpha, ell)
+    w, r = divmod(p, q)
+    if r == 0:
+        return 1 << w
+    if w <= 52:
+        t = int(math.ldexp(2.0 ** (r / q), w))
+    else:
+        with localcontext() as ctx:
+            ctx.prec = math.ceil((w + 1) * math.log10(2)) + 10
+            t = int(Decimal(2) ** (Decimal(r) / q) * (1 << w))
+    while not _at_most_pow2(t, p, q):
+        t -= 1
+    while _at_most_pow2(t + 1, p, q):
+        t += 1
+    return t
 
 
 def count_reaches_pow2(count: int, alpha: Fraction, ell: int) -> bool:
-    """Exact test ``count >= 2^(alpha*ell)``."""
-    e = Fraction(alpha) * ell
-    if count < 1:
-        return e <= 0 and count >= 1
-    return count ** e.denominator >= 1 << e.numerator
+    """Exact test ``count >= 2^(alpha*ell)`` for a count >= 0."""
+    p, q = _exponent(alpha, ell)
+    return not _at_most_pow2(count + (p % q == 0), p, q)  # whole 2^e: count + 1 > 2^e
 
 
 def _ceil_pow2(alpha: Fraction, ell: int) -> int:
@@ -186,14 +221,12 @@ class MetricSpaceView:
         (members, sizes), = self._balls(np.array([center]), r)
         return members[0, :sizes[0]]
 
-    def greedy_packing_indices(self, candidates: np.ndarray, delta: float,
-                               stop_at: int | None = None) -> list[int]:
+    def greedy_packing_indices(self, candidates: np.ndarray, delta: float) -> list[int]:
         """Canonical packing: greedy over the candidates in the order given."""
         cand = np.asarray(candidates, dtype=np.int64)
         if self.min_separation is not None and delta < self.min_separation:
             # every pair is already separated; the candidates pack as-is
-            out = [int(c) for c in cand]
-            return out if stop_at is None else out[:stop_at]
+            return [int(c) for c in cand]
         keys = self._keys[cand]
         by_key = np.argsort(keys)
         sorted_keys = keys[by_key]
@@ -205,8 +238,6 @@ class MetricSpaceView:
         while i < len(cand):
             c = int(cand[i])
             chosen.append(c)
-            if stop_at is not None and len(chosen) >= stop_at:
-                break
             alive[i] = False
             a = np.searchsorted(sorted_keys, keys[i] - m, "left")
             b = np.searchsorted(sorted_keys, keys[i] + m, "right")
@@ -241,8 +272,9 @@ class EuclideanNet(MetricSpaceView):
         return np.sqrt((diff * diff).sum(axis=-1))
 
     @classmethod
-    def grid_2d(cls, side: int, y0_center: bool = True) -> "EuclideanNet":
-        """side x side grid on [0,1]^2 (a net of resolution ~1/side)."""
+    def grid_2d(cls, side: int) -> "EuclideanNet":
+        """side x side grid on [0,1]^2 (a net of resolution ~1/side), its
+        origin at the center."""
         if side < 2:
             raise ValueError(f"grid side must be >= 2, got {side}")
         if side * side > _MAX_POINTS:
@@ -250,8 +282,7 @@ class EuclideanNet(MetricSpaceView):
                 f"grid side {side} gives {side * side} points, over the limit {_MAX_POINTS}")
         xs = np.linspace(0.0, 1.0, side)
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        y0 = (side // 2) * side + side // 2 if y0_center else 0
-        return cls(pts, y0=y0, min_separation=1.0 / (side - 1))
+        return cls(pts, y0=(side // 2) * side + side // 2, min_separation=1.0 / (side - 1))
 
     @classmethod
     def from_csv(cls, path: str, y0: int = 0) -> "EuclideanNet":
@@ -351,9 +382,8 @@ def _first_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
         packs = [()] * len(sizes)
         size_bits = int(sizes.max()).bit_length()
         for j in range(lo, hi + 1):
-            e = alpha * j
-            if e.numerator // e.denominator >= size_bits:
-                break  # need >= 2^floor(e) exceeds every ball, here and beyond
+            if alpha * j >= size_bits:
+                break  # need >= 2^floor(alpha*j) exceeds every ball, here and beyond
             need = need_of(alpha, j)
             rows = np.flatnonzero((found < 0) & (sizes >= need))
             if rows.size == 0:
@@ -602,6 +632,8 @@ def family_member(x, spec: TargetSpec, view: MetricSpaceView, variant: str,
                   g_mode: str = "strict") -> BallTree:
     """Construction trace of the member at branch ``x`` (the deepest level's
     centers are the finite-depth trace of C(x))."""
+    if spec.a < 0:
+        raise ValueError(f"target value {spec.a} is negative; a family needs values >= 0")
     x = x if isinstance(x, Word) else Word.from_string(x)
     if len(x) < levels:
         raise ValueError(f"branch must supply {levels} bits")
@@ -633,12 +665,11 @@ class FamilyDimReport:
     details: tuple[str, ...] = ()
 
 
-def family_dim_report(tree: BallTree, variant: str | None = None) -> FamilyDimReport:
+def family_dim_report(tree: BallTree) -> FamilyDimReport:
     """Re-verify everything the construction stored: exact packing sizes,
     separations, ball nesting, the origin anchor, and the covering chain at
     the realized scales."""
-    variant = variant or tree.variant
-    view, kseq = tree.view, tree.kseq
+    view, kseq, variant = tree.view, tree.kseq, tree.variant
     notes = []
     cards = True
     seps = True

@@ -5,13 +5,13 @@ hash of the cell path, so variates are independent of evaluation order,
 thread schedule, and retention schedule.  That single shared field is what
 makes exact monotone coupling possible: running two schedules against the
 same field keeps the lower-retention survivor set inside the higher one,
-cell for cell, not merely in distribution.
+cell for cell, not merely in distribution.  A cell survives when its 53-bit
+variate is at most ``floor(2^(53 - alpha))``, from :func:`families.floor_pow2`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import ceil, log2, sqrt
@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import (CubeIdx, DyadicSet, _distinct, _from_cells, _lex_order, _morton,
-                     _unmorton, singleton_chain)
+from .dyadic import (DyadicSet, _distinct, _from_cells, _lex_order, _morton, _unmorton,
+                     singleton_chain)
 from .errors import ResourceLimitError
+from .families import floor_pow2
 from .realize import TargetSpec, VarphiMap
 from .seq import Word
 
@@ -71,18 +72,13 @@ class PercField:
     def __init__(self, seed: int):
         self.seed = int(seed) & _M64
         self._base = _mix64(self.seed ^ _GOLD)
-        self._copy_cache: dict = {}
 
     def _copy_hash(self, copy_key) -> int:
-        h = self._copy_cache.get(copy_key)
-        if h is None:
-            h = self._base
-            parts = copy_key if isinstance(copy_key, tuple) else (copy_key,)
-            for p in parts:
-                if isinstance(p, str):
-                    p = int.from_bytes(p.encode(), "little") & _M64
-                h = _mix64(h ^ _mix64((int(p) + _SALT) & _M64))
-            self._copy_cache[copy_key] = h
+        h = self._base
+        for p in copy_key if isinstance(copy_key, tuple) else (copy_key,):
+            if isinstance(p, str):
+                p = int.from_bytes(p.encode(), "little") & _M64
+            h = _mix64(h ^ _mix64((int(p) + _SALT) & _M64))
         return h
 
     @staticmethod
@@ -102,9 +98,6 @@ class PercField:
         v = _mix64(self._copy_hash(copy_key) ^ code)
         return (v >> 11) * 2.0 ** -53
 
-    def variate_cube(self, copy_key, cube: CubeIdx) -> float:
-        return self.variate(copy_key, cube.level, cube.coords)
-
     def variates(self, copy_key, level: int, coords: np.ndarray) -> np.ndarray:
         """Vectorized variates for an (m, d) array of same-level cells."""
         self._check_width(level, coords.shape[1])
@@ -112,7 +105,7 @@ class PercField:
         return (_mix64_np(v) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
     def _trial_hashes(self, prefix: tuple, start: int, stop: int) -> np.ndarray:
-        """``_copy_hash(prefix + (t,))`` for ``start <= t < stop``, caching only the prefix."""
+        """``_copy_hash(prefix + (t,))`` for ``start <= t < stop``, the prefix folded once."""
         t = np.arange(start, stop, dtype=np.uint64) + np.uint64(_SALT)
         return _mix64_np(_mix64_np(t) ^ np.uint64(self._copy_hash(prefix)))
 
@@ -201,34 +194,8 @@ _MAX_CELLS = 1 << 21
 @lru_cache(maxsize=256)
 def _threshold(alpha: Fraction) -> int:
     """``floor(2^(53 - alpha))``, the largest 53-bit ``v`` with ``v * 2^-53 <=
-    2^-alpha``: a float guess, corrected a unit at a time by the exact test
-    :func:`_at_most_pow2` (integer roots cost about q steps for alpha = p/q)."""
-    if alpha > 53:
-        return 0
-    e, t = 53 - alpha, int(2.0 ** 53 * 2.0 ** -float(alpha))
-    while not _at_most_pow2(t, e):
-        t -= 1
-    while _at_most_pow2(t + 1, e):
-        t += 1
-    return t
-
-
-def _at_most_pow2(c: int, e: Fraction) -> bool:
-    """Exact ``c <= 2^e`` for integers ``c >= 0`` and rationals ``e = p/q >=
-    0``.  For ``q > 1``, ``2^e`` is irrational, so ``q*ln(c) - p*ln(2)`` is
-    never 0; the decimal precision doubles until the computed difference
-    outweighs its rounding error (a few units in the last place)."""
-    p, q = e.numerator, e.denominator
-    if q == 1 or c == 0:
-        return c <= 1 << p
-    prec = 40
-    while True:
-        with localcontext() as ctx:
-            ctx.prec = prec
-            lhs, rhs = q * Decimal(c).ln(), p * Decimal(2).ln()
-            if abs(lhs - rhs) > (lhs + rhs) * Decimal(10) ** (3 - prec):
-                return lhs < rhs
-        prec *= 2
+    2^-alpha`` (0 past 53), by the exact :func:`~microfract.families.floor_pow2`."""
+    return floor_pow2(53 - alpha, 1) if alpha <= 53 else 0
 
 
 def _restriction(k_set: DyadicSet | None, depth: int, d: int):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import tempfile
 import time
 
@@ -269,6 +270,46 @@ def test_huge_exponent_refused_at_once(tmp_path, capsys):
     assert rc == 1 and err.count("\n") == 1 and "exponent" in err
     assert not (tmp_path / "out").exists()
     assert elapsed < 2
+
+
+@contextlib.contextmanager
+def within_seconds(limit):
+    """Turn a call that runs past ``limit`` seconds into a failure, not a hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"call ran past {limit} seconds")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--net", "grid:9", "--target", "finite:1/1000000000,1/3"],
+    ["family", "--net", "grid:9", "--target", "finite:1e-300,1/3"],
+    ["family", "--net", "grid:9", "--target", "finite:1/100000000000,1/3"],
+    ["family", "--net", "grid:9", "--target", "finite:1e-999,1/3"],
+    ["percolate", "--beta", "1/1" + "0" * 3000, "--depth", "4", "--trials", "10"],
+], ids=["family-1e-9", "family-1e-300", "family-1e-11", "family-1e-999", "percolate-1e-3000"])
+def test_exponents_with_long_denominators_run_quickly(tmp_path, argv):
+    """Exact powers 2^(p/q) cost no more for a long denominator q: these
+    targets once took 45 s or more, ran out of memory, or overflowed a float."""
+    out = tmp_path / "out"
+    with within_seconds(2):
+        rc, err = _run_captured(argv + ["--out", str(out)])
+    assert rc == 0 and err == "" and out.exists()
+
+
+@pytest.mark.parametrize("branch", ["0", "1"])
+def test_family_refuses_negative_target_on_every_branch(tmp_path, branch):
+    out = tmp_path / "f.json"
+    rc, err = _run_captured(["family", "--net", "grid:9", "--target", "finite:-1,1/2",
+                             "--branch", branch, "--out", str(out)])
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith("error: target value -1 is negative")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra,code,words", [

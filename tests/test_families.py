@@ -1,9 +1,12 @@
 import contextlib
 import hashlib
 import itertools
+import math
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +64,42 @@ def oracle_greedy(view, candidates, delta, stop_at=None):
             return chosen
         d = view.dists_from(int(candidates[i]), candidates[rest])
         alive[rest[d <= delta]] = False
+
+
+def bisection(at_most, whole):
+    """The largest c in [2^whole, 2^(whole+1)) with ``at_most(c)``, by
+    bisection: ``at_most(lo)`` holds and ``at_most(hi)`` fails throughout."""
+    lo, hi = 1 << whole, 2 << whole
+    assert at_most(lo) and not at_most(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if at_most(mid) else (lo, mid)
+    return lo
+
+
+def decimal_at_most(c, p, q):
+    """Oracle ``c <= 2^(p/q)`` for ``c >= 1`` and a q far past integer powers:
+    logarithms at a fixed precision, past q's digits and twice c's, with a
+    check that the gap is 10^10 times their rounding error."""
+    with localcontext() as ctx:
+        ctx.prec = len(str(q)) + 2 * len(str(c)) + 40
+        lhs, rhs = q * Decimal(c).ln(), p * Decimal(2).ln()
+        assert abs(lhs - rhs) > (lhs + rhs) * Decimal(10) ** (10 - ctx.prec)
+    return lhs < rhs
+
+
+def floor_with_steps(alpha, ell):
+    """``floor_pow2(alpha, ell)``, asserting that it corrects its guess by at
+    most two units: at most four exact comparisons."""
+    compare, calls = families._at_most_pow2, []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 4, f"more than four comparisons for 2^({alpha}*{ell})"
+        return compare(*args)
+
+    with mock.patch.object(families, "_at_most_pow2", counted):
+        return floor_pow2(alpha, ell)
 
 
 def oracle_global_packing_number(view, delta):
@@ -276,14 +315,12 @@ class TestKernelMatchesOracles:
         center = data.draw(st.integers(0, n - 1))
         cand = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=25)),
                         dtype=np.int64)
-        stop_at = data.draw(st.one_of(st.none(), st.integers(0, 6)))
         for block in BLOCKINGS:
             with blocking(block):
                 ball = net.ball(center, r)
                 assert np.array_equal(ball, oracle_ball(net, center, r))
                 assert ball.dtype == np.int64
-                assert (net.greedy_packing_indices(cand, r, stop_at)
-                        == oracle_greedy(net, cand, r, stop_at))
+                assert net.greedy_packing_indices(cand, r) == oracle_greedy(net, cand, r)
                 assert (net.global_packing_number(r)
                         == oracle_global_packing_number(net, r))
                 assert suggest_origin(net, r) == oracle_suggest_origin(net, r)
@@ -338,27 +375,52 @@ class TestExactPowers:
                     assert (r + 1) ** e.denominator > 2 ** e.numerator
         assert floor_pow2(Fraction(1, 2), 1024) == 2 ** 512
 
-    @given(q=st.one_of(st.integers(1, 12), st.sampled_from([1009, 3001])),
-           root=st.integers(0, 2 ** 60), offset=st.integers(-1, 1),
-           top=st.integers(1, 2 ** 64), data=st.data())
-    @example(q=3001, root=0, offset=0, top=1, data=None)  # floor_pow2(53 - 1/3001, 1)
+    # results below 2^61, past 2^53, and (for small q, where mid^q stays cheap) past 2^1024
+    @given(q_whole=st.one_of(
+        st.tuples(st.integers(1, 12) | st.sampled_from([1009, 3001]),
+                  st.integers(0, 60) | st.integers(53, 60)),
+        st.tuples(st.integers(1, 12), st.integers(1024, 1100))), data=st.data())
+    @example(q_whole=(3001, 52), data=None)  # floor_pow2(53 - 1/3001, 1)
     @settings(max_examples=150, deadline=None)
-    def test_iroot_matches_bisection(self, q, root, offset, top, data):
-        def bisection(x):  # lo^q <= x < hi^q throughout
-            lo, hi = 0, 1
-            while hi ** q <= x:
-                hi *= 2
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if mid ** q <= x else (lo, mid)
-            return lo
+    def test_floor_pow2_matches_bisection(self, q_whole, data):
+        q, whole = q_whole
+        r = q - 1 if data is None else data.draw(st.integers(0, q - 1))
+        p = whole * q + r
+        want = bisection(lambda c: c ** q <= 1 << p, whole)
+        assert floor_with_steps(Fraction(p, q), 1) == want
 
-        if data is None:
-            xs = [1 << (53 * q - 1)]
-        else:  # near a q-th power, and a few top bits over many zeros
-            xs = [max(root ** q + offset, 0), top << data.draw(st.integers(0, 60 * q))]
-        for x in xs:
-            assert families._iroot(x, q) == bisection(x)
+    @pytest.mark.parametrize("q", [10 ** 11 + 3, 10 ** 300], ids=["q=1e11+3", "q=1e300"])
+    @pytest.mark.parametrize("whole", [0, 1, 52, 53, 60])
+    def test_floor_pow2_huge_denominator_matches_bisection(self, q, whole):
+        for r in (1, 2, q // 3, q // 2 + 1, q - 2, q - 1):
+            p = whole * q + r
+            want = bisection(lambda c: decimal_at_most(c, p, q), whole)
+            assert floor_with_steps(Fraction(p, q), 1) == want, (whole, r)
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 1009, 10 ** 11 + 3, 10 ** 300],
+                             ids=["2", "3", "7", "1009", "1e11+3", "1e300"])
+    def test_floor_pow2_past_2_to_the_1024(self, q):
+        # a result of 1,101 bits, checked against its neighbours by integer
+        # powers, or by the logarithms of the huge-q oracle
+        for r in {1, q // 2, q - 1}:
+            p = 1100 * q + r
+            t = floor_with_steps(Fraction(p, q), 1)
+            assert t.bit_length() == 1101
+            if q <= 1009:
+                assert t ** q <= 1 << p < (t + 1) ** q
+            else:
+                assert decimal_at_most(t, p, q) and not decimal_at_most(t + 1, p, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.integers(0, 2 ** 62 - 1), q=st.integers(1, 3001),
+           offset=st.integers(-2, 2), data=st.data())
+    def test_comparison_matches_integer_powers(self, c, q, offset, data):
+        # p next to q*log2(c), so the float filter's band and the decimal
+        # logarithms behind it are reached, and near the floor of 2^(p/q)
+        p = max(int(q * math.log2(max(c, 1))) + offset, 0)
+        near = floor_pow2(Fraction(p, q), 1) + data.draw(st.integers(-2, 2))
+        for x in (c, max(near, 0)):
+            assert families._at_most_pow2(x, p, q) == (x ** q <= 1 << p), (x, p, q)
 
     def test_floor_pow2_large_denominator_is_quick(self):
         # Newton's iteration started at twice the root took seconds here

@@ -354,14 +354,6 @@ class TestHelpers:
         assert 0.5 < c < 1.0
 
 
-class TestCubeKeyedVariates:
-    def test_cube_signature_matches_tuple_path(self):
-        from microfract.dyadic import CubeIdx
-        f = PercField(55)
-        cube = CubeIdx(5, (13,))
-        assert f.variate_cube("c", cube) == f.variate("c", 5, (13,))
-
-
 # ---------------------------------------------------------------------------
 # The batched kernel against the per-trial level loop it replaced
 # ---------------------------------------------------------------------------
@@ -616,11 +608,16 @@ class TestTrialHashes:
         assert got.tolist() == [oracle._copy_hash(prefix + (t,))
                                 for t in range(start, start + count)]
 
-    def test_hawkes_caches_one_entry(self):
+    def test_field_state_does_not_grow(self):
+        # a field holds its seed and base hash only: no per-key state, however
+        # many copy keys its samples and experiments draw
         field = PercField(8)
+        state = dict(vars(field))
+        for t in range(2000):
+            sample(RetentionSchedule.constant(Fraction(1, 2)), field, ("acc6", t), 3)
         hawkes_experiment(None, Fraction(1, 2), [6], 5000, field)
         hawkes_experiment(None, Fraction(1, 2), [6], 3000, field, copy_prefix="other")
-        assert len(field._copy_cache) == 2
+        assert vars(field) == state
 
 
 def assert_completions_inside(completions, k_set):
