@@ -141,7 +141,7 @@ def _ball_masks(view: MetricSpaceView, r: float) -> list[int]:
     Both nets' distances are exactly symmetric, so entry i is also the set
     of balls that cover point i."""
     idx = np.arange(view.n_points)
-    rows = np.packbits(view.dists_from(idx, idx) <= r, axis=1, bitorder="little")
+    rows = np.packbits(view.within(idx, idx, r), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 

@@ -3,7 +3,13 @@
 The space is presented as a finite net with a metric (Euclidean coordinates
 or an explicit distance matrix); all packings and counts run on the net, so
 any claim the net cannot certify surfaces as a :class:`ResolutionExhausted`
-error instead of a silent bias.
+error instead of a silent bias.  Every kernel asks one predicate,
+``view.within(i, idx, r)``, whether points lie in a closed ball.  Grid nets
+(:class:`LatticeNet`, behind ``EuclideanNet.grid_2d``) decide it exactly on
+their integer coordinates over one denominator D: ``dx^2 + dy^2 <=
+floor((r*D)^2)``.  Float point sets and distance matrices compare computed
+float distances with r, and window their queries by :func:`_margin`; an
+exact test for them (a float filter with an exact fallback) is not built.
 
 A family member C(x) is grown along a binary word: at each extension the
 construction places a packing of exactly ``floor(2^(phi*l))`` net points at
@@ -27,6 +33,7 @@ on purpose-built nets; reports record which mode produced the data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -42,6 +49,7 @@ from .seq import Word
 __all__ = [
     "MetricSpaceView",
     "EuclideanNet",
+    "LatticeNet",
     "MatrixNet",
     "suggest_origin",
     "KSeq",
@@ -162,7 +170,8 @@ class MetricSpaceView:
 
     Every net keeps its points' first coordinate (0 for a net without
     coordinates) in sorted order, so a query at radius r examines only the
-    points within ``_margin(r)`` of the center along it.
+    points within ``_margin(r)`` of the center along it (a
+    :class:`LatticeNet` tables its balls from a stencil instead).
     """
 
     y0: int
@@ -192,6 +201,11 @@ class MetricSpaceView:
     def dist(self, i: int, j: int) -> float:
         return float(self.dists_from(i, np.array([j]))[0])
 
+    def within(self, i, idx, r: float) -> np.ndarray:
+        """Whether the points idx lie in the closed ball B(i, r), shaped as
+        :meth:`dists_from`; here the computed distance compared with r."""
+        return self.dists_from(i, idx) <= r
+
     def _balls(self, centers: np.ndarray, r: float):
         """Yield ``(members, sizes)`` for consecutive blocks of centers:
         ``members[i, :sizes[i]]`` are the ascending indices of the closed ball
@@ -208,13 +222,19 @@ class MetricSpaceView:
             pos = lo[s:s + step, None] + np.arange(width)
             cand = self._order[np.minimum(pos, n - 1)]
             inside = pos < hi[s:s + step, None]
-            inside &= self.dists_from(centers[s:s + step], cand) <= r
+            inside &= self.within(centers[s:s + step], cand, r)
             sizes = inside.sum(axis=1)
             members = np.where(inside, cand, n)
             members.sort(axis=1)
             members = members[:, :sizes.max()]
             members[members == n] = 0
             yield members, sizes
+
+    def _ball_classes(self, centers: np.ndarray, r: float) -> np.ndarray | None:
+        """Per center, a key shared only by centers whose closed balls of
+        radius r are translates (by index difference) of each other's; None
+        for a net that knows no such symmetry."""
+        return None
 
     def ball(self, center: int, r: float) -> np.ndarray:
         """Indices (ascending) of net points within closed distance r."""
@@ -243,7 +263,7 @@ class MetricSpaceView:
             b = np.searchsorted(sorted_keys, keys[i] + m, "right")
             win = by_key[a:b]
             win = win[alive[win]]
-            alive[win[self.dists_from(c, cand[win]) <= delta]] = False
+            alive[win[self.within(c, cand[win], delta)]] = False
             i += int(alive[i:].argmax())
         return chosen
 
@@ -272,23 +292,135 @@ class EuclideanNet(MetricSpaceView):
         return np.sqrt((diff * diff).sum(axis=-1))
 
     @classmethod
-    def grid_2d(cls, side: int) -> "EuclideanNet":
+    def grid_2d(cls, side: int) -> "LatticeNet":
         """side x side grid on [0,1]^2 (a net of resolution ~1/side), its
-        origin at the center."""
-        if side < 2:
-            raise ValueError(f"grid side must be >= 2, got {side}")
-        if side * side > _MAX_POINTS:
-            raise ResourceLimitError(
-                f"grid side {side} gives {side * side} points, over the limit {_MAX_POINTS}")
-        xs = np.linspace(0.0, 1.0, side)
-        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        return cls(pts, y0=(side // 2) * side + side // 2, min_separation=1.0 / (side - 1))
+        origin at the center, as a :class:`LatticeNet`."""
+        return LatticeNet(side)
 
     @classmethod
     def from_csv(cls, path: str, y0: int = 0) -> "EuclideanNet":
         """Load a net from a CSV of coordinates, one point per row."""
         pts = np.loadtxt(path, delimiter=",", ndmin=2)
         return cls(pts, y0=y0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _lattice_threshold(r: float, den: int) -> int:
+    """The integer T with ``dx^2 + dy^2 <= T`` exactly when the offset
+    (dx, dy)/den lies within r: ``floor((r*den)^2)``, as ``Fraction(r)`` is
+    exact; -1 for a negative or NaN r; at most ``2*den^2 + 1``, past every
+    offset of the grid, so an int64 comparison cannot overflow."""
+    cap = 2 * den * den + 1
+    if not r >= 0:
+        return -1
+    if r >= 2:  # past the grid's diameter; also an infinite r
+        return cap
+    return min(math.floor((Fraction(r) * den) ** 2), cap)
+
+
+@functools.lru_cache(maxsize=256)
+def _stencil(t: int, den: int) -> tuple[int, ...]:
+    """Half-widths of the lattice ball of threshold t: the offsets with
+    ``dx^2 + dy^2 <= t`` and both coordinates in [-den, den] are those with
+    ``|dx| < len(w)`` and ``|dy| <= w[|dx|]``."""
+    if t < 0:
+        return ()
+    return tuple(min(math.isqrt(t - dx * dx), den)
+                 for dx in range(min(math.isqrt(t), den) + 1))
+
+
+class LatticeNet(EuclideanNet):
+    """The side x side grid ``(i/D, j/D)`` on [0,1]^2, ``D = side - 1``,
+    point ``i*side + j``, its origin at the center.
+
+    It decides closed balls on the integer coordinates: ``within`` is the
+    exact ``dx^2 + dy^2 <= floor((r*D)^2)``, a ball is a stencil of row
+    spans clipped at the grid's edge (so centers the edge clips alike have
+    translated balls and share one scan), and the global packing sweeps the
+    rows as bitmasks.  ``points`` is a float view, each coordinate the
+    correctly rounded i/D.
+    """
+
+    def __init__(self, side: int):
+        if side < 2:
+            raise ValueError(f"grid side must be >= 2, got {side}")
+        if side * side > _MAX_POINTS:
+            raise ResourceLimitError(
+                f"grid side {side} gives {side * side} points, over the limit {_MAX_POINTS}")
+        self.side, self.den = side, side - 1
+        xs = np.arange(side) / self.den
+        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        super().__init__(pts, y0=(side // 2) * side + side // 2,
+                         min_separation=1.0 / self.den)
+
+    def _sq_dists(self, i, idx) -> np.ndarray:
+        """Squared distances in units of 1/D, shaped as :meth:`dists_from`."""
+        i = np.asarray(i, dtype=np.int64)[..., None]
+        idx = np.asarray(idx, dtype=np.int64)
+        row_i, row = i // self.side, idx // self.side
+        dx, dy = row - row_i, (idx - row * self.side) - (i - row_i * self.side)
+        return dx * dx + dy * dy
+
+    def dists_from(self, i, idx) -> np.ndarray:
+        # monotone in the exact distance, and exact in the comparison with a
+        # power of two: sqrt and the division each round once
+        return np.sqrt(self._sq_dists(i, idx)) / self.den
+
+    def within(self, i, idx, r: float) -> np.ndarray:
+        return self._sq_dists(i, idx) <= _lattice_threshold(r, self.den)
+
+    def _ball_classes(self, centers: np.ndarray, r: float) -> np.ndarray:
+        # a ball is the stencil clipped by the grid's edge, so the clipping,
+        # each side's distance to the edge capped at the stencil's reach h,
+        # fixes it up to translation
+        h = len(_stencil(_lattice_threshold(r, self.den), self.den)) - 1
+        a, b = np.divmod(centers, self.side)
+        top, bottom, left, right = (np.minimum(v, h) for v in (a, self.den - a, b, self.den - b))
+        return ((top * (h + 1) + bottom) * (h + 1) + left) * (h + 1) + right
+
+    def _balls(self, centers: np.ndarray, r: float):
+        side, den = self.side, self.den
+        w = np.array(_stencil(_lattice_threshold(r, den), den), dtype=np.int64)
+        h = len(w) - 1
+        w = np.concatenate([w[:0:-1], w])  # dx = -h .. h
+        runs = 2 * w + 1
+        # the stencil's offsets in ascending (dx, dy) order, so each center's
+        # members come out in ascending index order
+        dx = np.repeat(np.arange(-h, h + 1), runs)
+        dy = np.arange(len(dx)) - np.repeat(np.cumsum(runs) - runs + w, runs)
+        step = max(1, _BLOCK_ELEMS // max(len(dx), 1))
+        for s in range(0, len(centers), step):
+            ci, cj = np.divmod(centers[s:s + step, None], side)
+            a, b = ci + dx, cj + dy
+            inside = (a >= 0) & (a < side) & (b >= 0) & (b < side)
+            sizes = inside.sum(axis=1)
+            rows = np.nonzero(inside)[0]
+            members = np.zeros((len(sizes), sizes.max()), dtype=np.int64)
+            members[rows, np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)] \
+                = (a * side + b)[inside]
+            yield members, sizes
+
+    def global_packing_number(self, delta: float) -> int:
+        """The greedy packing in index order as a sweep of row bitmasks: each
+        row's lowest live point is chosen, and the stencil's row spans
+        around it are retired in its row and the rows below."""
+        widths = _stencil(_lattice_threshold(delta, self.den), self.den)
+        if not any(widths):
+            return self.n_points  # every ball is its center alone
+        side = self.side
+        spans = [((2 << (2 * w)) - 1, w) for w in widths]
+        live = [(1 << side) - 1] * side
+        count = 0
+        for a in range(side):
+            row, below = live[a], list(enumerate(spans[1:side - a], a + 1))
+            span0, w0 = spans[0]
+            while row:
+                b = (row & -row).bit_length() - 1
+                count += 1
+                row &= ~((span0 << b) >> w0)
+                for k, (span, w) in below:
+                    live[k] &= ~((span << b) >> w)
+        return count
 
 
 # A matrix net checks the triangle inequality on all n^3 triples, one n-by-n
@@ -360,7 +492,7 @@ def _greedy_rows(view: MetricSpaceView, members: np.ndarray, sizes: np.ndarray,
         picks[act, step] = chosen
         counts[act] += 1
         if step + 1 < need:
-            live &= ~(view.dists_from(chosen, members[act]) <= sep)
+            live &= ~view.within(chosen, members[act], sep)
             live[np.arange(act.size), first] = False
             alive[act] = live
     return picks, counts
@@ -374,8 +506,31 @@ def _first_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
     ``need_of(alpha, j)`` points.
 
     Returns ``(j, ball size, packing)`` per center, with j None where no
-    scale does; the list ends after the block holding the first such center.
+    scale does; the list ends at or after the first such center.  Centers
+    whose balls are translates share the scan of the first of them, its
+    packing shifted by their index difference.
     """
+    keys = view._ball_classes(centers, r)
+    if keys is None:
+        return _scan_scales(view, centers, r, alpha, lo, hi, need_of)
+    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # classes by first center
+    reps = centers[first[order]]
+    rows = _scan_scales(view, reps, r, alpha, lo, hi, need_of)
+    out = []
+    for c, k in zip(centers.tolist(), np.argsort(order)[cls].tolist()):
+        if k >= len(rows):  # scanning stopped at an earlier center's class
+            break
+        j, size, pack = rows[k]
+        shift = c - int(reps[k])
+        out.append((j, size, tuple(p + shift for p in pack) if shift else pack))
+    return out
+
+
+def _scan_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
+                 alpha: Fraction, lo: int, hi: int, need_of) -> list:
+    """:func:`_first_scales` with every center scanned; the list ends after
+    the block holding the first center with no scale."""
     out = []
     for members, sizes in view._balls(centers, r):
         found = np.full(len(sizes), -1)
@@ -534,15 +689,15 @@ def _swap_in_origin(view: MetricSpaceView, s: list[int], ell: int) -> list[int]:
     y0 = view.y0
     if y0 in s:
         return list(s)
-    d = view.dists_from(y0, np.array(s, dtype=np.int64))
-    near = [p for p, dd in zip(s, d) if dd <= 2.0 ** -(ell + 1)]
-    if not near:
+    arr = np.array(s, dtype=np.int64)
+    near = np.flatnonzero(view.within(y0, arr, 2.0 ** -(ell + 1)))
+    if not near.size:
         # S + {y0} still packs at the halved separation; drop the point
         # closest to the origin to keep the cardinality.
-        drop = s[int(np.argmin(d))]
+        drop = s[int(np.argmin(view.dists_from(y0, arr)))]
         return sorted([p for p in s if p != drop] + [y0])
     # the packing separation of S makes the near point unique
-    return sorted([p for p in s if p != near[0]] + [y0])
+    return sorted([p for p in s if p != s[near[0]]] + [y0])
 
 
 def _packings(view, centers: Sequence[int], radius: float, phi: Fraction,
@@ -565,12 +720,12 @@ def _packings(view, centers: Sequence[int], radius: float, phi: Fraction,
 def _check_separation(view, centers: Sequence[int], threshold: float, what: str):
     arr = np.array(centers, dtype=np.int64)
     for i in range(len(arr)):
-        d = view.dists_from(int(arr[i]), arr[i + 1:])
-        if (d <= threshold).any():
-            j = int(np.nonzero(d <= threshold)[0][0]) + i + 1
+        close = np.flatnonzero(view.within(int(arr[i]), arr[i + 1:], threshold))
+        if close.size:
+            j = int(close[0]) + i + 1
             raise InvariantViolation(
                 f"{what}: centers {centers[i]} and {centers[j]} are "
-                f"{d.min()} apart, need > {threshold}"
+                f"{view.dist(int(arr[i]), int(arr[j]))} apart, need > {threshold}"
             )
 
 
@@ -693,11 +848,13 @@ def family_dim_report(tree: BallTree) -> FamilyDimReport:
 
     nested = True
     for prev, cur in zip(tree.levels, tree.levels[1:]):
-        r_prev, r_cur = 2.0 ** -prev.k, 2.0 ** -cur.k
+        # B(y, r_cur) lies in B(p, r_prev) when d(y, p) <= r_prev - r_cur, a
+        # difference of powers of two: exact while the exponents differ by
+        # at most 53
+        gap = 2.0 ** -prev.k - 2.0 ** -cur.k
         prev_arr = np.array(prev.centers, dtype=np.int64)
         for y in cur.centers:
-            d = view.dists_from(int(y), prev_arr)
-            if not (d + r_cur <= r_prev + 1e-12).any():
+            if not view.within(int(y), prev_arr, gap).any():
                 nested = False
                 notes.append(f"center {y} at level {cur.n} escapes every parent ball")
 
@@ -728,9 +885,9 @@ def family_dim_report(tree: BallTree) -> FamilyDimReport:
     if variant == "packing":
         for lvl in tree.levels[1:]:
             for rec in lvl.records:
-                inside = view.dists_from(
-                    rec.parent_center, np.array(rec.selected, dtype=np.int64))
-                if (inside > 2.0 ** -kseq.g_values[lvl.n - 1]).any():
+                inside = view.within(rec.parent_center, np.array(rec.selected, dtype=np.int64),
+                                     2.0 ** -kseq.g_values[lvl.n - 1])
+                if not inside.all():
                     rich = False
                     notes.append(f"level {lvl.n}: packing leaks its parent ball")
 

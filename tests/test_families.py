@@ -357,6 +357,163 @@ class TestKernelMatchesOracles:
                 assert outcome(lambda: level_schedule(net, *args)) == want
 
 
+def exact_lattice_table(side, r):
+    """Brute force on the grid points (i/D, j/D), D = side - 1: entry [p, q]
+    says whether point q lies in the closed ball of radius r (r >= 0) about
+    point p, decided by one Fraction comparison per squared distance."""
+    den = side - 1
+    r2 = Fraction(r) ** 2
+    ok = np.array([Fraction(s, den * den) <= r2 for s in range(2 * den * den + 1)])
+    row, col = np.divmod(np.arange(side * side, dtype=np.int32), side)
+    return ok[(row[:, None] - row) ** 2 + (col[:, None] - col) ** 2]
+
+
+def exact_greedy(table, candidates):
+    """Greedy packing over the candidates in the order given."""
+    alive = np.ones(len(candidates), dtype=bool)
+    chosen = []
+    for i, c in enumerate(candidates):
+        if alive[i]:
+            chosen.append(int(c))
+            alive &= ~table[c, candidates]
+    return chosen
+
+
+class TestLatticeNet:
+    @settings(max_examples=100, deadline=None)
+    # non-dyadic denominators (D = 6, 10, 24), and sides where the float test
+    # on linspace coordinates disagrees with the exact balls at 1/2 or 1/4
+    @given(side=st.sampled_from([7, 11, 21, 25, 27, 37]) | st.integers(2, 40),
+           r=st.sampled_from([2.0 ** -k for k in range(-1, 13)] + [0.0, 0.3]),
+           data=st.data())
+    def test_matches_exact_oracle(self, side, r, data):
+        net = EuclideanNet.grid_2d(side)
+        n = net.n_points
+        every = np.arange(n)
+        table = exact_lattice_table(side, r)
+        center = data.draw(st.integers(0, n - 1))
+        cand = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=60, unique=True)),
+                        dtype=np.int64)
+        assert np.array_equal(net.within(center, every, r), table[center])
+        assert np.array_equal(net.within(every, np.broadcast_to(every, (n, n)), r), table)
+        # centers that share a ball class have balls with equal index offsets
+        shapes = {}
+        shape = np.array([shapes.setdefault(tuple(np.flatnonzero(row) - c), len(shapes))
+                          for c, row in enumerate(table)])
+        keys = net._ball_classes(every, r)
+        assert not ((keys[:, None] == keys) & (shape[:, None] != shape)).any()
+        for block in BLOCKINGS:
+            with blocking(block):
+                assert np.array_equal(net.ball(center, r), np.flatnonzero(table[center]))
+                assert net.greedy_packing_indices(cand, r) == exact_greedy(table, cand)
+                assert net.global_packing_number(r) == len(exact_greedy(table, np.arange(n)))
+                assert suggest_origin(net, r) == int(np.argmax(table.sum(axis=1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(2, 20), k=st.integers(-1, 5),
+           alpha=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+           need_of=st.sampled_from([floor_pow2, families._ceil_pow2]),
+           lo=st.integers(0, 4), span=st.integers(0, 6))
+    def test_translated_scans_match_per_center_oracle(self, side, k, alpha, need_of,
+                                                      lo, span):
+        # every center's (scale, ball size, packing), up to the first center
+        # with no scale, against one oracle scan per center
+        net = EuclideanNet.grid_2d(side)
+        r = 2.0 ** -k
+        want = []
+        for c in range(net.n_points):
+            members = oracle_ball(net, c, r)
+            row = (None, len(members), ())
+            for j in range(lo, lo + span + 1):
+                need = need_of(alpha, j)
+                got = oracle_greedy(net, members, 2.0 ** -j, stop_at=need)
+                if len(got) >= need:
+                    row = (j, len(members), tuple(got[:need]))
+                    break
+            want.append(row)
+            if row[0] is None:
+                break
+        for block in BLOCKINGS:
+            with blocking(block):
+                got = families._first_scales(net, np.arange(net.n_points), r, alpha,
+                                             lo, lo + span, need_of)
+                assert got[:len(want)] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(side=st.integers(2, 16),
+           alpha=st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3),
+                                  Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+           levels=st.integers(1, 2),
+           variant=st.sampled_from(["box", "packing"]),
+           g_mode=st.sampled_from(["strict", "linear"]),
+           j_cap=st.integers(3, 12),
+           bits=st.lists(st.integers(0, 1), min_size=2, max_size=2))
+    def test_schedules_and_members_match_oracles(self, side, alpha, levels, variant,
+                                                 g_mode, j_cap, bits):
+        # centers whose balls are translates share one scan; the oracles scan
+        # every center (their float distances decide powers of two exactly here)
+        net = EuclideanNet.grid_2d(side)
+        alphas = [alpha] * levels
+        want = outcome(lambda: oracle_level_schedule(net, alphas, variant, levels,
+                                                     j_cap, g_mode))
+        spec = TargetSpec.finite_set([alpha])
+        branch = "".join(map(str, bits))
+        if isinstance(want, KSeq):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(families, "_packings", oracle_packings)
+                want_tree = outcome(lambda: family_member(
+                    branch, spec, net, variant, levels, kseq=want))
+        for block in BLOCKINGS:
+            with blocking(block):
+                got = outcome(lambda: level_schedule(net, alphas, variant, levels,
+                                                     j_cap, g_mode))
+                assert got == want
+                if isinstance(want, KSeq):
+                    tree = outcome(lambda: family_member(
+                        branch, spec, net, variant, levels, kseq=got))
+                    if isinstance(want_tree, tuple):
+                        assert tree == want_tree
+                    else:
+                        assert tree.levels == want_tree.levels
+
+    @pytest.mark.parametrize("side,radii,want", [
+        (81, [2.0 ** -2, 2.0 ** -4], [21, 238]),
+        (256, [2.0 ** -k for k in range(1, 7)], [8, 23, 80, 304, 1184, 4130]),
+    ])
+    def test_exact_packing_numbers(self, side, radii, want):
+        # the float ball test on linspace coordinates gave 22 and 249 on the 81-grid
+        net = EuclideanNet.grid_2d(side)
+        assert [net.global_packing_number(r) for r in radii] == want
+
+    def test_points_are_correctly_rounded(self):
+        net = EuclideanNet.grid_2d(81)
+        assert isinstance(net, families.LatticeNet)
+        assert net.points[:81, 1].tolist() == [float(Fraction(j, 80)) for j in range(81)]
+        assert net.points[::81, 0].tolist() == net.points[:81, 1].tolist()
+
+    def test_threshold_is_clamped_at_the_largest_side(self):
+        # side 1448 is the largest grid under the point limit; its net is not built
+        den = 1447
+        cap = 2 * den * den + 1
+        assert families._lattice_threshold(2.0 ** 10, den) == cap
+        assert families._lattice_threshold(1.0, den) == den * den
+        assert families._lattice_threshold(2.0 ** -1100, den) == 0
+        assert families._stencil(cap, den) == (den,) * (den + 1)
+        widths = families._stencil(den * den, den)
+        assert len(widths) == den + 1 and widths[0] == den and widths[-1] == 0
+        assert families._stencil(0, den) == (0,)
+        assert cap < np.iinfo(np.int64).max
+
+    @pytest.mark.parametrize("r,inside", [(2.0 ** 1023, True), (math.inf, True),
+                                          (-0.5, False), (math.nan, False)])
+    def test_extreme_radii(self, r, inside):
+        net = EuclideanNet.grid_2d(9)
+        every = np.arange(net.n_points)
+        assert net.within(0, every, r).all() == inside
+        assert net.within(0, every, r).any() == inside
+        assert net.global_packing_number(r) == (1 if inside else net.n_points)
+
+
 class TestExactPowers:
     def test_floor_pow2_small(self):
         assert floor_pow2(Fraction(1, 2), 10) == 32
@@ -521,6 +678,14 @@ class TestNets:
         assert net.greedy_packing_indices(np.array([0, 1]), 0.5) == [0, 1]
         assert families._greedy_rows(net, np.array([[0, 1]]), np.array([2]),
                                      0.5, 5)[1].tolist() == [2]
+
+    def test_separation_error_names_the_pair_distance(self):
+        # centers 0 and 1 are the first pair closer than 0.5 (0.3 apart); the
+        # row's nearest point, 2, is only 0.1 from center 0
+        net = EuclideanNet([0.0, 0.3, 0.1])
+        with pytest.raises(families.InvariantViolation) as err:
+            families._check_separation(net, [0, 1, 2], 0.5, "test")
+        assert str(err.value) == "test: centers 0 and 1 are 0.3 apart, need > 0.5"
 
     def test_grid_point_limit_allocates_nothing(self):
         side = 1449  # 1449^2 = 2,099,601 > 2^21 points
