@@ -24,7 +24,8 @@ from .dyadic import from_json, full_cube, kx_set, pack_bits, to_json, zoom
 from .errors import InvariantViolation, OracleError, ResolutionExhausted, ResourceLimitError
 from .families import EuclideanNet, family_dim_report, family_member
 from .percolation import PercField, RetentionSchedule, hawkes_experiment, sample
-from .realize import BlockMap, TargetSpec, _k_bounds, build_psi_prefix, realized_density_check
+from .realize import (TargetSpec, VarphiMap, _k_bounds, build_psi_prefix,
+                      realized_density_check)
 from .seq import Word, beatty_balanced, factor, periodic
 
 MAX_DEPTH = 26
@@ -232,9 +233,9 @@ def _cmd_realize(config: dict) -> str:
         x = Word.from_bits(rng.integers(0, 2, size=blocks).tolist())
     if len(x) < blocks - 1:
         raise ValueError(f"branch supplies {len(x)} bits, need {blocks - 1}")
-    bm = BlockMap(spec)
-    prefix = build_psi_prefix(x, spec, blocks, block_map=bm)
-    expected = bm.varphi.value(x.prefix(blocks - 1))
+    vm = VarphiMap(spec)
+    prefix = build_psi_prefix(x, spec, blocks, varphi=vm)
+    expected = vm.value(x.prefix(blocks - 1))
     report = realized_density_check(prefix, expected)
     lines = ["block,n,k,phi,density,abs_error,length_fraction"]
     for c in report.blocks:

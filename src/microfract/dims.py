@@ -93,14 +93,11 @@ def kx_covering_counts(x: Word | str, levels: Sequence[int]) -> CountSeries:
     ``2^sigma(x[:m])`` without materializing cells (usable at any depth)."""
     if isinstance(x, str):
         x = Word.from_string(x)
-    sig = [0]
-    for b in x.bits:
-        sig.append(sig[-1] + b)
-    entries = []
+    entries, v, n = [], x.v, len(x)
     for m in sorted(set(levels)):
-        if not 0 <= m <= len(x):
-            raise ValueError(f"level {m} outside [0, {len(x)}], the prefix length")
-        entries.append((m, 1 << sig[m]))
+        if not 0 <= m <= n:
+            raise ValueError(f"level {m} outside [0, {n}], the prefix length")
+        entries.append((m, 1 << (v >> (n - m)).bit_count()))  # 2^sigma(x[:m])
     return CountSeries("covering", tuple(entries))
 
 

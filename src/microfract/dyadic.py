@@ -240,10 +240,12 @@ def kx_set(x: Word | str) -> DyadicSet:
     if x.sigma > 24 or n > _CODE_BITS:
         raise ResourceLimitError(f"kx_set would have 2^{x.sigma} leaves of depth {n} "
                                  f"(limits 2^24 and {_CODE_BITS})")
-    codes = np.zeros(1, dtype=np.int64)
-    for i in range(n - 1, -1, -1):  # low bits first, so the codes stay sorted
-        if x.bits[i]:
-            codes = np.concatenate([codes, codes | (1 << (n - 1 - i))])
+    # digit i of a leaf is bit n-1-i of its code, as bit i of x is of x.v
+    codes, v = np.zeros(1, dtype=np.int64), x.v
+    while v:  # low bits first, so the codes stay sorted
+        low = v & -v
+        codes = np.concatenate([codes, codes | low])
+        v ^= low
     return _from_codes(1, n, codes)
 
 

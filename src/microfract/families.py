@@ -245,8 +245,8 @@ class MetricSpaceView:
         """Canonical packing: greedy over the candidates in the order given."""
         cand = np.asarray(candidates, dtype=np.int64)
         if self.min_separation is not None and delta < self.min_separation:
-            # every pair is already separated; the candidates pack as-is
-            return [int(c) for c in cand]
+            # distinct points are already separated: the first of each packs
+            return list(dict.fromkeys(cand.tolist()))
         keys = self._keys[cand]
         by_key = np.argsort(keys)
         sorted_keys = keys[by_key]

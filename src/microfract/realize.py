@@ -5,8 +5,8 @@ either explicitly (finite set, union of closed intervals) or via pluggable
 callables (an increasing closed family hit-index, an open-part hit test, and
 a shrinking rational interval for the coded map).  :class:`VarphiMap` runs
 the four-case induction assigning a value to every finite word so that the
-values converge along each branch; :class:`BlockMap` turns those values into
-blocks of two balanced sequences whose mixing ratio realizes the value as a
+values converge along each branch; the block of a word is a prefix of each of
+two balanced sequences, mixed in the ratio that realizes the word's value as a
 density, and ``build_psi_prefix`` concatenates the blocks.
 
 All values are exact ``Fraction``; determinism is guaranteed by canonical
@@ -19,9 +19,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "VarphiMap",
     "choose_k",
     "closest_k",
-    "BlockMap",
     "PsiPrefix",
     "build_psi_prefix",
     "psi_program",
@@ -46,11 +45,6 @@ __all__ = [
 
 def _as_word(s) -> Word:
     return s if isinstance(s, Word) else Word.from_string(s)
-
-
-def _as_int(bits) -> int:
-    """The bits as one binary integer, most significant first."""
-    return int("".join(["1" if b else "0" for b in bits]) or "0", 2)
 
 
 class TargetSpec:
@@ -83,15 +77,17 @@ class TargetSpec:
         self.b = Fraction(b)
         self.values = values
         self.intervals = intervals
-        # each interval [lo, hi] as lo and hi - lo over lo.den * hi.den, and that den
-        self._affine = tuple((lo.numerator * hi.denominator,
-                              hi.numerator * lo.denominator - lo.numerator * hi.denominator,
-                              lo.denominator * hi.denominator) for lo, hi in intervals)
+        # the values, or the interval ends, as numerators over one denominator
+        lows = values or tuple(lo for lo, _ in intervals)
+        highs = values or tuple(hi for _, hi in intervals)
+        self._den = math.lcm(*(e.denominator for e in lows + highs))
+        self._lo = tuple(e.numerator * (self._den // e.denominator) for e in lows)
+        self._hi = tuple(e.numerator * (self._den // e.denominator) for e in highs)
         self._m_index = m_index
         self._meets_g = meets_g
         self._f_range = f_range
-        n_branches = max(len(values), len(intervals), 1)
-        self.selector_bits = max(0, (n_branches - 1).bit_length())
+        self._last = max(len(values), len(intervals), 1) - 1  # the last branch
+        self.selector_bits = self._last.bit_length()
         self.canonical_pad = max(16, self.selector_bits)
 
     # -- constructors -------------------------------------------------------
@@ -161,31 +157,31 @@ class TargetSpec:
         return True
 
     def f_range(self, s: Word) -> tuple[Fraction, Fraction]:
+        lo, hi, den = self._range(s)
+        return Fraction(lo, den), Fraction(hi, den)
+
+    def _range(self, s: Word) -> tuple[int, int, int]:
+        """``f_range(s)`` as ``(lo, hi, den)``: the interval [lo/den, hi/den]."""
         if self.mode == "effective":
             lo, hi = self._f_range(str(s))
             lo, hi = Fraction(lo), Fraction(hi)
             if lo > hi:
                 raise OracleError(f"f_range returned an empty interval at {s}")
-            return lo, hi
-        idx_lo, idx_hi = self._selector_range(s)
-        if self.mode == "finite_set":
-            return self.values[idx_lo], self.values[idx_hi]
-        if idx_lo != idx_hi:
-            return (min(self.intervals[i][0] for i in range(idx_lo, idx_hi + 1)),
-                    max(self.intervals[i][1] for i in range(idx_lo, idx_hi + 1)))
+            return (lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                    lo.denominator * hi.denominator)
+        i, j = self._selector_range(s)
+        if i != j or self.mode == "finite_set":  # lows ascend
+            return self._lo[i], max(self._hi[i:j + 1]), self._den
         # The L tail bits after the selector, read as one binary integer num,
         # pick the piece lo + (hi - lo) * [num, num + 1] / 2^L of the interval.
-        rest = s.bits[self.selector_bits:]
-        num = _as_int(rest)
-        base, span, den = self._affine[idx_lo]
-        base, den = base << len(rest), den << len(rest)
-        return Fraction(base + span * num, den), Fraction(base + span * (num + 1), den)
+        L = max(s.n - self.selector_bits, 0)
+        num, lo, span = s.v & ((1 << L) - 1), self._lo[i] << L, self._hi[i] - self._lo[i]
+        return lo + span * num, lo + span * (num + 1), self._den << L
 
     def _selector_range(self, s: Word) -> tuple[int, int]:
-        head = s.bits[:self.selector_bits]
-        free = self.selector_bits - len(head)
-        base, last = _as_int(head), max(len(self.values), len(self.intervals)) - 1
-        return min(base << free, last), min(((base + 1) << free) - 1, last)
+        free = max(self.selector_bits - s.n, 0)
+        head = s.v >> (s.n + free - self.selector_bits)  # the first selector_bits bits
+        return min(head << free, self._last), min(((head + 1) << free) - 1, self._last)
 
 
 class VarphiMap:
@@ -197,20 +193,15 @@ class VarphiMap:
     inherit; (4) the hit-index grew -- take a fresh canonical value.  The
     root gets the presented minimum.  Values are clamped into ``[a, b]``, or
     with ``positive_gamma`` set, into ``(0, gamma]`` with a depth-dependent
-    floor ``gamma * 2^-n``.
+    floor ``gamma * 2^-n``.  A word's value is computed by walking its bits
+    from its deepest memoized prefix; memo keys are ``(v, n)`` of the words.
     """
 
     def __init__(self, spec: TargetSpec, positive_gamma: Fraction | None = None):
         self.spec = spec
         self.positive_gamma = None if positive_gamma is None else Fraction(positive_gamma)
-        self.memo: dict[tuple[int, ...], Fraction] = {}
-        self.m_memo: dict[tuple[int, ...], int | None] = {}
-
-    def _m_index(self, s: Word) -> int | None:
-        key = s.bits
-        if key not in self.m_memo:
-            self.m_memo[key] = self.spec.m_index(s)
-        return self.m_memo[key]
+        self.memo: dict[tuple[int, int], Fraction] = {(0, 0): self._clamp(spec.a, 0)}
+        self.m_memo: dict[tuple[int, int], int | None] = {}
 
     def _clamp(self, val: Fraction, depth: int) -> Fraction:
         if self.positive_gamma is not None:
@@ -226,54 +217,48 @@ class VarphiMap:
         # the explicit modes the open part is everything: pad in one step.
         pad = self.spec.canonical_pad
         if self.spec.mode == "effective":
-            pad = next((j for j in range(pad)
-                        if not self.spec.meets_g(Word._of(s.bits + (0,) * (j + 1)))), pad)
-        lo, hi = self.spec.f_range(Word._of(s.bits + (0,) * pad))
-        return (lo + hi) / 2
+            pad = next((j for j in range(pad) if not self.spec.meets_g(
+                Word._of(s.v << (j + 1), s.n + j + 1))), pad)
+        lo, hi, den = self.spec._range(Word._of(s.v << pad, s.n + pad))
+        return Fraction(lo + hi, 2 * den)
 
     def value(self, s) -> Fraction:
         s = _as_word(s)
-        key = s.bits
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if len(s) == 0:
-            val = self._clamp(self.spec.a, 0)
-            self.memo[key] = val
+        v, n, memo, spec = s.v, s.n, self.memo, self.spec
+        d = n
+        while (v >> (n - d), d) not in memo:
+            d -= 1
+        parent = s.prefix(d)
+        val = memo[(parent.v, d)]
+        if d == n:
             return val
-        parent = Word._of(s.bits[:-1])
-        parent_val = self.value(parent)
-        m_child = self._m_index(s)
-        m_parent = self._m_index(parent)
-        if m_child is not None:
-            if m_parent is None or m_parent > m_child:
+        m_parent = self.m_memo[(parent.v, d)] if d else spec.m_index(parent)
+        g_parent = d > 0 and spec.meets_g(parent)
+        p_range = None  # f_range(parent), when known
+        for depth in range(d + 1, n + 1):
+            child = Word._of(v >> (n - depth), depth)
+            m_child = self.m_memo[(child.v, depth)] = spec.m_index(child)
+            if m_child is not None and (m_parent is None or m_parent > m_child):
                 raise OracleError(
                     f"family hit-index not monotone: {m_parent} at {parent} "
-                    f"vs {m_child} at {s}"
+                    f"vs {m_child} at {child}"
                 )
-        if len(parent) > 0:
-            self._check_nesting(parent, s)
-        if m_child is None:
-            val = self._canonical(s)
-        elif not self.spec.meets_g(s):
-            val = parent_val
-        elif m_child == m_parent:
-            val = parent_val
-        else:
-            val = self._canonical(s)
-        val = self._clamp(val, len(s))
-        self.memo[key] = val
+            g_child = spec.meets_g(child)
+            c_range = None
+            if g_parent and g_child:
+                plo, phi, pden = p_range = p_range or spec._range(parent)
+                clo, chi, cden = c_range = spec._range(child)
+                if clo * pden < plo * cden or chi * pden > phi * cden:
+                    raise OracleError(
+                        f"f_range not nested at {child}: [{Fraction(clo, cden)},"
+                        f"{Fraction(chi, cden)}] vs [{Fraction(plo, pden)},{Fraction(phi, pden)}]"
+                    )
+            if m_child is None or (g_child and m_child != m_parent):
+                val = self._canonical(child)
+            val = self._clamp(val, depth)
+            memo[(child.v, depth)] = val
+            parent, m_parent, g_parent, p_range = child, m_child, g_child, c_range
         return val
-
-    def _check_nesting(self, parent: Word, child: Word):
-        if not (self.spec.meets_g(parent) and self.spec.meets_g(child)):
-            return
-        plo, phi = self.spec.f_range(parent)
-        clo, chi = self.spec.f_range(child)
-        if clo < plo or chi > phi:
-            raise OracleError(
-                f"f_range not nested at {child}: [{clo},{chi}] vs [{plo},{phi}]"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +371,6 @@ def closest_k(n: int, a, b, target) -> int:
 # Blocks and the coded sequence
 # ---------------------------------------------------------------------------
 
-class BlockMap:
-    """Word-to-block map: ``s`` of length n >= 1 maps to the first n bits of
-    the low-density balanced sequence followed by ``k(s)`` bits of the
-    high-density one, with ``k(s)`` admissible for the value map at ``s``."""
-
-    def __init__(self, spec: TargetSpec, varphi: VarphiMap | None = None):
-        self.spec = spec
-        self.varphi = varphi or VarphiMap(spec)
-        self.alpha = beatty_balanced(spec.a)
-        self.beta = beatty_balanced(spec.b)
-
-    def k_choice(self, s) -> int:
-        s = _as_word(s)
-        n = len(s)
-        if n == 0:
-            raise ValueError("blocks are defined for nonempty prefixes")
-        target = self.varphi.value(s)
-        return closest_k(n, self.spec.a, self.spec.b, target)
-
-    def block_for(self, s) -> Word:
-        s = _as_word(s)
-        if len(s) == 0:
-            return Word._of(())
-        return concat([factor(self.alpha, 0, len(s)), factor(self.beta, 0, self.k_choice(s))])
-
-
 @dataclass(frozen=True)
 class PsiPrefix:
     """Concatenation of the blocks of ``x``'s prefixes, with bookkeeping."""
@@ -430,45 +389,45 @@ class PsiPrefix:
 
 
 def build_psi_prefix(x, spec: TargetSpec, blocks: int,
-                     block_map: BlockMap | None = None) -> PsiPrefix:
+                     varphi: VarphiMap | None = None) -> PsiPrefix:
     """First ``blocks`` blocks of the coded sequence of branch ``x``.
 
-    Block ``i`` is the block of ``x[:i]``; block 0 is empty.  Requires
+    Block ``i`` of a word ``s = x[:i]`` is the first ``i`` bits of the
+    balanced sequence of density ``a`` followed by the first ``k`` bits of the
+    one of density ``b``, with ``k = closest_k(i, a, b, phi(s))``; block 0 is
+    empty.  All blocks are cut from one prefix of each sequence.  Requires
     ``blocks <= len(x) + 1``.
     """
     x = _as_word(x)
     if blocks < 0 or blocks > len(x) + 1:
         raise ValueError(f"blocks must lie in [0, {len(x) + 1}]")
-    bm = block_map or BlockMap(spec)
-    bits: list[int] = []
-    bounds, lengths, phis = [0], [], []
-    for i in range(blocks):
-        w = bm.block_for(x.prefix(i))
-        bits.extend(w.bits)
-        bounds.append(len(bits))
-        if i >= 1:
-            lengths.append((i, len(w) - i))
-            phis.append(bm.varphi.value(x.prefix(i)))
-    word = Word._of(tuple(bits))
-    if spec.b > 0 and word.sigma == 0:
-        # The high-density tails alone contribute floor(k*b) ones per block.
-        forced = sum((k * spec.b.numerator) // spec.b.denominator for _, k in lengths)
-        if forced > 0:
-            raise InvariantViolation("coded prefix is all-zero despite b > 0")
-    return PsiPrefix(word, tuple(bounds), tuple(lengths), tuple(phis))
+    vm = varphi or VarphiMap(spec)
+    phis = tuple(vm.value(x.prefix(i)) for i in range(1, blocks))
+    lengths = tuple((n, closest_k(n, spec.a, spec.b, phi))
+                    for n, phi in enumerate(phis, start=1))
+    na, nb = len(phis), max((k for _, k in lengths), default=0)
+    alpha = factor(beatty_balanced(spec.a), 0, na).v
+    beta = factor(beatty_balanced(spec.b), 0, nb).v
+    v = 0
+    for n, k in lengths:
+        v = (v << (n + k)) | ((alpha >> (na - n)) << k) | (beta >> (nb - k))
+    bounds = (0,) * (blocks > 0) + tuple(accumulate((n + k for n, k in lengths), initial=0))
+    word = Word._of(v, bounds[-1])
+    # The high-density tails alone contribute floor(k*b) ones per block.
+    if word.sigma == 0 and any(k * spec.b >= 1 for _, k in lengths):
+        raise InvariantViolation("coded prefix is all-zero despite b > 0")
+    return PsiPrefix(word, bounds, lengths, phis)
 
 
 def psi_program(x: SeqProgram, spec: TargetSpec) -> SeqProgram:
     """The full coded sequence of an infinite branch, as a block program."""
-    bm = BlockMap(spec)
+    vm, alpha, beta = VarphiMap(spec), beatty_balanced(spec.a), beatty_balanced(spec.b)
 
-    def gen() -> Iterator[Word]:
-        i = 1
-        while True:
-            yield bm.block_for(factor(x, 0, i))
-            i += 1
+    def block(n: int) -> Word:
+        k = closest_k(n, spec.a, spec.b, vm.value(factor(x, 0, n)))
+        return concat([factor(alpha, 0, n), factor(beta, 0, k)])
 
-    return block_program(gen())
+    return block_program(map(block, count(1)))
 
 
 @dataclass(frozen=True)
@@ -496,37 +455,36 @@ def realized_density_check(p: PsiPrefix, expected) -> DensityReport:
     """Verify the per-block density errors against the exact mixing bound.
 
     Each block of index n with tail length k must satisfy
-    ``|density - phi| <= 2/(n+k) + 2/sqrt(n)``; a violation aborts, since it
-    indicates a construction bug.  Also reports the cumulative density
-    against ``expected`` and whether the block/prefix length ratios shrink.
+    ``|density - phi| <= 2/(n+k) + 2/sqrt(n)``, with the density counted
+    from the ones in the block's bits of ``p.word``; a violation aborts,
+    since it indicates a construction bug.  Also reports the cumulative
+    density against ``expected``.  ``fractions_vanish`` says that there are
+    at least two blocks and that the last block's share of the prefix
+    length, times ``isqrt(n)``, is at most 4: block n has length below
+    ``n + n*sqrt(n) + 1`` in a prefix of length at least ``n(n+1)/2``.
     """
     if p.blocks < 2:
         raise ValueError("need at least two blocks")
     expected = Fraction(expected)
-    ones = list(accumulate(p.word.bits, initial=0))  # ones before each position
     checks = []
     for idx, ((n, k), phi) in enumerate(zip(p.block_lengths, p.phi_values), start=1):
         start, end = p.boundaries[idx], p.boundaries[idx + 1]
         if end <= start:
             raise ValueError(f"block {idx} is empty")
-        rho = Fraction(ones[end] - ones[start], end - start)
-        err = abs(rho - phi)
-        # err <= 2/(n+k) + 2/sqrt(n), exactly
-        rem = err - Fraction(2, n + k)
-        ok = rem <= 0 or n * rem * rem <= 4
+        ones, size = p.block_word(idx).sigma, end - start
+        # err = |ones/size - phi| = e/(size*pd); err <= 2/(n+k) + 2/sqrt(n) exactly
+        pn, pd = phi.numerator, phi.denominator
+        e = abs(ones * pd - pn * size)
+        rem, rem_den = e * (n + k) - 2 * size * pd, size * pd * (n + k)
+        ok = rem <= 0 or n * rem * rem <= 4 * rem_den * rem_den
         if not ok:
             raise InvariantViolation(
-                f"block {idx}: density error {float(err):.4f} breaks the bound"
+                f"block {idx}: density error {e / (size * pd):.4f} breaks the bound"
             )
-        frac = Fraction(end - start, end)
-        checks.append(BlockCheck(idx, n, k, phi, rho, err, ok, frac))
-    fracs = [c.length_fraction for c in checks]
-    vanish = len(fracs) >= 2 and fracs[-1] <= max(fracs)
-    # a priori bound: block n has length < n + n*sqrt(n) + 1 within a prefix
-    # of length >= n(n+1)/2, so the tail ratio must fall under 4/sqrt(n).
-    n_last = checks[-1].n
-    vanish = vanish and (fracs[-1] * isqrt(n_last) <= 4)
-    cum = Fraction(ones[-1], len(p.word))
+        checks.append(BlockCheck(idx, n, k, phi, Fraction(ones, size),
+                                 Fraction(e, size * pd), ok, Fraction(size, end)))
+    vanish = len(checks) >= 2 and checks[-1].length_fraction * isqrt(checks[-1].n) <= 4
+    cum = Fraction(p.word.sigma, len(p.word))
     return DensityReport(tuple(checks), cum, expected, abs(cum - expected), vanish)
 
 

@@ -14,7 +14,8 @@ import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, cycle
+from functools import cached_property
+from itertools import cycle
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,74 +34,102 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values to ASCII digits
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Word:
-    """An immutable finite binary word.  Bits are checked once, where a word
-    enters from outside; words cut or joined from checked words skip it."""
+    """An immutable finite binary word: the integer ``v`` whose ``n`` binary
+    digits, the first bit most significant, are the word's bits.
 
-    bits: tuple[int, ...]
+    ``Word(bits)`` checks the bits once, where a word enters from outside;
+    words cut or joined from checked words skip it.  Prefixes, contiguous
+    slices, concatenation and the 1-count are shifts, masks and
+    ``int.bit_count``; ``bits`` is a derived tuple, cached on first use.
+    """
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+    v: int
+    n: int
+
+    def __init__(self, bits: Iterable[int]):
+        bits = tuple(bits)
+        if not all(b in (0, 1) for b in bits):
             raise ValueError("word bits must be 0 or 1")
+        _set(self, "v", int(bytes(map(int, bits)).translate(_DIGITS) or b"0", 2))
+        _set(self, "n", len(bits))
 
     @classmethod
-    def _of(cls, bits: tuple[int, ...]) -> "Word":
-        """A word on bits already known to be 0 or 1."""
+    def _of(cls, v: int, n: int) -> "Word":
+        """The ``n``-bit word of the integer ``0 <= v < 2^n``."""
         w = object.__new__(cls)
-        object.__setattr__(w, "bits", bits)
+        _set(w, "v", v)
+        _set(w, "n", n)
         return w
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Word":
-        return cls(tuple(int(b) for b in bits))
+        return cls(map(int, bits))
 
     @classmethod
     def from_string(cls, s: str) -> "Word":
         if set(s) - {"0", "1"}:
             raise ValueError(f"not a binary string: {s!r}")
-        return cls._of(tuple(map(int, s)))
+        return cls._of(int(s or "0", 2), len(s))
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, str(self)))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.n
 
     def __getitem__(self, i):
+        n = self.n
         if isinstance(i, slice):
-            return Word._of(self.bits[i])
-        return self.bits[i]
+            start, stop, step = i.indices(n)
+            if step != 1:
+                return Word.from_string(str(self)[i])
+            m = max(stop - start, 0)
+            return Word._of((self.v >> (n - stop)) & ((1 << m) - 1), m)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("word index out of range")
+        return (self.v >> ((n - 1 - i) % n)) & 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return format(self.v, f"0{self.n}b") if self.n else ""
 
     @property
     def sigma(self) -> int:
         """Number of 1 bits."""
-        return sum(self.bits)
+        return self.v.bit_count()
 
     @property
     def density(self) -> Fraction:
         """Fraction of 1 bits; undefined (raises) for the empty word."""
-        if not self.bits:
+        if not self.n:
             raise ValueError("density of the empty word is undefined")
-        return Fraction(self.sigma, len(self.bits))
+        return Fraction(self.sigma, self.n)
 
     def prefix(self, n: int) -> "Word":
-        if n < 0 or n > len(self.bits):
+        if n < 0 or n > self.n:
             raise ValueError(f"prefix length {n} out of range")
-        return Word._of(self.bits[:n])
+        return Word._of(self.v >> (self.n - n), n)
 
 
 def concat(ws: Sequence[Word | str]) -> Word:
     """Concatenate words; total 1-count and length are additive."""
-    bits: list[int] = []
+    v = n = 0
     for w in ws:
         if isinstance(w, str):
             w = Word.from_string(w)
-        bits.extend(w.bits)
-    return Word._of(tuple(bits))
+        v = (v << w.n) | w.v
+        n += w.n
+    return Word._of(v, n)
 
 
 class SeqProgram:
@@ -132,7 +161,7 @@ class SeqProgram:
         self._shift = shift
         self._block_list = block_list
         self._block_iter = block_iter
-        self._buffer: list[int] = []
+        self._buffer = bytearray()  # the blocks read so far, as ASCII digits
         self._lock = threading.Lock() if kind == "blocks" else None
 
     def bit(self, i: int) -> int:
@@ -140,7 +169,7 @@ class SeqProgram:
         if i < 0:
             raise ValueError("sequence index must be nonnegative")
         if self.kind == "periodic":
-            return self._word.bits[i % len(self._word.bits)]
+            return self._word[i % len(self._word)]
         if self.kind == "beatty":
             p, q = self._a.numerator, self._a.denominator
             return (i + 1) * p // q - i * p // q
@@ -148,7 +177,7 @@ class SeqProgram:
             return self._base.bit(i + self._shift)
         if i >= len(self._buffer):
             self._fill_buffer(i + 1)
-        return self._buffer[i]
+        return self._buffer[i] - ord("0")
 
     def _fill_buffer(self, n: int) -> None:
         with self._lock:
@@ -156,7 +185,7 @@ class SeqProgram:
                 w = next(self._block_iter)
                 if not isinstance(w, Word):
                     w = Word.from_string(w)
-                self._buffer.extend(w.bits)
+                self._buffer += str(w).encode()
 
     def prefix(self, n: int) -> Word:
         """First ``n`` bits as a word."""
@@ -244,15 +273,20 @@ def shifted(p: SeqProgram, m: int) -> SeqProgram:
 
 
 def factor(p: SeqProgram, k: int, n: int) -> Word:
-    """The ``n`` bits of ``p`` starting at index ``k``; a Beatty factor in one
-    pass, as the differences of consecutive ``floor(i*a)``."""
+    """The ``n`` bits of ``p`` starting at index ``k``.
+
+    A Beatty word of density ``p/q`` has period ``q`` (``floor((i+q)a) =
+    floor(i*a) + p``), so its factor is at most ``q`` differences of
+    consecutive ``floor(i*a)``, repeated.
+    """
     if k < 0 or n < 0:
         raise ValueError("factor indices must be nonnegative")
-    if p.kind == "beatty":
-        num, den = p._a.numerator, p._a.denominator
-        floors = [i * num // den for i in range(k, k + n + 1)]
-        return Word._of(tuple(map(operator.sub, floors[1:], floors)))
-    return Word._of(tuple(p.bit(i) for i in range(k, k + n)))
+    if p.kind != "beatty":
+        return Word(p.bit(i) for i in range(k, k + n))
+    num, den = p._a.numerator, p._a.denominator
+    floors = [i * num // den for i in range(k, k + min(n, den) + 1)]
+    period = bytes(map(operator.sub, floors[1:], floors)).translate(_DIGITS)
+    return Word._of(int((period * (n // den + 1))[:n] or b"0", 2), n)
 
 
 def is_balanced(w: Word | str, max_factor_len: int | None = None) -> bool:
@@ -270,7 +304,7 @@ def is_balanced(w: Word | str, max_factor_len: int | None = None) -> bool:
         raise ValueError(f"max_factor_len {max_factor_len} exceeds word length {L}")
     if L == 0:
         return True
-    cs = np.concatenate([[0], np.cumsum(np.asarray(w.bits, dtype=np.int64))])
+    cs = _ones_before(w)
     for n in range(1, max_factor_len + 1):
         sums = cs[n:] - cs[:-n]
         if sums.max() - sums.min() > 1:
@@ -287,4 +321,10 @@ def density_profile(w: Word | str) -> list[Fraction]:
         w = Word.from_string(w)
     if len(w) == 0:
         raise ValueError("density profile of the empty word is undefined")
-    return [Fraction(s, n) for n, s in enumerate(accumulate(w.bits), start=1)]
+    return [Fraction(s, n) for n, s in enumerate(_ones_before(w)[1:].tolist(), start=1)]
+
+
+def _ones_before(w: Word) -> np.ndarray:
+    """The number of ones among the first i bits of ``w``, i = 0..len(w)."""
+    digits = np.frombuffer(str(w).encode(), dtype=np.uint8)
+    return np.concatenate([[0], np.cumsum(digits - ord("0"), dtype=np.int64)])

@@ -49,8 +49,8 @@ def oracle_ball(view, center, r):
 
 def oracle_greedy(view, candidates, delta, stop_at=None):
     if view.min_separation is not None and delta < view.min_separation:
-        # every pair is already separated; the candidates pack as-is
-        out = [int(c) for c in candidates]
+        # distinct points are already separated; a repeated candidate packs once
+        out = list(dict.fromkeys(int(c) for c in candidates))
         return out if stop_at is None else out[:stop_at]
     alive = np.ones(len(candidates), dtype=bool)
     chosen = []
@@ -678,6 +678,12 @@ class TestNets:
         assert net.greedy_packing_indices(np.array([0, 1]), 0.5) == [0, 1]
         assert families._greedy_rows(net, np.array([[0, 1]]), np.array([2]),
                                      0.5, 5)[1].tolist() == [2]
+
+    @pytest.mark.parametrize("delta", [0.1, 0.3])
+    def test_repeated_candidates_pack_once(self, delta):
+        # 0.1 is below the grid's separation (0.25), 0.3 above it
+        net = EuclideanNet.grid_2d(5)
+        assert net.greedy_packing_indices(np.array([3, 3, 7]), delta) == [3, 7]
 
     def test_separation_error_names_the_pair_distance(self):
         # centers 0 and 1 are the first pair closer than 0.5 (0.3 apart); the

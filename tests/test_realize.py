@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from microfract.dyadic import kx_set, product, singleton_chain, zoom
 from microfract.errors import InvariantViolation, OracleError, ResourceLimitError
 from microfract.realize import (
-    BlockMap,
     PsiPrefix,
     TargetSpec,
     VarphiMap,
@@ -146,6 +145,18 @@ class TestVarphi:
         vm = VarphiMap(spec)
         with pytest.raises(OracleError):
             vm.value("0101")
+
+    @pytest.mark.parametrize("f_range", [
+        lambda s: (Fraction(0), Fraction(len(s) + 1, len(s) + 2)),  # the top grows
+        lambda s: (Fraction(1, len(s) + 2), Fraction(1)),  # the bottom shrinks
+    ], ids=["upper", "lower"])
+    def test_nesting_violation_raises(self, f_range):
+        spec = TargetSpec.effective(m_index=lambda s: None, meets_g=lambda s: True,
+                                    f_range=f_range, a=Fraction(0), b=Fraction(1))
+        vm = VarphiMap(spec)
+        assert vm.value("0") == Fraction(1, 2) * sum(f_range("0" + "0" * 16))
+        with pytest.raises(OracleError, match="not nested at 01"):
+            vm.value("0110")
 
     def test_positive_clamp_variant(self):
         spec = TargetSpec.finite_set([Fraction(0), Fraction(1, 2)])
@@ -379,6 +390,29 @@ class TestDensityReport:
         with pytest.raises(InvariantViolation, match="block 50"):
             realized_density_check(bad, Fraction(1, 2))
 
+    @pytest.mark.parametrize("spec", [
+        TargetSpec.interval_union([(Fraction(3, 10), Fraction(7, 10))]),
+        TargetSpec.finite_set([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+        TargetSpec.finite_set([Fraction(0), Fraction(1)]),
+    ], ids=["interval", "finite", "extremes"])
+    def test_block_fields_match_fraction_oracle(self, spec):
+        # each block's check in Fraction arithmetic, its ones counted bit by bit
+        rng = random.Random(5)
+        x = Word.from_bits([rng.randrange(2) for _ in range(60)])
+        p = build_psi_prefix(x, spec, 61)
+        rep = realized_density_check(p, Fraction(1, 2))
+        ones = [0]
+        for bit in p.word.bits:
+            ones.append(ones[-1] + bit)
+        for c in rep.blocks:
+            start, end = p.boundaries[c.index], p.boundaries[c.index + 1]
+            rho = Fraction(ones[end] - ones[start], end - start)
+            rem = abs(rho - c.phi) - Fraction(2, c.n + c.k)
+            assert (c.density, c.error, c.bound_ok, c.length_fraction) == (
+                rho, abs(rho - c.phi), rem <= 0 or c.n * rem * rem <= 4,
+                Fraction(end - start, end))
+        assert rep.cumulative_density == Fraction(ones[-1], len(p.word))
+
     def test_needs_two_blocks(self):
         spec = TargetSpec.finite_set([Fraction(1, 2)])
         p = build_psi_prefix(Word.from_string("1"), spec, 1)
@@ -490,3 +524,100 @@ def test_f_range_matches_per_bit_sum(intervals):
         for code in range(1 << length):
             s = Word(tuple((code >> (length - 1 - j)) & 1 for j in range(length)))
             assert spec.f_range(s) == per_bit_f_range(spec, s), s
+
+
+class RecursiveVarphi:
+    """The recursive value map the iterative walk replaced, one frame per
+    bit, on the public oracle surface; interval targets read ``f_range`` as
+    per-bit sums."""
+
+    def __init__(self, spec, positive_gamma=None):
+        self.spec, self.gamma = spec, positive_gamma
+        self.memo, self.m_memo = {}, {}
+
+    def f_range(self, s):
+        if self.spec.mode == "interval_union":
+            return per_bit_f_range(self.spec, s)
+        return self.spec.f_range(s)
+
+    def m_index(self, s):
+        if s.bits not in self.m_memo:
+            self.m_memo[s.bits] = self.spec.m_index(s)
+        return self.m_memo[s.bits]
+
+    def clamp(self, val, depth):
+        if self.gamma is not None:
+            return self.gamma / (1 << depth) if val <= 0 else min(val, self.gamma)
+        return min(max(val, self.spec.a), self.spec.b)
+
+    def canonical(self, s):
+        spec, pad = self.spec, self.spec.canonical_pad
+        if spec.mode == "effective":
+            pad = next((j for j in range(pad)
+                        if not spec.meets_g(Word(s.bits + (0,) * (j + 1)))), pad)
+        lo, hi = self.f_range(Word(s.bits + (0,) * pad))
+        return (lo + hi) / 2
+
+    def value(self, s):
+        spec, key = self.spec, s.bits
+        if key in self.memo:
+            return self.memo[key]
+        if not key:
+            val = self.clamp(spec.a, 0)
+        else:
+            parent = Word(key[:-1])
+            parent_val = self.value(parent)
+            m_child, m_parent = self.m_index(s), self.m_index(parent)
+            if m_child is not None and (m_parent is None or m_parent > m_child):
+                raise OracleError("not monotone")
+            if key[:-1] and spec.meets_g(parent) and spec.meets_g(s):
+                (plo, phi), (clo, chi) = self.f_range(parent), self.f_range(s)
+                if clo < plo or chi > phi:
+                    raise OracleError("not nested")
+            if m_child is None or (spec.meets_g(s) and m_child != m_parent):
+                val = self.canonical(s)
+            else:
+                val = parent_val
+            val = self.clamp(val, len(s))
+        self.memo[key] = val
+        return val
+
+
+def _fractions(draw, size):
+    den = draw(st.integers(1, 40))
+    return sorted(Fraction(draw(st.integers(0, den)), den) for _ in range(size))
+
+
+@st.composite
+def value_map_cases(draw):
+    kind = draw(st.sampled_from(["finite", "one", "three", "reciprocal", "eventually"]))
+    if kind == "finite":
+        spec = TargetSpec.finite_set(_fractions(draw, draw(st.integers(1, 6))))
+    elif kind in ("one", "three"):
+        ends = _fractions(draw, 2 if kind == "one" else 6)
+        spec = TargetSpec.interval_union(list(zip(ends[::2], ends[1::2])))
+    else:
+        spec = reciprocal_family_spec() if kind == "reciprocal" else eventually_zero_spec()
+    gamma = draw(st.one_of(st.none(), st.sampled_from([Fraction(1, 2), Fraction(1)])))
+    words = draw(st.lists(st.lists(st.integers(0, 1), max_size=40).map(tuple),
+                          min_size=1, max_size=6))
+    return spec, gamma, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=value_map_cases())
+def test_value_map_matches_recursive_oracle(case):
+    spec, gamma, words = case
+    vm, oracle = VarphiMap(spec, positive_gamma=gamma), RecursiveVarphi(spec, gamma)
+    for bits in words:  # in the drawn order, so walks start from memoized prefixes
+        assert vm.value(Word(bits)) == oracle.value(Word(bits)), bits
+
+
+def test_value_map_walks_long_branches():
+    # one Python frame per bit overflowed the interpreter's stack here
+    spec = TargetSpec.interval_union([(3 / 10, 7 / 10)])
+    x = Word.from_string("01" * 2500)
+    vm = VarphiMap(spec)
+    v = vm.value(x)
+    assert spec.a <= v <= spec.b and vm.value(x.prefix(4999)) <= spec.b
+    assert len(vm.memo) == 5001
