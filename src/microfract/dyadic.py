@@ -26,10 +26,11 @@ coincide, and an interval sweep computes them.
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, product as iter_product
 from typing import Sequence
 
@@ -149,8 +150,8 @@ class DyadicSet:
     A set stores only :attr:`codes`, the sorted distinct int64 Morton codes
     of its leaves (a linear quadtree, read-only); a level-m ancestor is
     ``code >> d*(depth-m)``, so the leaves under a cell form one slice.
-    :attr:`leaves`, the coordinate tuples, is derived on first read; the
-    constructor turns the tuples it is given into codes.
+    :attr:`leaves` is a set view of the coordinate tuples over the codes;
+    the constructor turns the tuples it is given into codes.
     """
 
     d: int
@@ -158,13 +159,15 @@ class DyadicSet:
     codes: np.ndarray
 
     def __init__(self, d: int, depth: int, leaves):
-        # the leaves are Python or numpy integers, not bools; one array pass
+        # each leaf is d Python or numpy integers, not bools; one np.fromiter
         # converts them, and anything else leaves a 1-D array _from_cells refuses
         leaves, cells = list(leaves), np.zeros(0, dtype=np.int64)
-        with suppress(TypeError, ValueError, OverflowError):  # not ints, ragged, past int64
-            if all(t is int or issubclass(t, np.integer)
-                   for t in set(map(type, chain.from_iterable(leaves)))):
-                cells = np.array(leaves or np.zeros((0, d)), dtype=np.int64)
+        with suppress(TypeError, ValueError, OverflowError):  # not sized, past int64
+            if {d}.issuperset(map(len, leaves)) and all(
+                    t is int or issubclass(t, np.integer)
+                    for t in set(map(type, chain.from_iterable(leaves)))):
+                cells = np.fromiter(chain.from_iterable(leaves), np.int64,
+                                    len(leaves) * d).reshape(-1, d)
         self.__dict__.update(_from_cells(d, depth, cells).__dict__)
 
     def __eq__(self, other):
@@ -174,10 +177,10 @@ class DyadicSet:
     def __hash__(self):
         return hash((self.d, self.depth, self.codes.tobytes()))
 
-    @cached_property
-    def leaves(self) -> frozenset:
-        """The leaves as coordinate tuples (derived from the codes, cached)."""
-        return self.level_cells(self.depth)
+    @property
+    def leaves(self) -> Leaves:
+        """The leaves as a read-only set of coordinate tuples, a view over the codes."""
+        return Leaves(self)
 
     @property
     def is_empty(self) -> bool:
@@ -186,6 +189,8 @@ class DyadicSet:
     def _level_codes(self, m: int) -> np.ndarray:
         if not 0 <= m <= self.depth:
             raise ValueError(f"level {m} out of range for depth {self.depth}")
+        if m == self.depth:  # the codes are already distinct
+            return self.codes
         return _distinct(self.codes >> (self.d * (self.depth - m)))
 
     def level_cells(self, m: int) -> frozenset:
@@ -199,12 +204,76 @@ class DyadicSet:
     def __contains__(self, cube: CubeIdx) -> bool:
         if not 0 <= cube.level <= self.depth:
             raise ValueError(f"level {cube.level} out of range for depth {self.depth}")
-        if len(cube.coords) != self.d:
-            return False
-        shift = self.d * (self.depth - cube.level)
-        z = int(_morton(np.array([cube.coords], dtype=np.int64), cube.level)[0])
+        return len(cube.coords) == self.d and self._alive(cube.level, cube.coords)
+
+    def _alive(self, level: int, coords) -> bool:
+        """Whether the level-``level`` cell at ``coords``, d integers in
+        [0, 2^level), is alive: one Morton encode and one binary search."""
+        shift = self.d * (self.depth - level)
+        z = int(_morton(np.array([coords], dtype=np.int64), level)[0])
         i = np.searchsorted(self.codes, z << shift)
-        return i < self.codes.shape[0] and int(self.codes[i]) >> shift == z
+        return bool(i < self.codes.shape[0] and int(self.codes[i]) >> shift == z)
+
+
+class Leaves(Set):
+    """The leaves of a :class:`DyadicSet` as a read-only set of coordinate
+    tuples.  It stores only its set: ``len`` and ``in``, and ``==`` and
+    ``<=`` against the leaves of a set on the same grid, are answered on
+    the Morton codes; iteration decodes the tuples.  It compares, hashes
+    and combines (``|``, ``&``, ``-``, giving a ``frozenset``) like a
+    ``frozenset`` of the same tuples."""
+
+    __slots__ = ("_set",)
+
+    def __init__(self, s: DyadicSet):
+        self._set = s
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return self._set.codes.shape[0]
+
+    def __iter__(self):
+        return iter(self._set.level_cells(self._set.depth))
+
+    def __contains__(self, cell) -> bool:
+        s = self._set
+        hash(cell)  # an unhashable probe raises TypeError, as with a frozenset
+        if not isinstance(cell, tuple) or len(cell) != s.d:
+            return False
+        try:  # the integers the probe equals, coordinate by coordinate
+            coords = tuple(map(int, cell))
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return (coords == cell and all(0 <= c < 1 << s.depth for c in coords)
+                and s._alive(s.depth, coords))
+
+    def _same_grid(self, other) -> bool:
+        return isinstance(other, Leaves) and \
+            (self._set.d, self._set.depth) == (other._set.d, other._set.depth)
+
+    def __eq__(self, other):
+        if self._same_grid(other):
+            return np.array_equal(self._set.codes, other._set.codes)
+        return Set.__eq__(self, other)
+
+    def __le__(self, other):
+        if self._same_grid(other):
+            return bool(np.isin(self._set.codes, other._set.codes, assume_unique=True).all())
+        return Set.__le__(self, other)
+
+    def __ge__(self, other):
+        if self._same_grid(other):
+            return other.__le__(self)
+        return Set.__ge__(self, other)
+
+    def __hash__(self):
+        return hash(self._set.level_cells(self._set.depth))
+
+    def __repr__(self) -> str:
+        return f"Leaves({set(self)!r})"
 
 
 def _from_codes(d: int, depth: int, codes: np.ndarray) -> DyadicSet:
@@ -525,8 +594,13 @@ def _grid_shift(u, d: int, level: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def to_json(a: DyadicSet) -> str:
-    leaves = _cells(a)[_lex_order(a.codes, a.depth, a.d)].tolist()  # lexicographic
-    return json.dumps({"d": a.d, "depth": a.depth, "leaves": leaves}, separators=(",", ":"))
+    """``{"d":..,"depth":..,"leaves":[[..],..]}`` with the leaves in
+    lexicographic order, as ``json.dumps`` writes it with separators
+    ``(",", ":")``; the cells fill one row template in one ``%`` format."""
+    cells = _cells(a)[_lex_order(a.codes, a.depth, a.d)]
+    rows = ",".join(["[" + ",".join(["%d"] * a.d) + "]"] * cells.shape[0])
+    leaves = rows % tuple(cells.ravel().tolist())
+    return '{"d":%d,"depth":%d,"leaves":[%s]}' % (a.d, a.depth, leaves)
 
 
 def from_json(s: str) -> DyadicSet:
@@ -548,6 +622,8 @@ _MAGIC = b"DYB1"
 def _lex_order(codes: np.ndarray, level: int, d: int) -> np.ndarray:
     """The permutation that puts level-``level`` Morton codes in
     lexicographic order of their coordinates (the identity in 1-D)."""
+    if d == 1:
+        return np.arange(codes.shape[0])
     return np.lexsort(_unmorton(codes, level, d).T[::-1])
 
 

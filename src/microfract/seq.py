@@ -19,6 +19,7 @@ from itertools import cycle
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Word",
@@ -289,11 +290,17 @@ def factor(p: SeqProgram, k: int, n: int) -> Word:
     return Word._of(int((period * (n // den + 1))[:n] or b"0", 2), n)
 
 
+# Window sums one block of factor lengths takes at a time in is_balanced.
+_BALANCE_BLOCK = 1 << 16
+
+
 def is_balanced(w: Word | str, max_factor_len: int | None = None) -> bool:
     """Whether all equal-length factors of ``w`` up to ``max_factor_len``
     have 1-counts spanning at most 1.
 
-    The empty word is balanced.  Runs in O(len^2) via prefix sums.
+    The empty word is balanced.  Runs in O(len^2) via prefix sums, a block
+    of factor lengths per numpy pass: length n is balanced when the most
+    ones plus the most zeros of its factors is at most n + 1.
     """
     if isinstance(w, str):
         w = Word.from_string(w)
@@ -304,11 +311,22 @@ def is_balanced(w: Word | str, max_factor_len: int | None = None) -> bool:
         raise ValueError(f"max_factor_len {max_factor_len} exceeds word length {L}")
     if L == 0:
         return True
-    cs = _ones_before(w)
-    for n in range(1, max_factor_len + 1):
-        sums = cs[n:] - cs[:-n]
-        if sums.max() - sums.min() > 1:
+    # the smallest signed type holding 2L, the most ones plus the most zeros
+    ones = _ones_before(w).astype(np.min_scalar_type(-2 * L))
+    zeros = np.arange(L + 1, dtype=ones.dtype) - ones
+    # row n of a table holds the prefix counts from n on; past the end it
+    # repeats the total, so a window running past the end counts the ones
+    # (zeros) of a suffix, which no factor of that length exceeds
+    tables = [(sliding_window_view(np.concatenate([c, np.full(L, c[-1])]), L + 1), c)
+              for c in (ones, zeros)]
+    n = 1
+    while n <= max_factor_len:
+        cols = L + 1 - n  # the factors of length n start at 0..L-n
+        rows = min(max_factor_len + 1 - n, max(1, _BALANCE_BLOCK // cols))
+        most = sum((t[n:n + rows, :cols] - c[:cols]).max(axis=1) for t, c in tables)
+        if (most - np.arange(n, n + rows)).max() > 1:
             return False
+        n += rows
     return True
 
 

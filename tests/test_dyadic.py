@@ -672,7 +672,7 @@ class TestJsonFuzz:
             st.sampled_from(["d", "depth", "leaves", "x"]), inner, max_size=4),
         max_leaves=20)
 
-    @given(st.one_of(
+    objects = st.one_of(
         json_values,
         st.fixed_dictionaries({
             "d": st.one_of(st.integers(-3, 4), st.integers(-2 ** 70, 2 ** 70), st.booleans()),
@@ -682,7 +682,9 @@ class TestJsonFuzz:
                 st.integers(-2, 9), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
                 st.floats(), st.none()), max_size=4), max_size=6),
         }),
-    ))
+    )
+
+    @given(objects)
     @settings(max_examples=400, deadline=None)
     def test_from_json_raises_only_documented_errors(self, obj):
         try:
@@ -693,14 +695,141 @@ class TestJsonFuzz:
         assert sorted(map(list, s.leaves)) == sorted(
             map(list, {tuple(leaf) for leaf in obj["leaves"]}))
 
+    @given(objects)
+    @settings(max_examples=400, deadline=None)
+    def test_from_json_errors_match_the_constructor_path(self, obj):
+        text = json.dumps(obj)
+        try:
+            want = oracle_from_json(text)
+        except (ValueError, ResourceLimitError) as e:
+            with pytest.raises(type(e)) as got:
+                from_json(text)
+            assert str(got.value) == str(e) and "\n" not in str(e)
+            return
+        assert from_json(text) == want
+
     def test_deep_nesting_is_a_value_error(self):
         with pytest.raises(ValueError):
             from_json("[" * 100_000 + "]" * 100_000)
 
 
+def oracle_from_json(s):
+    """Reference: the parse the single-array one replaced, which hands the
+    parsed leaves to the constructor."""
+    try:
+        obj = json.loads(s)
+    except RecursionError:
+        raise ValueError("dyadic set JSON is nested too deeply") from None
+    leaves = obj.get("leaves") if isinstance(obj, dict) else None
+    if not (isinstance(leaves, list) and {list}.issuperset(map(type, leaves))
+            and type(obj.get("d")) is int and type(obj.get("depth")) is int):
+        raise ValueError('a dyadic set is a JSON object with integers "d" and "depth" '
+                         'and "leaves", a list of integer lists')
+    return DyadicSet(obj["d"], obj["depth"], leaves)
+
+
+def oracle_leaves(s):
+    return frozenset(zip(*dyadic._unmorton(s.codes, s.depth, s.d).T.tolist()))
+
+
+def oracle_to_json(a):
+    """Reference: the ``json.dumps`` encoder the row template replaced."""
+    leaves = sorted(map(list, oracle_leaves(a)))  # lexicographic
+    return json.dumps({"d": a.d, "depth": a.depth, "leaves": leaves}, separators=(",", ":"))
+
+
+class TestToJsonBytes:
+    @given(d=st.integers(1, 4), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, d, data):
+        s = data.draw(cell_sets(d=d, depth=data.draw(st.integers(0, 12 // d)), max_leaves=200))
+        text = to_json(s)
+        assert text == oracle_to_json(s)
+        assert from_json(text) == s
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_empty_depth_zero_and_large(self, d):
+        sets = [DyadicSet(d, depth, []) for depth in (0, 1, 5)]
+        sets += [full_cube(d, 0), full_cube(d, 12 // d),
+                 cells(d, 12 // d, d, 0.3), singleton_chain(d, 40 // d, (7,) * d)]
+        for s in sets:
+            assert to_json(s) == oracle_to_json(s)
+            assert from_json(to_json(s)) == s
+        assert to_json(DyadicSet(d, 0, [])) == '{"d":%d,"depth":0,"leaves":[]}' % d
+
+    def test_kx_set_words(self):
+        for w in ["", "0", "1", "1101101", "1" * 14 + "0" * 3, "0" * 30 + "11"]:
+            s = kx_set(w)
+            assert to_json(s) == oracle_to_json(s)
+
+
+class TestLeavesView:
+    """``leaves`` against a ``frozenset`` of the decoded codes."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_frozenset_oracle(self, data):
+        s = data.draw(cell_sets())
+        v, want = s.leaves, oracle_leaves(s)
+        assert len(v) == len(want) and sorted(v) == sorted(want)
+        assert len(list(v)) == len(want) and frozenset(v) == want
+        assert hash(v) == hash(want) and v.isdisjoint(want) == (not want)
+        near = set(want)  # one leaf added or dropped, on the same grid
+        if near and data.draw(st.booleans()):
+            near.discard(data.draw(st.sampled_from(sorted(near))))
+        else:
+            near.add(tuple(data.draw(st.integers(0, (1 << s.depth) - 1)) for _ in range(s.d)))
+        others = [s, DyadicSet(s.d, s.depth, want), DyadicSet(s.d, s.depth, near),
+                  data.draw(cell_sets(d=s.d, depth=s.depth)), data.draw(cell_sets()),
+                  DyadicSet(s.d, s.depth + 1, want), DyadicSet(s.d + 1, s.depth, [])]
+        for o in others:
+            ow = oracle_leaves(o)
+            for rhs in (o.leaves, ow, set(ow)):
+                assert (v == rhs, v != rhs, rhs == v, rhs != v) == \
+                    (want == ow, want != ow, ow == want, ow != want)
+                assert (v <= rhs, v >= rhs, v < rhs, v > rhs) == \
+                    (want <= ow, want >= ow, want < ow, want > ow)
+                assert (rhs <= v, rhs >= v, rhs < v, rhs > v) == \
+                    (ow <= want, ow >= want, ow < want, ow > want)
+                for got, expect in [(v | rhs, want | ow), (v & rhs, want & ow),
+                                    (v - rhs, want - ow), (rhs | v, ow | want),
+                                    (rhs & v, ow & want), (rhs - v, ow - want)]:
+                    assert got == expect and isinstance(got, (set, frozenset))
+                assert type(v | rhs) is frozenset
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_membership_matches_frozenset(self, data):
+        s = data.draw(cell_sets())
+        v, want = s.leaves, oracle_leaves(s)
+        top = 1 << s.depth
+        cell = data.draw(st.sampled_from(sorted(want))) if want else \
+            tuple(data.draw(st.integers(0, top - 1)) for _ in range(s.d))
+        probes = [
+            cell, tuple(map(np.int64, cell)), tuple(map(np.uint16, cell)),
+            tuple(map(np.int32, cell)), tuple(map(float, cell)),
+            tuple(c + 0.5 for c in cell), (True,) * s.d, (False,) * s.d,
+            (np.True_,) * s.d, cell + (0,), cell[:-1], (),
+            (-1,) + cell[1:], (top,) + cell[1:], (2 ** 70,) + cell[1:], (-2 ** 70,) + cell[1:],
+            cell[:-1] + (cell[-1] + top,), tuple(str(c) for c in cell), (None,) * s.d,
+            list(cell), (list(cell),), cell[0], None, "ab", np.array(cell), frozenset(cell),
+            data.draw(st.tuples(*[st.integers(-3, top + 2)] * s.d)),
+        ]
+
+        def answer(container, probe):
+            try:
+                return probe in container
+            except TypeError:
+                return TypeError
+
+        for probe in probes:
+            assert answer(v, probe) == answer(want, probe), probe
+
+
 class TestTupleViewIsDerived:
-    """Only reading ``leaves`` (or ``level_cells(depth)``) builds coordinate
-    tuples: builders and operations work on the codes alone."""
+    """Only iterating ``leaves`` (or calling ``level_cells``) builds
+    coordinate tuples: builders, operations, and ``len``, ``in`` and
+    ``==``/``<=`` on the leaf views work on the codes alone."""
 
     def test_builders_and_operations_build_no_tuples(self, monkeypatch, tmp_path):
         from microfract.cli import main
@@ -730,8 +859,16 @@ class TestTupleViewIsDerived:
         assert main(["zoom", "--set", "word:1101101", "--depth", "7", "--m", "2",
                      "--out", str(out)]) == 0
         assert main(["zoom", "--in-file", str(out), "--m", "1", "--out", str(out)]) == 0
+        a_leaves, sq_leaves, sub = built[0].leaves, sq.leaves, product(a, a).leaves
+        assert len(a_leaves) == 32 and len(sq_leaves) == 32 * 128 and len(sub) == 32 * 32
+        assert (1,) in a_leaves and (2,) not in a_leaves and (1, 2) in sq_leaves
+        assert (1, 2) not in sub and (16, 5) not in sq_leaves and (1, 1, 1) not in sq_leaves
+        assert a_leaves == kx_set("1101101").leaves != kx_set("1101100").leaves
+        assert sq_leaves == built[4].leaves == built[5].leaves != sub
+        assert sub <= sq_leaves and sub < sq_leaves and sq_leaves >= sub and sq_leaves > sub
+        assert not sq_leaves <= sub and not sq_leaves < built[5].leaves
         with pytest.raises(AssertionError, match="tuples built"):
-            built[0].leaves
+            next(iter(a_leaves))
 
 
 def oracle_half_lattice_candidates(s):

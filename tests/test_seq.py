@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microfract import seq
 from microfract.seq import (
     Word,
     SeqProgram,
@@ -26,6 +29,35 @@ def brute_balanced(bits, max_n):
         if max(sums) - min(sums) > 1:
             return False
     return True
+
+
+def oracle_is_balanced(w, max_n):
+    """Reference: the per-length loop the blocked check replaced, three
+    numpy calls per factor length."""
+    if len(w) == 0:
+        return True
+    cs = np.cumsum((0,) + w.bits)
+    for n in range(1, max_n + 1):
+        sums = cs[n:] - cs[:-n]
+        if sums.max() - sums.min() > 1:
+            return False
+    return True
+
+
+@st.composite
+def balance_cases(draw):
+    """A word and a factor length bound: random bits, a Beatty factor, or a
+    Beatty factor with one bit flipped (mostly unbalanced)."""
+    kind = draw(st.sampled_from(["random", "beatty", "flipped"]))
+    if kind == "random":
+        w = Word.from_bits(draw(st.lists(st.integers(0, 1), max_size=120)))
+    else:
+        a = draw(st.fractions(min_value=0, max_value=1, max_denominator=60))
+        w = factor(beatty_balanced(a), draw(st.integers(0, 500)), draw(st.integers(0, 150)))
+        if kind == "flipped" and len(w):
+            i = draw(st.integers(0, len(w) - 1))
+            w = Word.from_bits(w.bits[:i] + (1 - w[i],) + w.bits[i + 1:])
+    return w, draw(st.just(len(w)) | st.integers(0, len(w)))
 
 
 class TestWord:
@@ -130,6 +162,23 @@ class TestIsBalanced:
     def test_matches_brute_force(self, bits):
         w = Word.from_bits(bits)
         assert is_balanced(w, len(bits)) == brute_balanced(bits, len(bits))
+
+    @given(balance_cases(), st.integers(1, 300))
+    @settings(max_examples=400, deadline=None)
+    def test_blocks_match_per_length_loop(self, case, block):
+        # small blocks split the lengths over many passes, one row at least
+        w, max_n = case
+        want = oracle_is_balanced(w, max_n)
+        assert is_balanced(w, max_n) == want
+        with mock.patch.object(seq, "_BALANCE_BLOCK", block):
+            assert is_balanced(w, max_n) == want
+
+    def test_long_words(self):
+        w = factor(beatty_balanced(Fraction(3, 7)), 100, 1500)
+        assert is_balanced(w) and oracle_is_balanced(w, len(w))
+        bad = Word.from_bits(w.bits[:700] + (1 - w[700],) + w.bits[701:])
+        assert is_balanced(bad) == oracle_is_balanced(bad, len(bad)) is False
+        assert is_balanced(bad, 1)
 
 
 class TestDensityProfile:
