@@ -35,35 +35,70 @@ MAX_TRIALS = 1_000_000
 MAX_CODED_BITS = 1 << 21
 SEED_ENV = "MICROFRACT_SEED"
 
+# The keys each command reads beside seed and out, as (JSON schema, help, required):
+# the flags, CONFIG_SCHEMA and the required-key check are all generated from here.
+_STR = {"type": "string"}
+_WORD_HELP = "beatty:p/q | word:bits | periodic:bits"
+_SET_HELP = f"full:d | {_WORD_HELP} (default full:1)"
+_TARGET_HELP = "finite:v1,v2 | interval:lo:hi[,lo:hi]"
+_COMMON = {
+    "seed": ({"type": "integer", "minimum": 0}, f"default ${SEED_ENV} or 0", False),
+    "out": (_STR, "artifact path", False),
+}
+_OPTIONS = {
+    "dims": {
+        "word": (_STR, _WORD_HELP, True),
+        "depth": ({"type": "integer", "minimum": 1}, "word prefix length", True),
+        "levels": (_STR, "comma-separated levels (default 1..depth)", False),
+    },
+    "percolate": {
+        "beta": (_STR, "retention exponent, a fraction", True),
+        "depth": ({"type": "integer", "minimum": 1}, "percolation depth", True),
+        "trials": ({"type": "integer", "minimum": 1}, "Monte Carlo trials", True),
+        "k": (_STR, _SET_HELP, False),
+        "save_set": (_STR, "file for one bit-packed sample", False),
+    },
+    "hawkes": {
+        "beta": (_STR, "retention exponent, a fraction", True),
+        "depths": (_STR, "comma-separated depths", True),
+        "trials": ({"type": "integer", "minimum": 1}, "Monte Carlo trials", True),
+        "k": (_STR, _SET_HELP, False),
+    },
+    "realize": {
+        "target": (_STR, _TARGET_HELP, True),
+        "blocks": ({"type": "integer", "minimum": 2}, "blocks to build", True),
+        "branch": (_STR, "branch bits (default drawn from the seed)", False),
+    },
+    "family": {
+        "net": (_STR, "grid:side", True),
+        "target": (_STR, _TARGET_HELP, True),
+        "variant": ({"enum": ["box", "packing"]}, None, False),
+        "depth": ({"type": "integer", "minimum": 1}, "levels (default 1)", False),
+        "branch": (_STR, "branch bits (default all 0)", False),
+        "g_mode": ({"enum": ["strict", "linear"]}, None, False),
+    },
+    "zoom": {
+        "m": ({"type": "integer", "minimum": 0}, "zoom exponent", True),
+        "set": (_STR, _SET_HELP, False),
+        "in_file": (_STR, "JSON set artifact to read instead of set and depth", False),
+        "depth": ({"type": "integer", "minimum": 1}, "depth of set", False),
+        "u": (_STR, "comma-separated shift (default 0)", False),
+        "binary": ({"type": "boolean"}, "write the bit-packed set", False),
+    },
+}
+
+# One if/then branch per command: a config holds only its command's keys.
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["command"],
-    "additionalProperties": False,
-    "properties": {
-        "command": {"enum": ["dims", "percolate", "hawkes", "realize", "family", "zoom"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
-        "word": {"type": "string"},
-        "depth": {"type": "integer", "minimum": 1},
-        "levels": {"type": "string"},
-        "k": {"type": "string"},
-        "beta": {"type": "string"},
-        "depths": {"type": "string"},
-        "trials": {"type": "integer", "minimum": 1},
-        "save_set": {"type": "string"},
-        "target": {"type": "string"},
-        "branch": {"type": "string"},
-        "blocks": {"type": "integer", "minimum": 2},
-        "net": {"type": "string"},
-        "variant": {"enum": ["box", "packing"]},
-        "g_mode": {"enum": ["strict", "linear"]},
-        "set": {"type": "string"},
-        "in_file": {"type": "string"},
-        "m": {"type": "integer", "minimum": 0},
-        "u": {"type": "string"},
-        "binary": {"type": "boolean"},
-    },
+    "properties": {"command": {"enum": list(_OPTIONS)}},
+    "allOf": [
+        {"if": {"properties": {"command": {"const": name}}, "required": ["command"]},
+         "then": {"properties": {"command": {"const": name},
+                                 **{k: v[0] for k, v in {**_COMMON, **keys}.items()}},
+                  "additionalProperties": False}}
+        for name, keys in _OPTIONS.items()],
 }
 
 
@@ -75,12 +110,15 @@ _IntsOnlyValidator = jsonschema.validators.extend(
 
 
 @lru_cache(maxsize=None)
-def _validator():
-    """The config validator, checked against the metaschema and built on first
-    use only: jsonschema.validate redoes both on every call, which took
-    longer than most commands."""
-    _IntsOnlyValidator.check_schema(CONFIG_SCHEMA)
-    return _IntsOnlyValidator(CONFIG_SCHEMA)
+def _validator(command=None):
+    """The validator of one command's branch of CONFIG_SCHEMA (the errors the
+    whole schema gives, at a third of the cost) or of the whole schema, built
+    on first use: jsonschema.validate rebuilds it on every call."""
+    if command is None:
+        _IntsOnlyValidator.check_schema(CONFIG_SCHEMA)
+        return _IntsOnlyValidator(CONFIG_SCHEMA)
+    _validator()
+    return _IntsOnlyValidator(CONFIG_SCHEMA["allOf"][list(_OPTIONS).index(command)]["then"])
 
 
 # Largest decimal exponent a number may carry: ``Fraction`` builds 10^e, and
@@ -172,40 +210,32 @@ def _cmd_dims(config: dict) -> str:
     return f"dims: depth={depth} count={ratio[1]} -> {out}"
 
 
-def _cmd_percolate(config: dict) -> str:
-    depth, trials = config["depth"], config["trials"]
-    _check_depth(depth)
-    if trials > MAX_TRIALS:
-        raise ResourceLimitError(f"trials {trials} exceeds the limit {MAX_TRIALS}")
-    beta = _fraction(config["beta"])
-    k_set, d = _parse_set_spec(config.get("k", "full:1"), depth)
-    field = PercField(config["seed"])
-    rep = hawkes_experiment(k_set, beta, [depth], trials, field, d=d,
-                            copy_prefix="percolate")
-    out = config.get("out", "percolate.csv")
-    _write(out, _artifact_header(config) + rep.to_csv())
-    if config.get("save_set"):
-        smp = sample(RetentionSchedule.constant(beta), field, ("percolate", 0),
-                     depth, d=d, k_set=k_set)
-        with open(config["save_set"], "wb") as fh:
-            fh.write(pack_bits(smp.survivors))
-    row = rep.rows[0]
-    return f"percolate: depth={depth} survival={row.survival:.4f} -> {out}"
-
-
-def _cmd_hawkes(config: dict) -> str:
-    depths = [int(x) for x in config["depths"].split(",")]
+def _cmd_monte_carlo(config: dict) -> str:
+    """``percolate`` at one depth or ``hawkes`` at several, one coupled run per trial."""
+    command, trials = config["command"], config["trials"]
+    if command == "percolate":
+        depths = [config["depth"]]
+        # the key "percolate" once hashed as these 8 bytes; kept so outputs stay
+        prefix = int.from_bytes(b"percolat", "little")
+    else:
+        depths, prefix = [int(x) for x in config["depths"].split(",")], "hawkes"
     _check_depth(max(depths))
-    trials = config["trials"]
     if trials > MAX_TRIALS:
         raise ResourceLimitError(f"trials {trials} exceeds the limit {MAX_TRIALS}")
     beta = _fraction(config["beta"])
     k_set, d = _parse_set_spec(config.get("k", "full:1"), max(depths))
-    rep = hawkes_experiment(k_set, beta, depths, trials, PercField(config["seed"]),
-                            d=d)
-    out = config.get("out", "hawkes.csv")
+    field = PercField(config["seed"])
+    rep = hawkes_experiment(k_set, beta, depths, trials, field, d=d, copy_prefix=prefix)
+    out = config.get("out", f"{command}.csv")
     _write(out, _artifact_header(config) + rep.to_csv())
+    if config.get("save_set"):
+        smp = sample(RetentionSchedule.constant(beta), field, (prefix, 0),
+                     depths[0], d=d, k_set=k_set)
+        with open(config["save_set"], "wb") as fh:
+            fh.write(pack_bits(smp.survivors))
     last = rep.rows[-1]
+    if command == "percolate":
+        return f"percolate: depth={last.depth} survival={last.survival:.4f} -> {out}"
     return (f"hawkes: depths={depths} survival@{last.depth}={last.survival:.4f} "
             f"monotone={rep.survival_nonincreasing} -> {out}")
 
@@ -285,6 +315,9 @@ def _cmd_family(config: dict) -> str:
 
 def _cmd_zoom(config: dict) -> str:
     if config.get("in_file"):
+        unread = [k for k in ("set", "depth") if k in config]
+        if unread:
+            raise ValueError(f"zoom reads no {', '.join(unread)} with in_file")
         with open(config["in_file"]) as fh:  # skipping a zoom artifact's header
             base = from_json("".join(dropwhile(lambda line: line.startswith("#"), fh)))
     else:
@@ -306,35 +339,27 @@ def _cmd_zoom(config: dict) -> str:
     return f"zoom: m={config['m']} leaves={view.count(view.depth)} -> {out}"
 
 
-_COMMANDS = {
-    "dims": _cmd_dims,
-    "percolate": _cmd_percolate,
-    "hawkes": _cmd_hawkes,
-    "realize": _cmd_realize,
-    "family": _cmd_family,
-    "zoom": _cmd_zoom,
-}
-
-_REQUIRED = {
-    "dims": ["word", "depth"],
-    "percolate": ["beta", "depth", "trials"],
-    "hawkes": ["beta", "depths", "trials"],
-    "realize": ["target", "blocks"],
-    "family": ["net", "target"],
-    "zoom": ["m"],
-}
+_COMMANDS = {"dims": _cmd_dims, "percolate": _cmd_monte_carlo, "hawkes": _cmd_monte_carlo,
+             "realize": _cmd_realize, "family": _cmd_family, "zoom": _cmd_zoom}
 
 
 def run(config: dict) -> str:
     """Validate a config and dispatch; returns the one-line summary."""
-    e = jsonschema.exceptions.best_match(_validator().iter_errors(config))  # as validate picks
+    command = config.get("command") if isinstance(config, dict) else None
+    known = isinstance(command, str) and command in _OPTIONS  # a list is unhashable
+    if known and "seed" not in config:  # the default is validated as --seed is
+        try:
+            config = {**config, "seed": int(os.environ.get(SEED_ENV, "0"))}
+        except ValueError:
+            raise ValueError(f"{SEED_ENV}={os.environ[SEED_ENV]!r} is not an integer") from None
+    errors = _validator(command if known else None).iter_errors(config)
+    e = jsonschema.exceptions.best_match(errors)  # as validate picks
     if e is not None:
         raise ValueError(f"config {e.json_path}: {e.message}")
-    command = config["command"]
-    missing = [k for k in _REQUIRED[command] if k not in config]
+    missing = [k for k, (_, _, required) in _OPTIONS[command].items()
+               if required and k not in config]
     if missing:
         raise ValueError(f"{command} needs {', '.join(missing)}")
-    config.setdefault("seed", int(os.environ.get(SEED_ENV, "0")))
     return _COMMANDS[command](config)
 
 
@@ -356,49 +381,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--print-schema", action="store_true",
                    help="print the config JSON schema and exit")
     sub = p.add_subparsers(dest="command")
-
-    def add(name, *flags):
+    for name, keys in _OPTIONS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file (merged under flags)")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-        for flag, kw in flags:
-            sp.add_argument(flag, **kw)
-        return sp
-
-    add("dims",
-        ("--word", {"help": "beatty:p/q | word:bits | periodic:bits"}),
-        ("--depth", {"type": int}),
-        ("--levels", {"help": "comma-separated levels"}))
-    add("percolate",
-        ("--k", {"help": "full:d | beatty:p/q | word:bits"}),
-        ("--beta", {}),
-        ("--depth", {"type": int}),
-        ("--trials", {"type": int}),
-        ("--save-set", {"dest": "save_set"}))
-    add("hawkes",
-        ("--k", {}),
-        ("--beta", {}),
-        ("--depths", {"help": "comma-separated depths"}),
-        ("--trials", {"type": int}))
-    add("realize",
-        ("--target", {"help": "finite:v1,v2 | interval:lo:hi[,lo:hi]"}),
-        ("--branch", {}),
-        ("--blocks", {"type": int}))
-    add("family",
-        ("--net", {"help": "grid:side"}),
-        ("--target", {}),
-        ("--variant", {"choices": ["box", "packing"]}),
-        ("--depth", {"type": int}),
-        ("--branch", {}),
-        ("--g-mode", {"dest": "g_mode", "choices": ["strict", "linear"]}))
-    add("zoom",
-        ("--set", {"dest": "set"}),
-        ("--in-file", {"dest": "in_file"}),
-        ("--depth", {"type": int}),
-        ("--m", {"type": int}),
-        ("--u", {}),
-        ("--binary", {"action": "store_true"}))
+        for key, (schema, text, _) in {**_COMMON, **keys}.items():
+            kind = schema.get("type")
+            kw = ({"action": "store_true"} if kind == "boolean" else
+                  {"type": int} if kind == "integer" else
+                  {"choices": schema["enum"]} if "enum" in schema else {})
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **kw)
     return p
 
 
@@ -426,10 +417,8 @@ def main(argv=None) -> int:
             print("error: a config file holds one JSON object", file=sys.stderr)
             return 1
         config.update(loaded)
-    for key, val in vars(args).items():
-        if key in ("config", "print_schema") or val is None or val is False:
-            continue
-        config[key] = val
+    config.update((key, val) for key, val in vars(args).items() if key not in
+                  ("config", "print_schema") and val is not None and val is not False)
     try:
         summary = run(config)
     except (ValueError, KeyError, OSError) as e:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from hashlib import blake2b
 from math import ceil, log2, sqrt
 from typing import Sequence
 
@@ -76,8 +77,10 @@ class PercField:
     def _copy_hash(self, copy_key) -> int:
         h = self._base
         for p in copy_key if isinstance(copy_key, tuple) else (copy_key,):
-            if isinstance(p, str):
-                p = int.from_bytes(p.encode(), "little") & _M64
+            if isinstance(p, str):  # up to 8 bytes read as an int, longer ones digested
+                b = p.encode()
+                p = int.from_bytes(b if len(b) <= 8 else blake2b(b, digest_size=8).digest(),
+                                   "little")
             h = _mix64(h ^ _mix64((int(p) + _SALT) & _M64))
         return h
 
@@ -401,7 +404,7 @@ class HawkesReport:
 
 def hawkes_experiment(k_set: DyadicSet | None, beta, depths: Sequence[int],
                       trials: int, field: PercField, d: int = 1,
-                      copy_prefix: str = "hawkes") -> HawkesReport:
+                      copy_prefix: str | int = "hawkes") -> HawkesReport:
     """Monte Carlo survival of ``K intersect Gamma(beta)`` at finite depths.
 
     One percolation per trial is truncated at ``max(depths)``; each trial's

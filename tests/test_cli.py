@@ -3,16 +3,20 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import signal
 import tempfile
 import time
+from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from microfract import __version__
-from microfract.cli import main, run
-from microfract.dyadic import from_json, kx_set, unpack_bits
+from microfract.cli import (CONFIG_SCHEMA, _IntsOnlyValidator, _OPTIONS, _build_parser,
+                            _validator, main, run)
+from microfract.dyadic import from_json, kx_set, to_json, unpack_bits
 
 
 def read(path):
@@ -219,6 +223,27 @@ class TestConfigPlumbing:
         header = read(out).splitlines()[1]
         assert '"seed":99' in header.replace(" ", "")
 
+    @pytest.mark.parametrize("value, words", [
+        ("-5", "config $.seed: -5 is less than the minimum of 0"),
+        ("x", "MICROFRACT_SEED='x' is not an integer"),
+        ("1.5", "MICROFRACT_SEED='1.5' is not an integer"),
+        ("", "MICROFRACT_SEED='' is not an integer"),
+    ])
+    def test_env_seed_validated_as_the_flag(self, tmp_path, monkeypatch, value, words):
+        monkeypatch.setenv("MICROFRACT_SEED", value)
+        out = tmp_path / "p.csv"
+        rc, err = _run_captured(["percolate", "--beta", "1/2", "--depth", "5",
+                                 "--trials", "20", "--out", str(out)])
+        assert rc == 1 and err == f"error: {words}\n"
+        assert not out.exists()
+        # an explicit seed leaves the environment unread
+        assert main(["percolate", "--beta", "1/2", "--depth", "5", "--trials", "20",
+                     "--seed", "3", "--out", str(out)]) == 0
+
+    def test_missing_keys_named_in_table_order(self, tmp_path):
+        with pytest.raises(ValueError, match="^dims needs word, depth$"):
+            run({"command": "dims", "out": str(tmp_path / "c.csv")})
+
     def test_schema_rejects_unknown_key(self):
         with pytest.raises(Exception):
             run({"command": "dims", "word": "beatty:1/2", "depth": 4,
@@ -234,6 +259,12 @@ def _bad_set_file(tmp_path):
     return ["zoom", "--in-file", str(path), "--m", "0"]
 
 
+def _zoom_in_file_with_set_and_depth(tmp_path):
+    path = tmp_path / "z.json"
+    path.write_text(to_json(kx_set("011")))
+    return ["zoom", "--in-file", str(path), "--m", "0", "--depth", "99", "--set", "bogus"]
+
+
 def _list_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("[1, 2]")
@@ -247,8 +278,10 @@ def _list_config(tmp_path):
     ["family", "--net", "grid:1", "--target", "finite:1/2"],
     ["zoom", "--set", "full:1", "--depth", "3", "--m", "1", "--u", "1/0"],
     _bad_set_file,
+    _zoom_in_file_with_set_and_depth,
     _list_config,
-], ids=["schema", "beta-1/0", "word-1/0", "grid-1", "u-1/0", "leaves-5", "config-list"])
+], ids=["schema", "beta-1/0", "word-1/0", "grid-1", "u-1/0", "leaves-5", "in-file-set-depth",
+        "config-list"])
 def test_malformed_input_one_line_exit_1(tmp_path, capsys, argv):
     if callable(argv):
         argv = argv(tmp_path)
@@ -421,26 +454,83 @@ BAD_CONFIGS = [
     {"command": "zoom", "set": "full:1", "depth": 0, "m": -1, "binary": "yes"},
     [],
     "percolate",
+    {"command": [], "word": "beatty:1/2"},
+    {"command": {"a": 1}, "set": "full:1", "depth": 2, "m": 0},
+] + [
+    # one key that only another command reads, per command
+    {"command": "dims", "word": "beatty:1/2", "depth": 4, "trials": 7, "blocks": 9},
+    {"command": "percolate", "beta": "1/2", "depth": 4, "trials": 3, "depths": "4"},
+    {"command": "hawkes", "beta": "1/2", "depths": "4", "trials": 3, "save_set": "s.bin"},
+    {"command": "realize", "target": "finite:1/2", "blocks": 4, "variant": "box"},
+    {"command": "family", "net": "grid:9", "target": "finite:1/2", "m": 1},
+    {"command": "zoom", "set": "full:1", "depth": 2, "m": 0, "word": "word:1"},
 ]
+FOREIGN_KEYS = BAD_CONFIGS[-6:]
 
 
 @pytest.mark.parametrize("config", BAD_CONFIGS)
 def test_config_errors_match_jsonschema_validate(tmp_path, capsys, config):
-    import jsonschema
-    from microfract.cli import CONFIG_SCHEMA, _IntsOnlyValidator
-
     with pytest.raises(jsonschema.ValidationError) as oracle:
         jsonschema.validate(config, CONFIG_SCHEMA, cls=_IntsOnlyValidator)
     want = f"config {oracle.value.json_path}: {oracle.value.message}"
     with pytest.raises(ValueError) as got:
         run(config)
     assert str(got.value) == want
-    if isinstance(config, dict) and config.get("command") in ("dims", "hawkes", "family",
-                                                               "realize", "zoom"):
+    if isinstance(config, dict) and config.get("command") in list(_OPTIONS):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert main([config["command"], "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("config", FOREIGN_KEYS, ids=[c["command"] for c in FOREIGN_KEYS])
+def test_keys_of_other_commands_refused_by_name(tmp_path, config):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    rc, err = _run_captured([config["command"], f"--config={path}", f"--out={out}"])
+    assert rc == 1 and err.count("\n") == 1, err
+    foreign = set(config) - set(_OPTIONS[config["command"]]) - {"command"}
+    assert foreign and all(f"'{key}'" in err for key in foreign), err
+    assert not out.exists()
+
+
+def test_zoom_in_file_names_the_unread_keys(tmp_path):
+    rc, err = _run_captured(_zoom_in_file_with_set_and_depth(tmp_path)
+                            + ["--out", str(tmp_path / "out")])
+    assert (rc, err) == (1, "error: zoom reads no set, depth with in_file\n")
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_flags_equal_schema_branch_keys(command):
+    """Each command's flags are its schema branch's keys, plus --config."""
+    branch = next(b["then"] for b in CONFIG_SCHEMA["allOf"]
+                  if b["if"]["properties"]["command"]["const"] == command)
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[command]
+    actions = [a for a in sub._actions if a.dest != "help"]
+    assert {a.dest for a in actions} == set(branch["properties"]) - {"command"} | {"config"}
+    assert all(a.option_strings == ["--" + a.dest.replace("_", "-")] for a in actions)
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.splitlines() if ln.startswith("microfract ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_examples_parse_and_validate(line):
+    """The README's CLI examples parse and pass the schema and the
+    required-key check; they are not run."""
+    args = _build_parser().parse_args(shlex.split(line)[1:])
+    config = {key: val for key, val in vars(args).items()
+              if key != "config" and val is not None and val is not False}
+    jsonschema.validate(config, CONFIG_SCHEMA, cls=_IntsOnlyValidator)
+    required = [k for k, (_, _, req) in _OPTIONS[config["command"]].items() if req]
+    assert set(required) <= set(config)
+
+
+def test_readme_shows_every_command():
+    assert {shlex.split(ln)[1] for ln in _readme_cli_lines()} == set(_OPTIONS)
 
 
 @pytest.mark.parametrize("m", [1.0, 0.0, True])
@@ -554,3 +644,20 @@ def test_cli_fuzz_one_line_error(command, data, via_config):
             assert not os.path.exists(out)
         else:
             assert err == "" and os.path.exists(out)
+
+
+_ALL_KEYS = sorted({"seed", "out", "bogus"}.union(*_OPTIONS.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(list(_OPTIONS)),
+       config=st.dictionaries(st.sampled_from(_ALL_KEYS), _JSON_ODDITIES | _TEXT, max_size=6))
+def test_branch_validator_picks_the_whole_schemas_error(command, config):
+    """run() validates a known command against its own branch; the error it
+    picks is the one the whole schema gives."""
+    config = {**config, "command": command}
+    got, want = (jsonschema.exceptions.best_match(_validator(c).iter_errors(config))
+                 for c in (command, None))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.json_path, got.message) == (want.json_path, want.message)

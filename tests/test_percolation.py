@@ -608,6 +608,22 @@ class TestTrialHashes:
         assert got.tolist() == [oracle._copy_hash(prefix + (t,))
                                 for t in range(start, start + count)]
 
+    @pytest.mark.parametrize("key", ["acc6", "acc7", "hawkes", "gstar", "survivor", "save",
+                                     "", "\u00e9t\u00e9"])
+    def test_short_string_keys_hash_as_their_bytes(self, key):
+        # keys of at most 8 bytes hash as their little-endian integer, as they
+        # always have, so the acceptance criteria's draws do not move
+        field = PercField(5)
+        assert field._copy_hash(key) == field._copy_hash(int.from_bytes(key.encode(), "little"))
+
+    def test_long_prefixes_differ_past_8_bytes(self):
+        field = PercField(5)
+        assert field._copy_hash("percolate") != field._copy_hash("percolatX")
+        assert field._copy_hash("experiment1") != field._copy_hash("experiment1\0")
+        reports = [hawkes_experiment(None, Fraction(1, 2), [6], 300, field, copy_prefix=p)
+                   for p in ("experiment1", "experiment2")]
+        assert reports[0].to_csv() != reports[1].to_csv()
+
     def test_field_state_does_not_grow(self):
         # a field holds its seed and base hash only: no per-key state, however
         # many copy keys its samples and experiments draw
