@@ -13,13 +13,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import dropwhile
 
-import jsonschema
+import numpy as np
 
 from . import __version__
+from .dims import kx_covering_counts
 from .dyadic import from_json, full_cube, kx_set, pack_bits, to_json, zoom
 from .errors import InvariantViolation, OracleError, ResolutionExhausted, ResourceLimitError
 from .families import EuclideanNet, family_dim_report, family_member
@@ -36,7 +38,7 @@ MAX_CODED_BITS = 1 << 21
 SEED_ENV = "MICROFRACT_SEED"
 
 # The keys each command reads beside seed and out, as (JSON schema, help, required):
-# the flags, CONFIG_SCHEMA and the required-key check are all generated from here.
+# the flags, CONFIG_SCHEMA and the config checks in run() all read this table.
 _STR = {"type": "string"}
 _WORD_HELP = "beatty:p/q | word:bits | periodic:bits"
 _SET_HELP = f"full:d | {_WORD_HELP} (default full:1)"
@@ -100,25 +102,35 @@ CONFIG_SCHEMA = {
                   "additionalProperties": False}}
         for name, keys in _OPTIONS.items()],
 }
+_PY_TYPES = {"string": str, "boolean": bool, "integer": int}  # exact types: 2.0, True fail
 
 
-# JSON Schema counts 2.0 as an integer; the commands need Python ints.
-_IntsOnlyValidator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: type(value) is int))
-
-
-@lru_cache(maxsize=None)
-def _validator(command=None):
-    """The validator of one command's branch of CONFIG_SCHEMA (the errors the
-    whole schema gives, at a third of the cost) or of the whole schema, built
-    on first use: jsonschema.validate rebuilds it on every call."""
-    if command is None:
-        _IntsOnlyValidator.check_schema(CONFIG_SCHEMA)
-        return _IntsOnlyValidator(CONFIG_SCHEMA)
-    _validator()
-    return _IntsOnlyValidator(CONFIG_SCHEMA["allOf"][list(_OPTIONS).index(command)]["then"])
+def _config_error(config) -> str | None:
+    """The error jsonschema gives ``config`` against CONFIG_SCHEMA, as "<JSON path>:
+    <message>", or None: errors of the whole object first, then of the keys
+    failing their schema the one that sorts last, as jsonschema's best_match picks."""
+    if not isinstance(config, dict):
+        return f"$: {config!r} is not of type 'object'"
+    if "command" not in config:
+        return "$: 'command' is a required property"
+    command = config["command"]
+    if not (isinstance(command, str) and command in _OPTIONS):  # a list is unhashable
+        return f"$.command: {command!r} is not one of {list(_OPTIONS)!r}"
+    keys = {**_COMMON, **_OPTIONS[command]}
+    extra = sorted(set(config) - set(keys) - {"command"}, key=str)
+    if extra:
+        return (f"$: Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+    for key in sorted(set(config) - {"command"}, reverse=True):
+        schema, value = keys[key][0], config[key]
+        kind = schema.get("type")
+        if kind and type(value) is not _PY_TYPES[kind]:
+            return f"$.{key}: {value!r} is not of type {kind!r}"
+        if "enum" in schema and value not in schema["enum"]:
+            return f"$.{key}: {value!r} is not one of {schema['enum']!r}"
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"$.{key}: {value!r} is less than the minimum of {schema['minimum']!r}"
+    return None
 
 
 # Largest decimal exponent a number may carry: ``Fraction`` builds 10^e, and
@@ -202,7 +214,6 @@ def _cmd_dims(config: dict) -> str:
         raise ValueError(f"word supplies {len(word)} bits, need {depth}")
     levels = ([int(x) for x in config["levels"].split(",")]
               if config.get("levels") else list(range(1, depth + 1)))
-    from .dims import kx_covering_counts
     series = kx_covering_counts(word.prefix(depth), levels)
     out = config.get("out", "dims.csv")
     _write(out, _artifact_header(config) + series.to_csv())
@@ -258,7 +269,6 @@ def _cmd_realize(config: dict) -> str:
     if config.get("branch"):
         x = Word.from_string(config["branch"])
     else:
-        import numpy as np
         rng = np.random.default_rng(config["seed"])
         x = Word.from_bits(rng.integers(0, 2, size=blocks).tolist())
     if len(x) < blocks - 1:
@@ -297,16 +307,7 @@ def _cmd_family(config: dict) -> str:
             {"n": lvl.n, "k": lvl.k, "centers": list(lvl.centers)}
             for lvl in tree.levels
         ],
-        "report": {
-            "cardinalities_exact": report.cardinalities_exact,
-            "separations_ok": report.separations_ok,
-            "nested": report.nested,
-            "origin_anchored": report.origin_anchored,
-            "upper_chain_ok": report.upper_chain_ok,
-            "count_bound_ok": report.count_bound_ok,
-            "local_richness_ok": report.local_richness_ok,
-            "g_mode": report.g_mode,
-        },
+        "report": {f.name: getattr(report, f.name) for f in fields(report) if f.name != "details"},
     }
     out = config.get("out", "family.json")
     _write(out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -321,8 +322,9 @@ def _cmd_zoom(config: dict) -> str:
         with open(config["in_file"]) as fh:  # skipping a zoom artifact's header
             base = from_json("".join(dropwhile(lambda line: line.startswith("#"), fh)))
     else:
-        spec = config.get("set", "full:1")
-        depth = config["depth"]
+        if "depth" not in config:
+            raise ValueError("zoom needs depth or in_file")
+        spec, depth = config.get("set", "full:1"), config["depth"]
         _check_depth(depth)
         k_set, d = _parse_set_spec(spec, depth)
         base = k_set if k_set is not None else full_cube(d, depth)
@@ -352,10 +354,8 @@ def run(config: dict) -> str:
             config = {**config, "seed": int(os.environ.get(SEED_ENV, "0"))}
         except ValueError:
             raise ValueError(f"{SEED_ENV}={os.environ[SEED_ENV]!r} is not an integer") from None
-    errors = _validator(command if known else None).iter_errors(config)
-    e = jsonschema.exceptions.best_match(errors)  # as validate picks
-    if e is not None:
-        raise ValueError(f"config {e.json_path}: {e.message}")
+    if error := _config_error(config):
+        raise ValueError(f"config {error}")
     missing = [k for k, (_, _, required) in _OPTIONS[command].items()
                if required and k not in config]
     if missing:

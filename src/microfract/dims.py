@@ -21,8 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dyadic import DyadicSet, product
+from .errors import ResourceLimitError
 from .families import EuclideanNet, MatrixNet, MetricSpaceView
-from .seq import Word
+from .seq import Word, as_word
 
 __all__ = [
     "CountSeries",
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 EXACT_POINT_LIMIT = 64
+# Largest table of ball bitmasks, n^2/8 bytes for n points: 2^25 allows 2^14.
+MASK_BYTES_LIMIT = 1 << 25
+# Distances one block of bitmask rows computes at a time.
+_MASK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,7 @@ def covering_counts(a: DyadicSet, levels: Sequence[int]) -> CountSeries:
 def kx_covering_counts(x: Word | str, levels: Sequence[int]) -> CountSeries:
     """Level counts of the digit-restriction set of ``x``, computed as
     ``2^sigma(x[:m])`` without materializing cells (usable at any depth)."""
-    if isinstance(x, str):
-        x = Word.from_string(x)
+    x = as_word(x)
     entries, v, n = [], x.v, len(x)
     for m in sorted(set(levels)):
         if not 0 <= m <= n:
@@ -136,10 +140,16 @@ def _view(pts: list, dist: Callable | None) -> MetricSpaceView:
 def _ball_masks(view: MetricSpaceView, r: float) -> list[int]:
     """Per point, the int bitmask of the points within closed distance r.
     Both nets' distances are exactly symmetric, so entry i is also the set
-    of balls that cover point i."""
-    idx = np.arange(view.n_points)
-    rows = np.packbits(view.within(idx, idx, r), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    of balls that cover point i.  Built a block of rows at a time."""
+    n = view.n_points
+    if n * n > 8 * MASK_BYTES_LIMIT:
+        raise ResourceLimitError(f"ball bitmasks of {n} points need {n * n // 8} bytes, "
+                                 f"over the limit {MASK_BYTES_LIMIT}")
+    idx, step, masks = np.arange(n), max(1, _MASK_BLOCK // n), []
+    for lo in range(0, n, step):
+        rows = np.packbits(view.within(idx[lo:lo + step], idx, r), axis=1, bitorder="little")
+        masks += [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return masks
 
 
 def _greedy_cover(covers: list[int]) -> list[int]:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .seq import Word
+from .seq import Word, as_word
 
 __all__ = [
     "CubeIdx",
@@ -303,8 +303,7 @@ def kx_set(x: Word | str) -> DyadicSet:
     ``x(i) = 0`` and free where ``x(i) = 1``, so there are exactly
     ``2^sigma(x)`` leaves.
     """
-    if isinstance(x, str):
-        x = Word.from_string(x)
+    x = as_word(x)
     n = len(x)
     if x.sigma > 24 or n > _CODE_BITS:
         raise ResourceLimitError(f"kx_set would have 2^{x.sigma} leaves of depth {n} "
@@ -538,8 +537,7 @@ def decompose(x: Word | str, n: int) -> list[tuple[Fraction, DyadicSet]]:
     cell set under ``u``.  Pieces have pairwise non-overlapping convex hulls
     and their union is the whole set.
     """
-    if isinstance(x, str):
-        x = Word.from_string(x)
+    x = as_word(x)
     if n > len(x):
         raise ValueError(f"level {n} exceeds available prefix length {len(x)}")
     whole = kx_set(x)

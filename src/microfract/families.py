@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ResolutionExhausted, ResourceLimitError
 from .realize import TargetSpec, VarphiMap
-from .seq import Word
+from .seq import as_word
 
 __all__ = [
     "MetricSpaceView",
@@ -789,7 +789,7 @@ def family_member(x, spec: TargetSpec, view: MetricSpaceView, variant: str,
     centers are the finite-depth trace of C(x))."""
     if spec.a < 0:
         raise ValueError(f"target value {spec.a} is negative; a family needs values >= 0")
-    x = x if isinstance(x, Word) else Word.from_string(x)
+    x = as_word(x)
     if len(x) < levels:
         raise ValueError(f"branch must supply {levels} bits")
     if kseq is None:

@@ -25,7 +25,7 @@ from .dyadic import (DyadicSet, _distinct, _from_cells, _lex_order, _morton, _un
 from .errors import ResourceLimitError
 from .families import floor_pow2
 from .realize import TargetSpec, VarphiMap
-from .seq import Word
+from .seq import Word, as_word
 
 __all__ = [
     "RetentionSchedule",
@@ -511,8 +511,7 @@ def gamma_star(config: GammaStarConfig, x: Word | str, spec: TargetSpec,
     with the positively-clamped value map, so branches with pointwise-ordered
     values yield exactly nested samples under the shared field.
     """
-    if isinstance(x, str):
-        x = Word.from_string(x)
+    x = as_word(x)
     if k_set.depth != depth:
         raise ValueError("reference set must be rasterized exactly at depth")
     d = k_set.d

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dyadic import DyadicSet, _cells, _from_cells
 from .errors import InvariantViolation, OracleError
-from .seq import SeqProgram, Word, beatty_balanced, block_program, concat, factor
+from .seq import SeqProgram, Word, as_word, beatty_balanced, block_program, concat, factor
 
 __all__ = [
     "TargetSpec",
@@ -41,10 +41,6 @@ __all__ = [
     "realized_density_check",
     "assemble_gallery",
 ]
-
-
-def _as_word(s) -> Word:
-    return s if isinstance(s, Word) else Word.from_string(s)
 
 
 class TargetSpec:
@@ -223,7 +219,7 @@ class VarphiMap:
         return Fraction(lo + hi, 2 * den)
 
     def value(self, s) -> Fraction:
-        s = _as_word(s)
+        s = as_word(s)
         v, n, memo, spec = s.v, s.n, self.memo, self.spec
         d = n
         while (v >> (n - d), d) not in memo:
@@ -398,7 +394,7 @@ def build_psi_prefix(x, spec: TargetSpec, blocks: int,
     empty.  All blocks are cut from one prefix of each sequence.  Requires
     ``blocks <= len(x) + 1``.
     """
-    x = _as_word(x)
+    x = as_word(x)
     if blocks < 0 or blocks > len(x) + 1:
         raise ValueError(f"blocks must lie in [0, {len(x) + 1}]")
     vm = varphi or VarphiMap(spec)

@@ -23,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Word",
+    "as_word",
     "SeqProgram",
     "beatty_balanced",
     "periodic",
@@ -122,12 +123,15 @@ class Word:
         return Word._of(self.v >> (self.n - n), n)
 
 
+def as_word(w: Word | str) -> Word:
+    """``w`` itself if it is a word, else the word of the binary string ``w``."""
+    return w if isinstance(w, Word) else Word.from_string(w)
+
+
 def concat(ws: Sequence[Word | str]) -> Word:
     """Concatenate words; total 1-count and length are additive."""
     v = n = 0
-    for w in ws:
-        if isinstance(w, str):
-            w = Word.from_string(w)
+    for w in map(as_word, ws):
         v = (v << w.n) | w.v
         n += w.n
     return Word._of(v, n)
@@ -183,10 +187,7 @@ class SeqProgram:
     def _fill_buffer(self, n: int) -> None:
         with self._lock:
             while len(self._buffer) < n:
-                w = next(self._block_iter)
-                if not isinstance(w, Word):
-                    w = Word.from_string(w)
-                self._buffer += str(w).encode()
+                self._buffer += str(as_word(next(self._block_iter))).encode()
 
     def prefix(self, n: int) -> Word:
         """First ``n`` bits as a word."""
@@ -241,8 +242,7 @@ def beatty_balanced(a) -> SeqProgram:
 
 
 def periodic(word: Word | str) -> SeqProgram:
-    if isinstance(word, str):
-        word = Word.from_string(word)
+    word = as_word(word)
     if len(word) == 0:
         raise ValueError("periodic program needs a nonempty word")
     return SeqProgram("periodic", word=word)
@@ -256,8 +256,7 @@ def block_program(blocks: Sequence[Word] | Iterator[Word]) -> SeqProgram:
     nonempty words indefinitely.
     """
     if isinstance(blocks, (list, tuple)):
-        blocks = tuple(b if isinstance(b, Word) else Word.from_string(b)
-                       for b in blocks)
+        blocks = tuple(map(as_word, blocks))
         if not blocks or all(len(b) == 0 for b in blocks):
             raise ValueError("block list must contain a nonempty word")
         return SeqProgram("blocks", block_list=blocks, block_iter=cycle(blocks))
@@ -302,8 +301,7 @@ def is_balanced(w: Word | str, max_factor_len: int | None = None) -> bool:
     of factor lengths per numpy pass: length n is balanced when the most
     ones plus the most zeros of its factors is at most n + 1.
     """
-    if isinstance(w, str):
-        w = Word.from_string(w)
+    w = as_word(w)
     L = len(w)
     if max_factor_len is None:
         max_factor_len = L
@@ -335,8 +333,7 @@ def density_profile(w: Word | str) -> list[Fraction]:
 
     Running min/max over the result estimate the lower/upper density.
     """
-    if isinstance(w, str):
-        w = Word.from_string(w)
+    w = as_word(w)
     if len(w) == 0:
         raise ValueError("density profile of the empty word is undefined")
     return [Fraction(s, n) for n, s in enumerate(_ones_before(w)[1:].tolist(), start=1)]

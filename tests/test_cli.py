@@ -5,6 +5,8 @@ import json
 import os
 import shlex
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -13,10 +15,16 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import microfract
 from microfract import __version__
-from microfract.cli import (CONFIG_SCHEMA, _IntsOnlyValidator, _OPTIONS, _build_parser,
-                            _validator, main, run)
+from microfract.cli import CONFIG_SCHEMA, _OPTIONS, _build_parser, _config_error, main, run
 from microfract.dyadic import from_json, kx_set, to_json, unpack_bits
+
+# JSON Schema counts 2.0 as an integer; the commands need Python ints.
+_IntsOnlyValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: type(value) is int))
 
 
 def read(path):
@@ -646,18 +654,59 @@ def test_cli_fuzz_one_line_error(command, data, via_config):
             assert err == "" and os.path.exists(out)
 
 
+# Error lines written out: of configs that fail several ways, so the rule
+# (whole-object errors first, then the failing key that sorts last) does not
+# rest on the installed jsonschema, and of a zoom with neither depth nor in_file.
+@pytest.mark.parametrize("config, line", [
+    ({"command": "hawkes", "k": 3, "beta": 0.5, "depths": [4], "trials": -1, "seed": -2},
+     "config $.trials: -1 is less than the minimum of 1"),
+    ({"command": "zoom", "set": "full:1", "depth": 0, "m": -1.0, "binary": "yes"},
+     "config $.m: -1.0 is not of type 'integer'"),
+    ({"command": "dims", "word": 1, "depth": 0, "trials": 7, "blocks": 9},
+     "config $: Additional properties are not allowed ('blocks', 'trials' were unexpected)"),
+    ({"command": "zoom", "set": "word:1", "m": 0}, "zoom needs depth or in_file"),
+], ids=["hawkes-five-keys", "zoom-three-keys", "dims-extra-keys", "zoom-no-depth"])
+def test_run_error_lines_pinned(config, line):
+    with pytest.raises(ValueError) as got:
+        run(config)
+    assert str(got.value) == line
+
+
 _ALL_KEYS = sorted({"seed", "out", "bogus"}.union(*_OPTIONS.values()))
+_VALUES = (_JSON_ODDITIES | _TEXT | st.integers(-2, 2)
+           | st.sampled_from(list(_OPTIONS) + ["box", "linear"]))
+_ORACLE = _IntsOnlyValidator(CONFIG_SCHEMA)  # jsonschema.validate, less its schema check
 
 
-@settings(max_examples=300, deadline=None)
-@given(command=st.sampled_from(list(_OPTIONS)),
-       config=st.dictionaries(st.sampled_from(_ALL_KEYS), _JSON_ODDITIES | _TEXT, max_size=6))
-def test_branch_validator_picks_the_whole_schemas_error(command, config):
-    """run() validates a known command against its own branch; the error it
-    picks is the one the whole schema gives."""
-    config = {**config, "command": command}
-    got, want = (jsonschema.exceptions.best_match(_validator(c).iter_errors(config))
-                 for c in (command, None))
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert (got.json_path, got.message) == (want.json_path, want.message)
+def _config(command, drawn, foreign):
+    """A config of ``command`` holding the drawn keys it reads, or with
+    ``foreign`` all of them; a seed, so run() adds none the oracle misses."""
+    own = {"seed", "out", *_OPTIONS.get(command, ())}
+    return {"seed": 0, **{k: v for k, v in drawn.items() if foreign or k in own},
+            "command": command}
+
+
+@settings(max_examples=2000, deadline=None)
+@given(config=st.builds(_config, st.sampled_from(list(_OPTIONS) + ["launch"]),
+                        st.dictionaries(st.sampled_from(_ALL_KEYS), _VALUES, max_size=6),
+                        st.booleans()))
+def test_run_errors_equal_the_whole_schemas(config):
+    """run() raises the error jsonschema.validate picks on the whole schema;
+    a config the schema passes, the direct check passes too."""
+    e = jsonschema.exceptions.best_match(_ORACLE.iter_errors(config))
+    want = None if e is None else f"{e.json_path}: {e.message}"
+    assert _config_error(config) == want
+    if want is not None:
+        with pytest.raises(ValueError) as got:
+            run(config)
+        assert str(got.value) == f"config {want}"
+
+
+def test_import_loads_no_jsonschema():
+    code = ("import sys, microfract, microfract.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in {'jsonschema', 'jsonschema_specifications', "
+            "'referencing', 'rpds', 'attrs', 'attr'}))")
+    env = {**os.environ, "PYTHONPATH": str(Path(microfract.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

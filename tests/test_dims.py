@@ -2,12 +2,14 @@ import contextlib
 import itertools
 import math
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microfract import dims
 from microfract.dims import (
     CountSeries,
     box_dim_estimate,
@@ -23,6 +25,8 @@ from microfract.dims import (
     product_inequality_check,
 )
 from microfract.dyadic import full_cube, kx_set, product, singleton_chain
+from microfract.errors import ResourceLimitError
+from microfract.families import EuclideanNet
 from microfract.seq import Word, beatty_balanced, concat
 
 
@@ -439,6 +443,12 @@ class TestNetViewOracles:
             assert n_series.count_at(n) == want_n
             assert p_series.count_at(n) == want_p
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_greedy_cover_over_several_mask_blocks(self, k):
+        pts = [tuple(p) for p in np.random.default_rng(k).random((600, 2)).tolist()]
+        assert dims._MASK_BLOCK // 600 < 600  # the ball bitmasks take several blocks
+        assert greedy_cover(pts, 2.0 ** -k) == oracle_greedy_cover(pts, 2.0 ** -k)
+
     def test_empty_sets(self):
         assert greedy_packing([], 0.5) == greedy_cover([], 0.5) == []
         assert exact_packing_number([], 0.5) == exact_covering_number([], 0.5) == 0
@@ -482,6 +492,24 @@ class TestRefusals:
     def test_refused_at_once(self, call):
         with within_one_second(), pytest.raises(ValueError):
             call()
+
+    def test_ball_masks_over_the_limit_allocate_nothing(self):
+        n = 1 << 14  # n^2/8 bytes of bitmasks: exactly the limit
+        assert n * n // 8 == dims.MASK_BYTES_LIMIT
+        pts = np.random.default_rng(0).random((n + 1, 2))
+        view = EuclideanNet(pts)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="over the limit"):
+                dims._ball_masks(view, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        with within_one_second(), pytest.raises(ResourceLimitError):
+            greedy_cover(pts, 0.1)
+        with within_one_second(), pytest.raises(ResourceLimitError):
+            point_covering_counts(pts, [3])
 
     def test_radius_zero_covers_each_point_alone(self):
         with within_one_second():
