@@ -22,7 +22,7 @@ import numpy as np
 
 from .dyadic import DyadicSet, product
 from .errors import ResourceLimitError
-from .families import EuclideanNet, MatrixNet, MetricSpaceView
+from .families import EuclideanNet, MatrixNet, MetricSpaceView, _check_matrix_points
 from .seq import Word, as_word
 
 __all__ = [
@@ -126,10 +126,12 @@ def box_dim_estimate(series: CountSeries, window: int | None = None) -> tuple[fl
 
 def _view(pts: list, dist: Callable | None) -> MetricSpaceView:
     """The net view of a nonempty point list: a Euclidean net on its
-    coordinates, or a matrix net of ``dist`` evaluated once per pair."""
+    coordinates, or a matrix net of ``dist`` evaluated once per pair, the
+    point count checked against the matrix limit before any call."""
     if dist is None:
         return EuclideanNet(pts)
     n = len(pts)
+    _check_matrix_points(n)
     dm = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

@@ -432,6 +432,12 @@ _MAX_MATRIX_POINTS = 1 << 9
 _TRIANGLE_SLACK = 8 * np.finfo(float).eps
 
 
+def _check_matrix_points(n: int) -> None:
+    if n > _MAX_MATRIX_POINTS:
+        raise ResourceLimitError(f"a distance matrix on {n} points is over the limit "
+                                 f"{_MAX_MATRIX_POINTS} for its triangle check")
+
+
 class MatrixNet(MetricSpaceView):
     def __init__(self, dmatrix, y0: int = 0):
         dm = np.asarray(dmatrix, dtype=float)
@@ -440,9 +446,7 @@ class MatrixNet(MetricSpaceView):
         if not np.isfinite(dm).all():
             raise ValueError("distances must be finite")
         n = dm.shape[0]
-        if n > _MAX_MATRIX_POINTS:
-            raise ResourceLimitError(f"a distance matrix on {n} points is over the limit "
-                                     f"{_MAX_MATRIX_POINTS} for its triangle check")
+        _check_matrix_points(n)
         self._index(np.zeros(n), int(y0))
         if not np.array_equal(dm, dm.T) or np.diagonal(dm).any():
             raise ValueError("distance matrix must be symmetric with zero diagonal")

@@ -5,9 +5,10 @@ either explicitly (finite set, union of closed intervals) or via pluggable
 callables (an increasing closed family hit-index, an open-part hit test, and
 a shrinking rational interval for the coded map).  :class:`VarphiMap` runs
 the four-case induction assigning a value to every finite word so that the
-values converge along each branch; the block of a word is a prefix of each of
-two balanced sequences, mixed in the ratio that realizes the word's value as a
-density, and ``build_psi_prefix`` concatenates the blocks.
+values converge along each branch: in closed form for explicit targets, by a
+walk over the word's bits for effective ones.  The block of a word is a prefix
+of each of two balanced sequences, mixed in the ratio that realizes the word's
+value as a density, and ``build_psi_prefix`` concatenates the blocks.
 
 All values are exact ``Fraction``; determinism is guaranteed by canonical
 tie-breaking (lexicographically least branch, midpoints, minimal indices).
@@ -189,8 +190,10 @@ class VarphiMap:
     inherit; (4) the hit-index grew -- take a fresh canonical value.  The
     root gets the presented minimum.  Values are clamped into ``[a, b]``, or
     with ``positive_gamma`` set, into ``(0, gamma]`` with a depth-dependent
-    floor ``gamma * 2^-n``.  A word's value is computed by walking its bits
-    from its deepest memoized prefix; memo keys are ``(v, n)`` of the words.
+    floor ``gamma * 2^-n``.  Explicit targets have no family and nested
+    ranges, so every word is case (1): its value is its clamped canonical
+    value, computed directly.  Effective targets walk a word's bits from its
+    deepest memoized prefix, checking the oracles; memo keys are ``(v, n)``.
     """
 
     def __init__(self, spec: TargetSpec, positive_gamma: Fraction | None = None):
@@ -221,6 +224,8 @@ class VarphiMap:
     def value(self, s) -> Fraction:
         s = as_word(s)
         v, n, memo, spec = s.v, s.n, self.memo, self.spec
+        if spec.mode != "effective":  # case (1) at every word, ranges nested
+            return self._clamp(self._canonical(s), n) if n else memo[(0, 0)]
         d = n
         while (v >> (n - d), d) not in memo:
             d -= 1
@@ -348,10 +353,10 @@ def closest_k(n: int, a, b, target) -> int:
     if not (nuq or vq):  # a == b
         return 1 + isqrt(n - 1)  # ceil(sqrt(n))
     kmin, kmax = _k_bounds(n)
-    # mix(k) is increasing; the best k is next to the crossing f(k) = 0.
+    # mix(k) increases: the best k is next to f(k) = 0, in base-1..base+2 clamped.
     base = nuq // vq if vq else kmax
-    best, *rest = sorted({min(max(base + i, kmin), kmax) for i in (-1, 0, 1, 2)})
-    for k in rest:
+    best = min(max(base - 1, kmin), kmax)
+    for k in range(best + 1, min(max(base + 2, kmin), kmax) + 1):
         # |f(k)|/(n+k) against |f(best)|/(n+best)
         if abs(k * vq - nuq) * (n + best) < abs(best * vq - nuq) * (n + k):
             best = k

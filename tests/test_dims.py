@@ -511,6 +511,20 @@ class TestRefusals:
         with within_one_second(), pytest.raises(ResourceLimitError):
             point_covering_counts(pts, [3])
 
+    def test_dist_matrix_over_the_limit_calls_dist_never(self):
+        calls = []
+
+        def dist(p, q):
+            calls.append(None)
+            return abs(p[0] - q[0])
+
+        pts = [(i / 513,) for i in range(513)]  # one past MatrixNet's limit
+        for call in (lambda: point_covering_counts(pts, [3], dist),
+                     lambda: greedy_packing(pts, 0.1, dist)):
+            with within_one_second(), pytest.raises(ResourceLimitError, match="over the limit"):
+                call()
+        assert calls == []
+
     def test_radius_zero_covers_each_point_alone(self):
         with within_one_second():
             assert exact_covering_number(self.pair, 0.0) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from microfract.realize import (
     PsiPrefix,
     TargetSpec,
     VarphiMap,
+    _k_bounds,
+    _mix_view,
     assemble_gallery,
     build_psi_prefix,
     choose_k,
@@ -320,6 +323,46 @@ class TestClosestKIntegerView:
             assert got == outcome(oracle_closest_k, n, a, b, t), (n, a, b, t)
 
 
+def set_sort_closest_k(n, a, b, target):
+    """``closest_k`` as it was before the contiguous scan: the clamped
+    candidates gathered in a set and sorted."""
+    a, b, t, q, nuq, vq = _mix_view(n, a, b, target)
+    if not (nuq or vq):
+        return 1 + isqrt(n - 1)
+    kmin, kmax = _k_bounds(n)
+    base = nuq // vq if vq else kmax
+    best, *rest = sorted({min(max(base + i, kmin), kmax) for i in (-1, 0, 1, 2)})
+    for k in rest:
+        if abs(k * vq - nuq) * (n + best) < abs(best * vq - nuq) * (n + k):
+            best = k
+    f = best * vq - nuq
+    if n * f * f > 4 * (q * (n + best)) ** 2:
+        raise InvariantViolation(f"closest k fails tolerance for n={n}")
+    return best
+
+
+class TestClosestKScan:
+    # targets at a put the crossing below kmin, targets at b (vq = 0) at kmax;
+    # t = a = b is in the grid as well
+    grid = [Fraction(i, 12) for i in range(13)]
+
+    def test_matches_set_and_sort_on_a_grid(self):
+        clamped = set()
+        for n in range(1, 65):
+            kmin, kmax = _k_bounds(n)
+            for a, t, b in itertools.combinations_with_replacement(self.grid, 3):
+                got = outcome(closest_k, n, a, b, t)
+                assert got == outcome(set_sort_closest_k, n, a, b, t), (n, a, b, t)
+                if a < b and kmin < kmax:
+                    _, _, _, _, nuq, vq = _mix_view(n, a, b, t)
+                    base = nuq // vq if vq else kmax
+                    if base - 1 < kmin:
+                        clamped.add("kmin")
+                    if base + 2 > kmax:
+                        clamped.add("kmax")
+        assert clamped == {"kmin", "kmax"}
+
+
 class TestPsi:
     def test_zero_blocks_empty(self):
         spec = TargetSpec.finite_set([Fraction(1, 2)])
@@ -615,9 +658,85 @@ def test_value_map_matches_recursive_oracle(case):
 
 def test_value_map_walks_long_branches():
     # one Python frame per bit overflowed the interpreter's stack here
-    spec = TargetSpec.interval_union([(3 / 10, 7 / 10)])
+    spec = TargetSpec.effective(m_index=lambda s: None, meets_g=lambda s: True,
+                                f_range=lambda s: (Fraction(3, 10), Fraction(7, 10)),
+                                a=Fraction(3, 10), b=Fraction(7, 10))
     x = Word.from_string("01" * 2500)
     vm = VarphiMap(spec)
     v = vm.value(x)
     assert spec.a <= v <= spec.b and vm.value(x.prefix(4999)) <= spec.b
     assert len(vm.memo) == 5001
+
+
+class WalkingVarphi(VarphiMap):
+    """The iterative walk that explicit targets took before their closed
+    form: every prefix of the word in turn, oracles checked, memoized."""
+
+    def value(self, s):
+        v, n, memo, spec = s.v, s.n, self.memo, self.spec
+        d = n
+        while (v >> (n - d), d) not in memo:
+            d -= 1
+        parent = s.prefix(d)
+        val = memo[(parent.v, d)]
+        if d == n:
+            return val
+        m_parent = self.m_memo[(parent.v, d)] if d else spec.m_index(parent)
+        g_parent = d > 0 and spec.meets_g(parent)
+        p_range = None  # f_range(parent), when known
+        for depth in range(d + 1, n + 1):
+            child = Word._of(v >> (n - depth), depth)
+            m_child = self.m_memo[(child.v, depth)] = spec.m_index(child)
+            if m_child is not None and (m_parent is None or m_parent > m_child):
+                raise OracleError("not monotone")
+            g_child = spec.meets_g(child)
+            c_range = None
+            if g_parent and g_child:
+                plo, phi, pden = p_range = p_range or spec._range(parent)
+                clo, chi, cden = c_range = spec._range(child)
+                if clo * pden < plo * cden or chi * pden > phi * cden:
+                    raise OracleError(f"f_range not nested at {child}")
+            if m_child is None or (g_child and m_child != m_parent):
+                val = self._canonical(child)
+            val = self._clamp(val, depth)
+            memo[(child.v, depth)] = val
+            parent, m_parent, g_parent, p_range = child, m_child, g_child, c_range
+        return val
+
+
+EXPLICIT_SPECS = {
+    "point": TargetSpec.finite_set([Fraction(2, 7)]),
+    "three-points": TargetSpec.finite_set([0, Fraction(1, 3), 1]),
+    "nine-points": TargetSpec.finite_set([Fraction(j * j, 81) for j in range(9)]),
+    "one": TargetSpec.interval_union([(Fraction(3, 10), Fraction(7, 10))]),
+    "three": TargetSpec.interval_union(
+        [(0, Fraction(1, 5)), (Fraction(2, 5), Fraction(3, 5)), (Fraction(4, 5), 1)]),
+    "five-overlapping": TargetSpec.interval_union(
+        [(Fraction(1, 9), Fraction(1, 9)), (0, Fraction(1, 2)), (Fraction(1, 3), 1),
+         (Fraction(1, 4), Fraction(1, 3)), (Fraction(5, 7), Fraction(6, 7))]),
+}
+
+
+@pytest.mark.parametrize("gamma", [None, Fraction(1, 2)])
+@pytest.mark.parametrize("name", sorted(EXPLICIT_SPECS))
+def test_explicit_value_map_matches_walk_on_long_branches(name, gamma):
+    spec, rng = EXPLICIT_SPECS[name], random.Random(name)
+    x = Word._of(rng.getrandbits(5000), 5000)
+    walk, vm = WalkingVarphi(spec, positive_gamma=gamma), VarphiMap(spec, positive_gamma=gamma)
+    walk.value(x)
+    assert len(walk.memo) == 5001
+    for (v, n), val in walk.memo.items():
+        assert vm.value(Word._of(v, n)) == val, n
+    assert vm.memo == {(0, 0): walk.memo[(0, 0)]} and vm.m_memo == {}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_SPECS))
+def test_explicit_f_range_nests_parent_to_child(name):
+    # Why explicit value maps may skip the walk's nesting check.
+    spec = EXPLICIT_SPECS[name]
+    for length in range(12):
+        for v in range(1 << length):
+            plo, phi = spec.f_range(Word._of(v, length))
+            for bit in (0, 1):
+                clo, chi = spec.f_range(Word._of(2 * v + bit, length + 1))
+                assert plo <= clo <= chi <= phi, (v, length, bit)
