@@ -5,7 +5,8 @@ per level), not true minimal ball covers; the two differ by a bounded factor
 that cancels in slopes.  Packing and covering numbers of finite point sets
 are exact (branch and bound) up to a size limit and greedy beyond it, with
 the series flagged accordingly; the ``N_n <= P_n <= N_{n+1}`` chain is only
-asserted for exact counts.
+asserted for exact counts.  The covering search is cut by a disjoint-ball
+lower bound and a memo of failed uncovered sets, below a lazy greedy cover.
 Point-set distances all come from one :mod:`.families` net view, and the
 solvers at a radius share one table of ball bitmasks.  Non-finite points or
 distances, a negative or NaN radius and a separation that is not positive
@@ -14,6 +15,7 @@ raise ``ValueError``.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -156,13 +158,31 @@ def _ball_masks(view: MetricSpaceView, r: float) -> list[int]:
 
 def _greedy_cover(covers: list[int]) -> list[int]:
     """Greedy cover: each pick covers the most uncovered points, ties to the
-    first index.  Every point lies in its own ball, so the loop ends."""
+    first index.  Lazy: stale gains in a heap only overstate, so the top is
+    picked once its fresh gain still leads.  Each point is in its own ball."""
+    heap = [(-m.bit_count(), i) for i, m in enumerate(covers)]
+    heapq.heapify(heap)
     uncovered, picks = (1 << len(covers)) - 1, []
     while uncovered:
-        i = max(range(len(covers)), key=lambda i: (covers[i] & uncovered).bit_count())
-        picks.append(i)
-        uncovered &= ~covers[i]
+        i = heapq.heappop(heap)[1]
+        item = (-(covers[i] & uncovered).bit_count(), i)
+        if heap and item > heap[0]:
+            heapq.heappush(heap, item)
+        else:
+            picks.append(i)
+            uncovered &= ~covers[i]
     return picks
+
+
+def _disjoint_ball_bound(uncovered: int, reach: list[int]) -> int:
+    """Lower bound on the balls that cover ``uncovered``: the lowest point is
+    taken and every point sharing a ball with it dropped, repeatedly; the
+    points taken pairwise share no ball, so each needs its own."""
+    count = 0
+    while uncovered:
+        count += 1
+        uncovered &= ~reach[(uncovered & -uncovered).bit_length() - 1]
+    return count
 
 
 def _packing_number(view: MetricSpaceView, delta: float) -> int:
@@ -202,15 +222,26 @@ def _packing_number(view: MetricSpaceView, delta: float) -> int:
 
 def _covering_number(view: MetricSpaceView, radius: float) -> int:
     """Minimum number of closed balls of ``radius`` centered at the points
-    that cover them: iterative deepening below the greedy cover's size."""
+    that cover them: iterative deepening from the disjoint-ball bound up to
+    the lazy greedy cover's size.  A node is cut when the count or the
+    disjoint-ball bound exceeds its budget, or when its uncovered set failed
+    before at a budget as large (the memo lives across the budgets)."""
     covers = _ball_masks(view, radius)
     n = len(covers)
     max_cover = max(m.bit_count() for m in covers)
+    reach = [0] * n  # per point, the points that share a ball with it
+    for m in covers:
+        rest = m
+        while rest:
+            reach[(rest & -rest).bit_length() - 1] |= m
+            rest &= rest - 1
+    failed: dict[int, int] = {}  # uncovered set -> largest budget it failed at
 
     def dfs(uncovered: int, budget: int) -> bool:
         if uncovered == 0:
             return True
-        if budget * max_cover < uncovered.bit_count():
+        if (budget * max_cover < uncovered.bit_count() or failed.get(uncovered, -1) >= budget
+                or _disjoint_ball_bound(uncovered, reach) > budget):
             return False
         # Branch on the uncovered element with the fewest covering balls,
         # trying its covers in decreasing order of fresh coverage.
@@ -229,11 +260,13 @@ def _covering_number(view: MetricSpaceView, radius: float) -> int:
             pick_mask &= pick_mask - 1
             cands.append(i)
         cands.sort(key=lambda i: (covers[i] & uncovered).bit_count(), reverse=True)
-        return any(dfs(uncovered & ~covers[i], budget - 1) for i in cands)
+        if not (found := any(dfs(uncovered & ~covers[i], budget - 1) for i in cands)):
+            failed[uncovered] = budget
+        return found
 
-    upper = len(_greedy_cover(covers))
-    for budget in range(-(-n // max_cover), upper):
-        if dfs((1 << n) - 1, budget):
+    full, upper = (1 << n) - 1, len(_greedy_cover(covers))
+    for budget in range(max(-(-n // max_cover), _disjoint_ball_bound(full, reach)), upper):
+        if dfs(full, budget):
             return budget
     return upper
 

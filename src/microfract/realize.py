@@ -353,10 +353,12 @@ def closest_k(n: int, a, b, target) -> int:
     if not (nuq or vq):  # a == b
         return 1 + isqrt(n - 1)  # ceil(sqrt(n))
     kmin, kmax = _k_bounds(n)
-    # mix(k) increases: the best k is next to f(k) = 0, in base-1..base+2 clamped.
+    # f(k) = k*vq - nuq increases with f(base) <= 0 < f(base+1), so |f(k)|/(n+k)
+    # falls up to base and rises from base+1 (for vq = 0 it falls throughout
+    # and base is kmax): the best k is base or base+1, clamped.
     base = nuq // vq if vq else kmax
-    best = min(max(base - 1, kmin), kmax)
-    for k in range(best + 1, min(max(base + 2, kmin), kmax) + 1):
+    best = min(max(base, kmin), kmax)
+    for k in range(best + 1, min(max(base + 1, kmin), kmax) + 1):
         # |f(k)|/(n+k) against |f(best)|/(n+best)
         if abs(k * vq - nuq) * (n + best) < abs(best * vq - nuq) * (n + k):
             best = k

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import itertools
 import math
+import operator
 import signal
 import tracemalloc
 from fractions import Fraction
@@ -535,3 +537,74 @@ class TestRefusals:
         squared = lambda p, q: (p[0] - q[0]) ** 2
         with pytest.raises(ValueError, match="triangle"):
             exact_packing_number(pts, 0.5, squared)
+
+
+def oracle_reach(points, radius, dist=None):
+    """Per point e, the bitmask of the points f that share a ball with e:
+    some point c has both within ``radius``."""
+    inside = oracle_dist_matrix(list(points), dist) <= radius
+    shared = inside.T.astype(int) @ inside.astype(int) > 0
+    return [sum(1 << int(f) for f in np.nonzero(row)[0]) for row in shared]
+
+
+def brute_cover_of(target, covers):
+    """Fewest of the bitmasks ``covers`` whose union contains ``target``."""
+    for size in range(len(covers) + 1):
+        for pick in itertools.combinations(covers, size):
+            if target & ~functools.reduce(operator.or_, pick, 0) == 0:
+                return size
+
+
+def lattice_points(rng, size, den):
+    """``size`` distinct points of the 1/den lattice in the unit square."""
+    cells = rng.choice(den * den, size=size, replace=False)
+    return [(float(i) / den, float(j) / den) for i, j in (divmod(int(c), den) for c in cells)]
+
+
+class TestCoveringSearch:
+    @given(point_sets(40), st.integers(0, 5), _metrics)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_covering_matches_oracle(self, pts, k, dist):
+        r = 2.0 ** -k
+        assert exact_covering_number(pts, r, dist) == oracle_exact_covering_number(pts, r, dist)
+
+    @given(point_sets(10), st.integers(0, 5), _metrics, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_disjoint_ball_bound_never_exceeds_a_cover(self, pts, k, dist, seed):
+        r = 2.0 ** -k
+        covers = [int(sum(1 << int(j) for j in np.nonzero(row)[0]))
+                  for row in oracle_dist_matrix(pts, dist) <= r]
+        reach = oracle_reach(pts, r, dist)
+        full = (1 << len(pts)) - 1
+        assert dims._disjoint_ball_bound(full, reach) <= exact_covering_number(pts, r, dist)
+        subset = int(np.random.default_rng(seed).integers(0, full + 1))
+        assert dims._disjoint_ball_bound(subset, reach) <= brute_cover_of(subset, covers)
+
+    @pytest.mark.parametrize("k", range(0, 6))
+    def test_disjoint_ball_bound_is_exact_on_separated_points(self, k):
+        r = 2.0 ** -k
+        rng = np.random.default_rng(k)
+        pts = []
+        for p in rng.random((400, 2)) * 20 * r:  # keep points pairwise more than 2r apart
+            if all(np.linalg.norm(p - q) > 2 * r for q in pts):
+                pts.append(p)
+        pts = [tuple(map(float, p)) for p in pts[:40]]
+        assert len(pts) >= 10
+        bound = dims._disjoint_ball_bound((1 << len(pts)) - 1, oracle_reach(pts, r))
+        assert bound == exact_covering_number(pts, r) == len(pts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forty_lattice_points_within_one_second(self, seed):
+        pts = lattice_points(np.random.default_rng(seed), 40, 64)
+        want = [oracle_exact_covering_number(pts, 2.0 ** -k) for k in range(1, 6)]
+        with within_one_second():
+            got = [exact_covering_number(pts, 2.0 ** -k) for k in range(1, 6)]
+        assert got == want
+
+    @pytest.mark.parametrize("k", range(0, 6))
+    def test_greedy_cover_past_the_exact_limit(self, k):
+        pts = lattice_points(np.random.default_rng(k), 300, 64)
+        assert len(pts) > dims.EXACT_POINT_LIMIT
+        assert greedy_cover(pts, 2.0 ** -k) == oracle_greedy_cover(pts, 2.0 ** -k)
+        assert (point_covering_counts(pts, [k]).count_at(k)
+                == len(oracle_greedy_cover(pts, 2.0 ** -k)))

@@ -362,6 +362,15 @@ class TestClosestKScan:
                         clamped.add("kmax")
         assert clamped == {"kmin", "kmax"}
 
+    _unit = st.one_of(st.fractions(0, 1, max_denominator=12),
+                      st.fractions(0, 1, max_denominator=10 ** 9))
+
+    @given(st.lists(_unit, min_size=3, max_size=3).map(sorted), st.integers(1, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_and_sort_on_random_fractions(self, abt, n):
+        a, t, b = abt
+        assert outcome(closest_k, n, a, b, t) == outcome(set_sort_closest_k, n, a, b, t)
+
 
 class TestPsi:
     def test_zero_blocks_empty(self):
