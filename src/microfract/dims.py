@@ -118,6 +118,8 @@ def box_dim_estimate(series: CountSeries, window: int | None = None) -> tuple[fl
         raise ValueError("series has no positive levels")
     if window is None:
         window = max(1, math.ceil(len(ratios) / 3))
+    elif window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     tail = ratios[-window:]
     return min(tail), max(tail)
 

@@ -268,8 +268,6 @@ class MetricSpaceView:
         return chosen
 
     def global_packing_number(self, delta: float) -> int:
-        if self.min_separation is not None and delta < self.min_separation:
-            return self.n_points
         return len(self.greedy_packing_indices(np.arange(self.n_points), delta))
 
 

@@ -441,6 +441,8 @@ def choose_copies(c_hat: float, cap: int = 64) -> int:
     hard-capped."""
     if not 0 < c_hat <= 1:
         raise ValueError("survival estimate must lie in (0, 1]")
+    if cap < 1:
+        raise ValueError(f"copy cap must be >= 1, got {cap}")
     margin = c_hat / 2
     i = max(1, ceil(log2(0.5) / log2(1 - margin))) if margin < 1 else 1
     while (1 - margin) ** i >= 0.5:

@@ -17,11 +17,10 @@ tie-breaking (lexicographically least branch, midpoints, minimal indices).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count
-from math import isqrt
+from math import isqrt, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,7 +76,7 @@ class TargetSpec:
         # the values, or the interval ends, as numerators over one denominator
         lows = values or tuple(lo for lo, _ in intervals)
         highs = values or tuple(hi for _, hi in intervals)
-        self._den = math.lcm(*(e.denominator for e in lows + highs))
+        self._den = lcm(*(e.denominator for e in lows + highs))
         self._lo = tuple(e.numerator * (self._den // e.denominator) for e in lows)
         self._hi = tuple(e.numerator * (self._den // e.denominator) for e in highs)
         self._m_index = m_index
@@ -294,52 +293,41 @@ def _mix_view(n: int, a, b, target):
     return a, b, t, da * db * dt, n * u * db, v * da
 
 
+def _outside_band(n: int, q: int, f: int, k: int) -> bool:
+    # |mix(k) - t| > 2/sqrt(n), that is n*f(k)^2 > 4*(q*(n+k))^2
+    return n * f * f > 4 * (q * (n + k)) ** 2
+
+
 def choose_k(n: int, a, b, target) -> int:
     """Minimal admissible block length ratio index.
 
     Returns the smallest integer ``k`` with ``sqrt(n)-1 < k < n*sqrt(n)+1``
     and ``|(n*a + k*b)/(n+k) - target| <= 2/sqrt(n)``; such a ``k`` always
     exists for ``0 <= a <= target <= b <= 1``.  For ``a == b`` the value is
-    ``ceil(sqrt(n))``.
+    ``ceil(sqrt(n))``.  The block length is an exact integer closed form,
+    with the band edge taken from ``isqrt``.
     """
     a, b, t, q, nuq, vq = _mix_view(n, a, b, target)
     if not (nuq or vq):  # a == b
         return 1 + isqrt(n - 1)  # ceil(sqrt(n))
     kmin, kmax = _k_bounds(n)
-    # f(k) increases, so the k with |mix(k) - t| <= 2/sqrt(n), that is
-    # n*f(k)^2 <= 4*(q*(n+k))^2, form an interval: the answer is the smallest
-    # k with mix(k) >= t - 2/sqrt(n), which must then pass the upper side.
-    # Float seed: the real k at which mix(k) = t - 2/sqrt(n); for n past the
-    # float range, kmin (the exact search below accepts any seed).
-    try:
-        e = 2.0 / math.sqrt(n)
-        seed = n * (nuq / (n * q) - e) / (vq / q + e)
-    except OverflowError:
-        seed = kmin
-    k = kmin if seed <= kmin else kmax if seed >= kmax else math.ceil(seed)
-
-    # Exact search for the smallest k past the lower side, mix(k) >= t -
-    # 2/sqrt(n), keeping it (or kmax if no k is) inside [lo, hi]: a walk of
-    # three probes from the seed, which rounding moves by at most one, then
-    # bisection of what is left (a seed far off, for huge n).
-    lo, hi, mid, probes = kmin, kmax, k, 0
-    while lo < hi:
-        if probes > 2 or not lo <= mid < hi:
-            mid = (lo + hi) // 2
-        probes += 1
-        f = mid * vq - nuq
-        if f >= 0 or n * f * f <= 4 * (q * (n + mid)) ** 2:
-            hi, mid = mid, mid - 1
-        else:
-            lo, mid = mid + 1, mid + 1
-    f = lo * vq - nuq
-    if n * f * f > 4 * (q * (n + lo)) ** 2:
+    # f(k) increases, so the lower side of the band, f(k) >= 0 or
+    # sqrt(n)*(nuq - k*vq) <= 2q(n+k), holds from k* = (sqrt(n)*nuq - 2qn) /
+    # (sqrt(n)*vq + 2q) on.  Below, r/2^p is sqrt(n) rounded down to p > log2(n)
+    # fraction bits; k* rises with sqrt(n) at a rate of at most n(b-a)/2, so
+    # the ceiling is ceil(k*) or one less, and one exact step up fixes it.
+    p = n.bit_length()
+    r = isqrt(n << 2 * p)
+    k = -(((q * n << p + 1) - r * nuq) // (r * vq + (q << p + 1)))
+    k = kmin if k < kmin else kmax if k > kmax else k
+    f = k * vq - nuq
+    if f < 0 and k < kmax and _outside_band(n, q, f, k):
+        k += 1
+    if _outside_band(n, q, k * vq - nuq, k):
         # f < 0: no k in range reaches the band; f > 0: the smallest k that
         # reaches it already overshoots the upper side.
-        raise InvariantViolation(
-            f"no admissible k for n={n}, a={a}, b={b}, target={t}"
-        )
-    return lo
+        raise InvariantViolation(f"no admissible k for n={n}, a={a}, b={b}, target={t}")
+    return k
 
 
 def closest_k(n: int, a, b, target) -> int:
@@ -357,17 +345,12 @@ def closest_k(n: int, a, b, target) -> int:
     # falls up to base and rises from base+1 (for vq = 0 it falls throughout
     # and base is kmax): the best k is base or base+1, clamped.
     base = nuq // vq if vq else kmax
-    best = min(max(base, kmin), kmax)
-    for k in range(best + 1, min(max(base + 1, kmin), kmax) + 1):
-        # |f(k)|/(n+k) against |f(best)|/(n+best)
-        if abs(k * vq - nuq) * (n + best) < abs(best * vq - nuq) * (n + k):
-            best = k
-    f = best * vq - nuq
-    if n * f * f > 4 * (q * (n + best)) ** 2:
-        raise InvariantViolation(
-            f"closest k fails tolerance for n={n}, a={a}, b={b}, target={t}"
-        )
-    return best
+    k, k1 = min(max(base, kmin), kmax), min(max(base + 1, kmin), kmax)
+    if abs(k1 * vq - nuq) * (n + k) < abs(k * vq - nuq) * (n + k1):
+        k = k1
+    if _outside_band(n, q, k * vq - nuq, k):
+        raise InvariantViolation(f"closest k fails tolerance for n={n}, a={a}, b={b}, target={t}")
+    return k
 
 
 # ---------------------------------------------------------------------------

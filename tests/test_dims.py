@@ -122,6 +122,15 @@ class TestBoxDimEstimate:
         with pytest.raises(ValueError):
             box_dim_estimate(CountSeries("covering", ((0, 1),)))
 
+    def test_window_below_one_refused(self):
+        s = CountSeries("covering", ((1, 2), (2, 8), (3, 8), (4, 16)))
+        for window in (0, -1, -4):
+            with pytest.raises(ValueError, match="window must be >= 1"):
+                box_dim_estimate(s, window=window)
+        assert box_dim_estimate(s, window=1) == (1.0, 1.0)
+        # a window past the series keeps every level
+        assert box_dim_estimate(s, window=9) == box_dim_estimate(s, window=4) == (1.0, 1.5)
+
 
 class TestGreedyPacking:
     def test_all_points_close(self):

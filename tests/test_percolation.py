@@ -341,6 +341,12 @@ class TestHelpers:
         assert (1 - 0.5) ** i < 0.5 and (1 - 0.25) ** i < 0.5
         assert choose_copies(0.01, cap=16) == 16
 
+    def test_choose_copies_refuses_cap_below_one(self):
+        assert choose_copies(0.5, cap=1) == 1
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="copy cap must be >= 1"):
+                choose_copies(0.5, cap=cap)
+
     def test_anchor_prefers_dense_cell(self):
         leaves = {(c,) for c in range(8)} | {(56,)}
         k = DyadicSet(1, 6, frozenset(leaves))

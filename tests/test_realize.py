@@ -283,6 +283,49 @@ def oracle_closest_k(n, a, b, target):
     return best
 
 
+def oracle_seed_choose_k(n: int, a, b, target) -> int:
+    """``choose_k`` as it was before the closed form: a float seed, a walk of
+    three probes and a bisection."""
+    a, b, t, q, nuq, vq = _mix_view(n, a, b, target)
+    if not (nuq or vq):  # a == b
+        return 1 + isqrt(n - 1)  # ceil(sqrt(n))
+    kmin, kmax = _k_bounds(n)
+    # f(k) increases, so the k with |mix(k) - t| <= 2/sqrt(n), that is
+    # n*f(k)^2 <= 4*(q*(n+k))^2, form an interval: the answer is the smallest
+    # k with mix(k) >= t - 2/sqrt(n), which must then pass the upper side.
+    # Float seed: the real k at which mix(k) = t - 2/sqrt(n); for n past the
+    # float range, kmin (the exact search below accepts any seed).
+    try:
+        e = 2.0 / math.sqrt(n)
+        seed = n * (nuq / (n * q) - e) / (vq / q + e)
+    except OverflowError:
+        seed = kmin
+    k = kmin if seed <= kmin else kmax if seed >= kmax else math.ceil(seed)
+
+    # Exact search for the smallest k past the lower side, mix(k) >= t -
+    # 2/sqrt(n), keeping it (or kmax if no k is) inside [lo, hi]: a walk of
+    # three probes from the seed, which rounding moves by at most one, then
+    # bisection of what is left (a seed far off, for huge n).
+    lo, hi, mid, probes = kmin, kmax, k, 0
+    while lo < hi:
+        if probes > 2 or not lo <= mid < hi:
+            mid = (lo + hi) // 2
+        probes += 1
+        f = mid * vq - nuq
+        if f >= 0 or n * f * f <= 4 * (q * (n + mid)) ** 2:
+            hi, mid = mid, mid - 1
+        else:
+            lo, mid = mid + 1, mid + 1
+    f = lo * vq - nuq
+    if n * f * f > 4 * (q * (n + lo)) ** 2:
+        # f < 0: no k in range reaches the band; f > 0: the smallest k that
+        # reaches it already overshoots the upper side.
+        raise InvariantViolation(
+            f"no admissible k for n={n}, a={a}, b={b}, target={t}"
+        )
+    return lo
+
+
 def outcome(pick, *args):
     try:
         return pick(*args)
@@ -370,6 +413,83 @@ class TestClosestKScan:
     def test_matches_set_and_sort_on_random_fractions(self, abt, n):
         a, t, b = abt
         assert outcome(closest_k, n, a, b, t) == outcome(set_sort_closest_k, n, a, b, t)
+
+
+def admissible(n, a, b, t, k):
+    """k in range and within 2/sqrt(n) of the target, decided on Fractions."""
+    kmin, kmax = _k_bounds(n)
+    diff = (a * n + b * k) / (n + k) - t
+    return kmin <= k <= kmax and n * diff * diff <= 4
+
+
+def least_admissible(n, a, b, t, k):
+    """k is admissible and k - 1 is not: the admissible k form an interval.
+    Checked against the linear scan where that is short."""
+    least = admissible(n, a, b, t, k) and not admissible(n, a, b, t, k - 1)
+    return least and (n > 300 or k == oracle_min_k(n, a, b, t))
+
+
+class TestChooseKClosedForm:
+    _unit = st.fractions(0, 1, max_denominator=10 ** 6)
+
+    @given(st.one_of(st.integers(1, 300), st.integers(1, 10 ** 60)),
+           st.lists(_unit, min_size=3, max_size=3).map(sorted))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_seed_search_and_linear_scan(self, n, abt):
+        a, t, b = abt
+        got = outcome(choose_k, n, a, b, t)
+        assert got == outcome(oracle_seed_choose_k, n, a, b, t), (n, a, b, t)
+        if a < b:
+            assert least_admissible(n, a, b, t, got)
+
+    @staticmethod
+    def _target_on_edge(n, a, b, k, e):
+        """The target t with mix(k) = t - e, so that the lower band edge sits
+        at k when e = 2/sqrt(n)."""
+        return (a * n + b * k) / (n + k) + e
+
+    def test_lower_edge_on_an_integer(self):
+        # perfect squares: sqrt(n) = m is exact, and with t = mix(k) + 2/m the
+        # lower side of the band holds with equality at k, so k* = k exactly
+        # and the ceiling must not round it up
+        cases = 0
+        for m in range(1, 40):
+            n = m * m
+            kmin, kmax = _k_bounds(n)
+            for a, b in [(Fraction(0), Fraction(1)), (Fraction(1, 5), Fraction(4, 5)),
+                         (Fraction(1, 3), Fraction(997, 1000))]:
+                for k in {kmin + 1, (kmin + kmax) // 7, kmax // 2, kmax - 1}:
+                    t = self._target_on_edge(n, a, b, k, Fraction(2, m))
+                    if not (kmin < k < kmax and t <= b):
+                        continue
+                    cases += 1
+                    assert choose_k(n, a, b, t) == k == oracle_seed_choose_k(n, a, b, t)
+                    assert least_admissible(n, a, b, t, k)
+                    # a target a hair higher moves the edge just past k
+                    up = t + Fraction(1, 10 ** 12)
+                    if up <= b:
+                        assert choose_k(n, a, b, up) == k + 1
+                        assert least_admissible(n, a, b, up, k + 1)
+        assert cases > 100
+
+    def test_rounded_root_needs_the_step_up(self):
+        # non-squares: r/2^p < sqrt(n) is the rounded root, and t = mix(k-1) +
+        # 2^(p+1)/r puts the rounded edge on k-1 while the true edge is just
+        # above it, so the closed form lands one low and must step up to k
+        cases = 0
+        for n in [2, 3, 5, 7, 10, 50, 99, 200, 1000, 4097, 10 ** 5 + 3]:
+            p = n.bit_length()
+            r = isqrt(n << 2 * p)
+            kmin, kmax = _k_bounds(n)
+            for a, b in [(Fraction(0), Fraction(1)), (Fraction(1, 5), Fraction(4, 5))]:
+                for k in {kmin + 1, kmin + 2, isqrt(kmax), kmax // 3}:
+                    t = self._target_on_edge(n, a, b, k - 1, Fraction(2 << p, r))
+                    if not (kmin < k <= kmax and t <= b):
+                        continue
+                    cases += 1
+                    assert choose_k(n, a, b, t) == k == oracle_seed_choose_k(n, a, b, t)
+                    assert least_admissible(n, a, b, t, k)
+        assert cases > 30
 
 
 class TestPsi:
