@@ -4,12 +4,14 @@ The space is presented as a finite net with a metric (Euclidean coordinates
 or an explicit distance matrix); all packings and counts run on the net, so
 any claim the net cannot certify surfaces as a :class:`ResolutionExhausted`
 error instead of a silent bias.  Every kernel asks one predicate,
-``view.within(i, idx, r)``, whether points lie in a closed ball.  Grid nets
-(:class:`LatticeNet`, behind ``EuclideanNet.grid_2d``) decide it exactly on
-their integer coordinates over one denominator D: ``dx^2 + dy^2 <=
-floor((r*D)^2)``.  Float point sets and distance matrices compare computed
-float distances with r, and window their queries by :func:`_margin`; an
-exact test for them (a float filter with an exact fallback) is not built.
+``view.within(i, idx, r)``, whether points lie in a closed ball.  Lattice
+nets (:class:`LatticeNet`: the grids of ``EuclideanNet.grid_2d``, and the
+dyadic lines i/2^m, i = 0..2^m in index order, that ``EuclideanNet``
+detects) decide it exactly on their integer coordinates over one
+denominator D: ``dx^2 + dy^2 <= floor((r*D)^2)``.  Other float point sets
+and distance matrices compare computed float distances with r, and window
+their queries by :func:`_margin`; an exact test for them (a float filter
+with an exact fallback) is not built.
 
 A family member C(x) is grown along a binary word: at each extension the
 construction places a packing of exactly ``floor(2^(phi*l))`` net points at
@@ -169,9 +171,10 @@ class MetricSpaceView:
     """Finite net presentation; subclasses supply the metric.
 
     Every net keeps its points' first coordinate (0 for a net without
-    coordinates) in sorted order, so a query at radius r examines only the
-    points within ``_margin(r)`` of the center along it (a
-    :class:`LatticeNet` tables its balls from a stencil instead).
+    coordinates) in sorted order, so a query at radius r of a float point
+    set or a distance matrix examines only the points within ``_margin(r)``
+    of the center along it.  A :class:`LatticeNet` (a ``grid_2d`` grid or a
+    dyadic line i/2^m) tables its balls from integer stencils instead.
     """
 
     y0: int
@@ -236,6 +239,31 @@ class MetricSpaceView:
         for a net that knows no such symmetry."""
         return None
 
+    def _greedy_rows(self, members: np.ndarray, sizes: np.ndarray, sep: float, need: int):
+        """Greedy packing at separation ``sep`` of every row of a ball table, all
+        rows a step at a time: each step takes the first live member of every
+        row and retires it and every live member within ``sep`` of it.  Returns
+        ``(picks, counts)``; a row stops at ``need`` points, and its picks past
+        its count are unspecified."""
+        alive = np.arange(members.shape[1]) < sizes[:, None]
+        picks = np.zeros((len(sizes), need), dtype=np.int64)
+        counts = np.zeros(len(sizes), dtype=np.int64)
+        act = np.arange(len(sizes))
+        for step in range(need):
+            act = act[alive[act].any(axis=1)]
+            if act.size == 0:
+                break
+            live = alive[act]
+            first = live.argmax(axis=1)
+            chosen = members[act, first]
+            picks[act, step] = chosen
+            counts[act] += 1
+            if step + 1 < need:
+                live &= ~self.within(chosen, members[act], sep)
+                live[np.arange(act.size), first] = False
+                alive[act] = live
+        return picks, counts
+
     def ball(self, center: int, r: float) -> np.ndarray:
         """Indices (ascending) of net points within closed distance r."""
         (members, sizes), = self._balls(np.array([center]), r)
@@ -272,6 +300,17 @@ class MetricSpaceView:
 
 
 class EuclideanNet(MetricSpaceView):
+    def __new__(cls, points=None, *args, **kwargs):
+        # the line i/2^m (m <= 26) in index order, shaped (n,) or (n, 1), takes
+        # the lattice path: its float distances |i - j|/2^m are exact, so the
+        # float and the integer test decide every ball alike
+        x = np.asarray(points, dtype=float)
+        den = x.size - 1 if x.ndim in (1, 2) and x.size == len(x) else 0
+        if cls is EuclideanNet and 0 < den <= 1 << 26 and not den & (den - 1) \
+                and np.array_equal(x.reshape(-1, 1), _grid_points(den + 1, 1)):
+            cls = LatticeNet
+        return super().__new__(cls)
+
     def __init__(self, points, y0: int | None = None,
                  min_separation: float | None = None):
         pts = np.asarray(points, dtype=float)
@@ -293,13 +332,25 @@ class EuclideanNet(MetricSpaceView):
     def grid_2d(cls, side: int) -> "LatticeNet":
         """side x side grid on [0,1]^2 (a net of resolution ~1/side), its
         origin at the center, as a :class:`LatticeNet`."""
-        return LatticeNet(side)
+        if side < 2:
+            raise ValueError(f"grid side must be >= 2, got {side}")
+        if side * side > _MAX_POINTS:
+            raise ResourceLimitError(
+                f"grid side {side} gives {side * side} points, over the limit {_MAX_POINTS}")
+        return LatticeNet(_grid_points(side, 2), (side // 2) * side + side // 2, 1.0 / (side - 1))
 
     @classmethod
     def from_csv(cls, path: str, y0: int = 0) -> "EuclideanNet":
         """Load a net from a CSV of coordinates, one point per row."""
         pts = np.loadtxt(path, delimiter=",", ndmin=2)
         return cls(pts, y0=y0)
+
+
+def _grid_points(side: int, d: int) -> np.ndarray:
+    """The grid ``{i/D : 0 <= i <= D}^d``, ``D = side - 1``, in index order
+    (the last coordinate fastest), each coordinate the correctly rounded i/D."""
+    xs = np.arange(side) / (side - 1)
+    return xs[:, None] if d == 1 else np.column_stack([np.repeat(xs, side), np.tile(xs, side)])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -328,28 +379,27 @@ def _stencil(t: int, den: int) -> tuple[int, ...]:
 
 
 class LatticeNet(EuclideanNet):
-    """The side x side grid ``(i/D, j/D)`` on [0,1]^2, ``D = side - 1``,
-    point ``i*side + j``, its origin at the center.
+    """The full grid ``{i/D : 0 <= i <= D}^d`` in index order, ``side = D + 1``
+    points a row: the line (d = 1) or the side x side grid (d = 2, point
+    ``i*side + j`` at (i/D, j/D)).  ``points`` is the caller's float array.
 
     It decides closed balls on the integer coordinates: ``within`` is the
     exact ``dx^2 + dy^2 <= floor((r*D)^2)``, a ball is a stencil of row
     spans clipped at the grid's edge (so centers the edge clips alike have
     translated balls and share one scan), and the global packing sweeps the
-    rows as bitmasks.  ``points`` is a float view, each coordinate the
-    correctly rounded i/D.
+    rows as bitmasks.  On the line a ball is one run of indices, and its
+    greedy packing takes every (w+1)-th member, w the stencil's half-width.
     """
 
-    def __init__(self, side: int):
-        if side < 2:
-            raise ValueError(f"grid side must be >= 2, got {side}")
-        if side * side > _MAX_POINTS:
-            raise ResourceLimitError(
-                f"grid side {side} gives {side * side} points, over the limit {_MAX_POINTS}")
-        self.side, self.den = side, side - 1
-        xs = np.arange(side) / self.den
-        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        super().__init__(pts, y0=(side // 2) * side + side // 2,
-                         min_separation=1.0 / self.den)
+    def __init__(self, points, y0: int | None = None,
+                 min_separation: float | None = None):
+        super().__init__(points, y0, min_separation)
+        n, d = self.points.shape
+        self.d, self.side = d, n if d == 1 else math.isqrt(n)
+        self.den = self.side - 1
+        if d > 2 or self.den < 1 or not np.array_equal(self.points, _grid_points(self.side, d)):
+            raise ValueError("lattice points must be a full grid of side >= 2 "
+                             "in d = 1 or 2, in index order")
 
     def _sq_dists(self, i, idx) -> np.ndarray:
         """Squared distances in units of 1/D, shaped as :meth:`dists_from`."""
@@ -367,18 +417,33 @@ class LatticeNet(EuclideanNet):
     def within(self, i, idx, r: float) -> np.ndarray:
         return self._sq_dists(i, idx) <= _lattice_threshold(r, self.den)
 
+    def _widths(self, r: float) -> tuple[int, ...]:
+        """The stencil of the radius r ball; on the line, its one row dx = 0."""
+        t = _lattice_threshold(r, self.den)
+        if self.d == 2 or t < 0:
+            return _stencil(t, self.den)
+        return (min(math.isqrt(t), self.den),)
+
     def _ball_classes(self, centers: np.ndarray, r: float) -> np.ndarray:
         # a ball is the stencil clipped by the grid's edge, so the clipping,
         # each side's distance to the edge capped at the stencil's reach h,
-        # fixes it up to translation
-        h = len(_stencil(_lattice_threshold(r, self.den), self.den)) - 1
+        # fixes it up to translation (on the line, a = 0 throughout)
+        h = max(self._widths(r), default=0)
         a, b = np.divmod(centers, self.side)
         top, bottom, left, right = (np.minimum(v, h) for v in (a, self.den - a, b, self.den - b))
         return ((top * (h + 1) + bottom) * (h + 1) + left) * (h + 1) + right
 
     def _balls(self, centers: np.ndarray, r: float):
-        side, den = self.side, self.den
-        w = np.array(_stencil(_lattice_threshold(r, den), den), dtype=np.int64)
+        if self.d == 1:  # a run of indices, clipped at the line's two ends
+            h = max(self._widths(r), default=-1)
+            lo = np.maximum(centers - h, 0)
+            sizes = np.maximum(np.minimum(centers + h, self.den) - lo + 1, 0)
+            run = np.arange(sizes.max())
+            step = max(1, _BLOCK_ELEMS // max(run.size, 1))
+            for s in range(0, len(centers), step):
+                yield np.minimum(lo[s:s + step, None] + run, self.den), sizes[s:s + step]
+            return
+        side, w = self.side, np.array(self._widths(r), dtype=np.int64)
         h = len(w) - 1
         w = np.concatenate([w[:0:-1], w])  # dx = -h .. h
         runs = 2 * w + 1
@@ -398,13 +463,21 @@ class LatticeNet(EuclideanNet):
                 = (a * side + b)[inside]
             yield members, sizes
 
+    def _greedy_rows(self, members: np.ndarray, sizes: np.ndarray, sep: float, need: int):
+        if self.d == 2:
+            return super()._greedy_rows(members, sizes, sep, need)
+        step = self._widths(sep)[0] + 1  # each pick retires the next w members
+        return members[:, :1] + step * np.arange(need), np.minimum((sizes - 1) // step + 1, need)
+
     def global_packing_number(self, delta: float) -> int:
         """The greedy packing in index order as a sweep of row bitmasks: each
         row's lowest live point is chosen, and the stencil's row spans
         around it are retired in its row and the rows below."""
-        widths = _stencil(_lattice_threshold(delta, self.den), self.den)
+        widths = self._widths(delta)
         if not any(widths):
             return self.n_points  # every ball is its center alone
+        if self.d == 1:  # the line's one row: every (w+1)-th point
+            return self.den // (widths[0] + 1) + 1
         side = self.side
         spans = [((2 << (2 * w)) - 1, w) for w in widths]
         live = [(1 << side) - 1] * side
@@ -474,32 +547,6 @@ def suggest_origin(view: MetricSpaceView, radius: float = 0.25) -> int:
     return int(np.argmax(np.concatenate(sizes)))
 
 
-def _greedy_rows(view: MetricSpaceView, members: np.ndarray, sizes: np.ndarray,
-                 sep: float, need: int):
-    """Greedy packing at separation ``sep`` of every row of a ball table, all
-    rows a step at a time: each step takes the first live member of every
-    row and retires it and every live member within ``sep`` of it.  Returns
-    ``(picks, counts)``; a row stops at ``need`` points."""
-    alive = np.arange(members.shape[1]) < sizes[:, None]
-    picks = np.zeros((len(sizes), need), dtype=np.int64)
-    counts = np.zeros(len(sizes), dtype=np.int64)
-    act = np.arange(len(sizes))
-    for step in range(need):
-        act = act[alive[act].any(axis=1)]
-        if act.size == 0:
-            break
-        live = alive[act]
-        first = live.argmax(axis=1)
-        chosen = members[act, first]
-        picks[act, step] = chosen
-        counts[act] += 1
-        if step + 1 < need:
-            live &= ~view.within(chosen, members[act], sep)
-            live[np.arange(act.size), first] = False
-            alive[act] = live
-    return picks, counts
-
-
 def _first_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
                   alpha: Fraction, lo: int, hi: int, need_of) -> list:
     """The net kernel: for each center in order, the first scale j in
@@ -533,15 +580,17 @@ def _scan_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
                  alpha: Fraction, lo: int, hi: int, need_of) -> list:
     """:func:`_first_scales` with every center scanned; the list ends after
     the block holding the first center with no scale."""
+    need_at = functools.cache(functools.partial(need_of, alpha))  # once per scale
+    p, q = alpha.as_integer_ratio()
     out = []
     for members, sizes in view._balls(centers, r):
         found = np.full(len(sizes), -1)
         packs = [()] * len(sizes)
+        # need >= 2^floor(alpha*j) exceeds every ball from alpha*j >= size_bits on
         size_bits = int(sizes.max()).bit_length()
-        for j in range(lo, hi + 1):
-            if alpha * j >= size_bits:
-                break  # need >= 2^floor(alpha*j) exceeds every ball, here and beyond
-            need = need_of(alpha, j)
+        top = hi if p <= 0 else min(hi, -(-size_bits * q // p) - 1)
+        for j in range(lo, top + 1):
+            need = need_at(j)
             rows = np.flatnonzero((found < 0) & (sizes >= need))
             if rows.size == 0:
                 continue
@@ -549,7 +598,7 @@ def _scan_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
             if view.min_separation is not None and sep < view.min_separation:
                 picks, counts = members[rows, :need], sizes[rows]
             else:
-                picks, counts = _greedy_rows(view, members[rows], sizes[rows], sep, need)
+                picks, counts = view._greedy_rows(members[rows], sizes[rows], sep, need)
             for row, pick, count in zip(rows.tolist(), picks.tolist(), counts.tolist()):
                 if count >= need:
                     found[row] = j

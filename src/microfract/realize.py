@@ -267,11 +267,13 @@ class VarphiMap:
 
 def _k_bounds(n: int) -> tuple[int, int]:
     # integers strictly between sqrt(n)-1 and n*sqrt(n)+1
-    kmin = isqrt(n)
+    return isqrt(n), _k_max(n)
+
+
+def _k_max(n: int) -> int:
     c = n ** 3
     r = isqrt(c)
-    kmax = r if r * r == c else r + 1
-    return kmin, kmax
+    return r if r * r == c else r + 1
 
 
 def _mix_view(n: int, a, b, target):
@@ -310,7 +312,6 @@ def choose_k(n: int, a, b, target) -> int:
     a, b, t, q, nuq, vq = _mix_view(n, a, b, target)
     if not (nuq or vq):  # a == b
         return 1 + isqrt(n - 1)  # ceil(sqrt(n))
-    kmin, kmax = _k_bounds(n)
     # f(k) increases, so the lower side of the band, f(k) >= 0 or
     # sqrt(n)*(nuq - k*vq) <= 2q(n+k), holds from k* = (sqrt(n)*nuq - 2qn) /
     # (sqrt(n)*vq + 2q) on.  Below, r/2^p is sqrt(n) rounded down to p > log2(n)
@@ -318,6 +319,7 @@ def choose_k(n: int, a, b, target) -> int:
     # the ceiling is ceil(k*) or one less, and one exact step up fixes it.
     p = n.bit_length()
     r = isqrt(n << 2 * p)
+    kmin, kmax = r >> p, _k_max(n)  # r >> p is isqrt(n)
     k = -(((q * n << p + 1) - r * nuq) // (r * vq + (q << p + 1)))
     k = kmin if k < kmin else kmax if k > kmax else k
     f = k * vq - nuq

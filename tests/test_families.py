@@ -269,7 +269,118 @@ def grid_1d(m):
                         min_separation=2.0 ** -m)
 
 
+class FloatNet(EuclideanNet):
+    """A Euclidean net on the float path whatever its points: the lattice
+    detection applies to ``EuclideanNet`` itself, not to its subclasses."""
+
+
+@st.composite
+def dyadic_lines(draw):
+    """The line i/2^m (m = 1-10) as a lattice net and as its float twin:
+    shaped (n,) or (n, 1), any origin, with or without its separation 2^-m."""
+    m = draw(st.integers(1, 10))
+    pts = np.linspace(0.0, 1.0, 2 ** m + 1)
+    if draw(st.booleans()):
+        pts = pts[:, None]
+    kw = {"y0": draw(st.integers(0, 2 ** m)),
+          "min_separation": draw(st.sampled_from([None, 2.0 ** -m]))}
+    net = EuclideanNet(pts, **kw)
+    assert isinstance(net, families.LatticeNet) and net.d == 1
+    return net, FloatNet(pts, **kw)
+
+
 class TestKernelMatchesOracles:
+    @settings(max_examples=120, deadline=None)
+    @given(line=dyadic_lines(),
+           alpha=st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 6),
+                                  Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                                  Fraction(3, 2)]),
+           low=st.sampled_from([Fraction(0), Fraction(1, 8)]),
+           levels=st.integers(1, 3),
+           variant=st.sampled_from(["box", "packing"]),
+           g_mode=st.sampled_from(["strict", "linear"]),
+           j_cap=st.integers(3, 40),
+           bits=st.lists(st.integers(0, 1), min_size=3, max_size=3))
+    def test_dyadic_line_schedules_and_members(self, line, alpha, low, levels, variant,
+                                               g_mode, j_cap, bits):
+        # the oracles run on the float twin of the lattice line
+        net, twin = line
+        alphas = [alpha] * levels
+        want = outcome(lambda: oracle_level_schedule(twin, alphas, variant, levels,
+                                                     j_cap, g_mode))
+        spec = TargetSpec.finite_set([min(low, alpha), alpha])
+        branch = "".join(map(str, bits))
+        if isinstance(want, KSeq):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(families, "_packings", oracle_packings)
+                want_tree = outcome(lambda: family_member(
+                    branch, spec, twin, variant, levels, kseq=want))
+        for block in BLOCKINGS:
+            with blocking(block):
+                got = outcome(lambda: level_schedule(net, alphas, variant, levels,
+                                                     j_cap, g_mode))
+                assert got == want
+                if isinstance(want, KSeq):
+                    tree = outcome(lambda: family_member(
+                        branch, spec, net, variant, levels, kseq=got))
+                    if isinstance(want_tree, tuple):
+                        assert tree == want_tree
+                    else:
+                        assert tree.levels == want_tree.levels
+
+    @settings(max_examples=100, deadline=None)
+    @given(line=dyadic_lines(), k=st.integers(-1, 10),
+           alpha=st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+           need_of=st.sampled_from([floor_pow2, families._ceil_pow2]),
+           lo=st.integers(0, 12), span=st.integers(0, 6))
+    def test_dyadic_line_scans_match_per_center_oracle(self, line, k, alpha, need_of,
+                                                       lo, span):
+        # every center's (scale, ball size, packing), up to the first center
+        # with no scale, against one oracle scan per center of the float twin
+        net, twin = line
+        r = 2.0 ** -k
+        want = []
+        for c in range(net.n_points):
+            members = oracle_ball(twin, c, r)
+            row = (None, len(members), ())
+            for j in range(lo, lo + span + 1):
+                need = need_of(alpha, j)
+                got = oracle_greedy(twin, members, 2.0 ** -j, stop_at=need)
+                if len(got) >= need:
+                    row = (j, len(members), tuple(got[:need]))
+                    break
+            want.append(row)
+            if row[0] is None:
+                break
+        for block in BLOCKINGS:
+            with blocking(block):
+                got = families._first_scales(net, np.arange(net.n_points), r, alpha,
+                                             lo, lo + span, need_of)
+                assert got[:len(want)] == want
+
+    @settings(max_examples=120, deadline=None)
+    @given(line=dyadic_lines(), data=st.data())
+    def test_dyadic_line_ball_greedy_and_global_packing(self, line, data):
+        net, twin = line
+        n = net.n_points
+        k = data.draw(st.integers(-2, 12))
+        # powers of two, and radii between two multiples of the spacing
+        r = data.draw(st.sampled_from([2.0 ** -k, (2 ** k + 0.5) / n, 0.0, 0.3, 1e-300]))
+        center = data.draw(st.integers(0, n - 1))
+        cand = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=25)),
+                        dtype=np.int64)
+        every = np.arange(n)
+        assert np.array_equal(net.within(center, every, r), twin.within(center, every, r))
+        for block in BLOCKINGS:
+            with blocking(block):
+                ball = net.ball(center, r)
+                assert np.array_equal(ball, oracle_ball(twin, center, r))
+                assert ball.dtype == np.int64
+                assert net.greedy_packing_indices(cand, r) == oracle_greedy(twin, cand, r)
+                assert (net.global_packing_number(r)
+                        == oracle_global_packing_number(twin, r))
+                assert suggest_origin(net, r) == oracle_suggest_origin(twin, r)
+
     @settings(max_examples=120, deadline=None)
     @given(net=random_nets(),
            alpha=st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 4),
@@ -504,6 +615,50 @@ class TestLatticeNet:
         assert families._stencil(0, den) == (0,)
         assert cap < np.iinfo(np.int64).max
 
+    def test_dyadic_lines_are_lattice_nets(self):
+        for m in range(1, 22):
+            pts = np.linspace(0.0, 1.0, 2 ** m + 1)
+            net = EuclideanNet(pts, y0=2 ** m, min_separation=2.0 ** -m)
+            assert isinstance(net, families.LatticeNet) and isinstance(net, EuclideanNet)
+            assert (net.d, net.den, net.y0, net.min_separation) == (1, 2 ** m, 2 ** m, 2.0 ** -m)
+            assert np.shares_memory(net.points, pts)
+
+    @pytest.mark.parametrize("points", [
+        np.linspace(0.0, 1.0, 11),
+        np.arange(11) / 10,                                    # D = 10, not a power of two
+        np.linspace(0.0, 1.0, 17)[::-1],                       # reversed
+        np.random.default_rng(0).permutation(np.linspace(0.0, 1.0, 17)),
+        np.linspace(0.0, 1.0, 17)[[0, 1, 1, *range(3, 17)]],   # a repeated point
+        np.linspace(0.0, 1.0, 17)[[*range(16), 15, 16]],       # one point twice, D = 17
+        np.stack([np.linspace(0.0, 1.0, 17)] * 2, axis=1),     # 2-D points
+        np.stack([np.linspace(0.0, 1.0, 17), np.zeros(17)], axis=1),
+        [0.0],
+    ], ids=["linspace-11", "tenths", "reversed", "shuffled", "repeated", "repeated-extra",
+            "2d-diagonal", "2d-axis", "one-point"])
+    def test_other_point_sets_stay_float_nets(self, points):
+        assert type(EuclideanNet(points)) is EuclideanNet
+
+    def test_lattice_net_refuses_other_points(self):
+        with pytest.raises(ValueError, match="full grid"):
+            families.LatticeNet(np.linspace(0.0, 1.0, 17)[::-1])
+        with pytest.raises(ValueError, match="full grid"):
+            families.LatticeNet(np.zeros((8, 3)))
+
+    def test_dyadic_line_from_csv_is_a_lattice_net(self, tmp_path):
+        path = tmp_path / "line.csv"
+        path.write_text("".join(f"{i / 64!r}\n" for i in range(65)))
+        net = EuclideanNet.from_csv(str(path), y0=5)
+        assert isinstance(net, families.LatticeNet) and (net.den, net.y0) == (64, 5)
+
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    def test_line_distances_are_bit_identical(self, m):
+        pts = np.linspace(0.0, 1.0, 2 ** m + 1)
+        net, twin = EuclideanNet(pts), FloatNet(pts)
+        every = np.arange(net.n_points)
+        grid = np.broadcast_to(every, (net.n_points, net.n_points))
+        assert net.dists_from(every, grid).tobytes() == twin.dists_from(every, grid).tobytes()
+        assert [net.dist(0, j) for j in every] == [twin.dist(0, j) for j in every]
+
     @pytest.mark.parametrize("r,inside", [(2.0 ** 1023, True), (math.inf, True),
                                           (-0.5, False), (math.nan, False)])
     def test_extreme_radii(self, r, inside):
@@ -676,8 +831,7 @@ class TestNets:
         net = EuclideanNet([[0.0, 0.0], [0.0, 1.0]])
         net.points[1, 1] = np.nan
         assert net.greedy_packing_indices(np.array([0, 1]), 0.5) == [0, 1]
-        assert families._greedy_rows(net, np.array([[0, 1]]), np.array([2]),
-                                     0.5, 5)[1].tolist() == [2]
+        assert net._greedy_rows(np.array([[0, 1]]), np.array([2]), 0.5, 5)[1].tolist() == [2]
 
     @pytest.mark.parametrize("delta", [0.1, 0.3])
     def test_repeated_candidates_pack_once(self, delta):
