@@ -26,7 +26,7 @@ from .dyadic import from_json, full_cube, kx_set, pack_bits, to_json, zoom
 from .errors import InvariantViolation, OracleError, ResolutionExhausted, ResourceLimitError
 from .families import EuclideanNet, family_dim_report, family_member
 from .percolation import PercField, RetentionSchedule, hawkes_experiment, sample
-from .realize import (TargetSpec, VarphiMap, _k_bounds, build_psi_prefix,
+from .realize import (TargetSpec, VarphiMap, _k_max, build_psi_prefix,
                       realized_density_check)
 from .seq import Word, beatty_balanced, factor, periodic
 
@@ -256,7 +256,7 @@ def _check_coded_length(blocks: int):
     more than MAX_CODED_BITS bits; stops summing once past the limit."""
     total = 0
     for n in range(1, blocks):
-        total += n + _k_bounds(n)[1]
+        total += n + _k_max(n)
         if total > MAX_CODED_BITS:
             raise ResourceLimitError(
                 f"{blocks} blocks may code more than {MAX_CODED_BITS} bits")

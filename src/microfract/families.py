@@ -13,6 +13,13 @@ and distance matrices compare computed float distances with r, and window
 their queries by :func:`_margin`; an exact test for them (a float filter
 with an exact fallback) is not built.
 
+Every net sorts the centers of a query into ball classes, centers whose
+balls are translates (by index difference) of each other's: a lattice net
+by how its edge clips the ball, any other net one class per center.  The
+kernel scans one ball per class, the level schedule reads one row per
+class, and only the centers an extension places get their class's packing,
+shifted to them.
+
 A family member C(x) is grown along a binary word: at each extension the
 construction places a packing of exactly ``floor(2^(phi*l))`` net points at
 separation ``2^-l`` inside a reference ball, where ``phi`` is the branch's
@@ -233,11 +240,11 @@ class MetricSpaceView:
             members[members == n] = 0
             yield members, sizes
 
-    def _ball_classes(self, centers: np.ndarray, r: float) -> np.ndarray | None:
+    def _ball_classes(self, centers: np.ndarray, r: float) -> np.ndarray:
         """Per center, a key shared only by centers whose closed balls of
-        radius r are translates (by index difference) of each other's; None
-        for a net that knows no such symmetry."""
-        return None
+        radius r are translates (by index difference) of each other's; a net
+        that knows no such symmetry gives each center its own key."""
+        return np.arange(len(centers))
 
     def _greedy_rows(self, members: np.ndarray, sizes: np.ndarray, sep: float, need: int):
         """Greedy packing at separation ``sep`` of every row of a ball table, all
@@ -548,42 +555,26 @@ def suggest_origin(view: MetricSpaceView, radius: float = 0.25) -> int:
 
 
 def _first_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
-                  alpha: Fraction, lo: int, hi: int, need_of) -> list:
-    """The net kernel: for each center in order, the first scale j in
-    [lo, hi] at which the greedy packing of the closed ball B(center, r), its
-    members in ascending index order, at separation 2^-j reaches
-    ``need_of(alpha, j)`` points.
+                  alpha: Fraction, lo: int, hi: int, need_of) -> tuple:
+    """The net kernel: the first scale j in [lo, hi] at which the greedy
+    packing of the closed ball B(center, r), its members in ascending index
+    order, at separation 2^-j reaches ``need_of(alpha, j)`` points.
 
-    Returns ``(j, ball size, packing)`` per center, with j None where no
-    scale does; the list ends at or after the first such center.  Centers
-    whose balls are translates share the scan of the first of them, its
-    packing shifted by their index difference.
+    Centers whose balls are translates form one class, scanned once at its
+    first center.  Returns ``(reps, rows, cls)``: each class's first center,
+    in center order; one ``(j, ball size, packing)`` row per class, with j
+    None where no scale does, the rows ending after the block holding the
+    first such class; and each center's class.  A center's packing is its
+    class's shifted by ``center - reps[class]``.
     """
-    keys = view._ball_classes(centers, r)
-    if keys is None:
-        return _scan_scales(view, centers, r, alpha, lo, hi, need_of)
-    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, cls = np.unique(view._ball_classes(centers, r),
+                              return_index=True, return_inverse=True)
     order = np.argsort(first)  # classes by first center
     reps = centers[first[order]]
-    rows = _scan_scales(view, reps, r, alpha, lo, hi, need_of)
-    out = []
-    for c, k in zip(centers.tolist(), np.argsort(order)[cls].tolist()):
-        if k >= len(rows):  # scanning stopped at an earlier center's class
-            break
-        j, size, pack = rows[k]
-        shift = c - int(reps[k])
-        out.append((j, size, tuple(p + shift for p in pack) if shift else pack))
-    return out
-
-
-def _scan_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
-                 alpha: Fraction, lo: int, hi: int, need_of) -> list:
-    """:func:`_first_scales` with every center scanned; the list ends after
-    the block holding the first center with no scale."""
     need_at = functools.cache(functools.partial(need_of, alpha))  # once per scale
     p, q = alpha.as_integer_ratio()
-    out = []
-    for members, sizes in view._balls(centers, r):
+    rows = []
+    for members, sizes in view._balls(reps, r):
         found = np.full(len(sizes), -1)
         packs = [()] * len(sizes)
         # need >= 2^floor(alpha*j) exceeds every ball from alpha*j >= size_bits on
@@ -591,25 +582,25 @@ def _scan_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
         top = hi if p <= 0 else min(hi, -(-size_bits * q // p) - 1)
         for j in range(lo, top + 1):
             need = need_at(j)
-            rows = np.flatnonzero((found < 0) & (sizes >= need))
-            if rows.size == 0:
+            live = np.flatnonzero((found < 0) & (sizes >= need))
+            if live.size == 0:
                 continue
             sep = 2.0 ** -j
             if view.min_separation is not None and sep < view.min_separation:
-                picks, counts = members[rows, :need], sizes[rows]
+                picks, counts = members[live, :need], sizes[live]
             else:
-                picks, counts = view._greedy_rows(members[rows], sizes[rows], sep, need)
-            for row, pick, count in zip(rows.tolist(), picks.tolist(), counts.tolist()):
+                picks, counts = view._greedy_rows(members[live], sizes[live], sep, need)
+            for row, pick, count in zip(live.tolist(), picks.tolist(), counts.tolist()):
                 if count >= need:
                     found[row] = j
                     packs[row] = tuple(pick)
             if (found >= 0).all():
                 break
-        out.extend((None if j < 0 else j, size, pack)
-                   for j, size, pack in zip(found.tolist(), sizes.tolist(), packs))
+        rows.extend((None if j < 0 else j, size, pack)
+                    for j, size, pack in zip(found.tolist(), sizes.tolist(), packs))
         if (found < 0).any():
             break
-    return out
+    return reps, rows, np.argsort(order)[cls]
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +660,9 @@ def level_schedule(view: MetricSpaceView, alphas: Sequence, variant: str,
         g_kn = _g_of(view, ks[n], g_mode)
         alpha = alphas[n]
         centers = np.array([view.y0]) if variant == "box" else np.arange(view.n_points)
-        rows = _first_scales(view, centers, 2.0 ** -g_kn, alpha, g_kn, j_cap, _ceil_pow2)
-        for center, (j, size, _) in zip(centers.tolist(), rows):
+        reps, rows, _ = _first_scales(view, centers, 2.0 ** -g_kn, alpha, g_kn, j_cap,
+                                      _ceil_pow2)
+        for center, (j, size, _) in zip(reps.tolist(), rows):
             if j is None:
                 span = (f"scales [{g_kn}, {j_cap}]" if g_kn <= j_cap
                         else f"required scale start {g_kn} beyond the cap {j_cap}")
@@ -756,16 +748,19 @@ def _packings(view, centers: Sequence[int], radius: float, phi: Fraction,
     """``(ell, packing)`` per center: the first scale in [lo, hi] whose greedy
     packing of the radius ball reaches ``floor(2^(phi*ell))`` points, with
     those points.  ``who`` names the step in the error and may use ``{y}``."""
-    rows = _first_scales(view, np.array(centers, dtype=np.int64), radius, phi,
-                         lo, hi, floor_pow2)
-    for y, (ell, _, _) in zip(centers, rows):
+    arr = np.array(centers, dtype=np.int64)
+    reps, rows, cls = _first_scales(view, arr, radius, phi, lo, hi, floor_pow2)
+    reps = reps.tolist()
+    for y, (ell, _, _) in zip(reps, rows):
         if ell is None:
             raise ResolutionExhausted(
                 f"{who.format(y=y)}: no scale in [{lo}, {hi}] yields a "
                 f"floor(2^({phi}*l))-point packing in the radius {radius} ball "
                 f"at point {y}"
             )
-    return [(ell, pack) for ell, _, pack in rows]
+    # a center's packing is its class's, shifted from the class's first center
+    return [(rows[k][0], tuple(p + y - reps[k] for p in rows[k][2]))
+            for y, k in zip(arr.tolist(), cls.tolist())]
 
 
 def _check_separation(view, centers: Sequence[int], threshold: float, what: str):
@@ -846,6 +841,9 @@ def family_member(x, spec: TargetSpec, view: MetricSpaceView, variant: str,
     if kseq is None:
         kseq = level_schedule(view, [spec.b] * levels, variant, levels,
                               g_mode=g_mode)
+    elif kseq.variant != variant:
+        raise ValueError(f"a {variant} member needs a {variant} schedule, "
+                         f"got a {kseq.variant} schedule")
     vm = varphi or VarphiMap(spec)
     tree = root_tree(view, kseq, variant)
     step = extend_box if variant == "box" else extend_packing

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from hashlib import blake2b
-from math import ceil, log2, sqrt
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -443,11 +443,10 @@ def choose_copies(c_hat: float, cap: int = 64) -> int:
         raise ValueError("survival estimate must lie in (0, 1]")
     if cap < 1:
         raise ValueError(f"copy cap must be >= 1, got {cap}")
-    margin = c_hat / 2
-    i = max(1, ceil(log2(0.5) / log2(1 - margin))) if margin < 1 else 1
-    while (1 - margin) ** i >= 0.5:
+    i = 1
+    while i < cap and (1 - c_hat / 2) ** i >= 0.5:
         i += 1
-    return min(i, cap)
+    return i
 
 
 def select_anchor_cell(k_set: DyadicSet, window_level: int | None = None) -> tuple[int, ...]:

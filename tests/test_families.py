@@ -185,6 +185,41 @@ def oracle_packings(view, centers, radius, phi, lo, hi, who):
     return out
 
 
+def oracle_scans(view, r, alpha, lo, hi, need_of):
+    """Every center's (scale, ball size, packing), up to the first center
+    with no scale, from one oracle scan per center."""
+    want = []
+    for c in range(view.n_points):
+        members = oracle_ball(view, c, r)
+        row = (None, len(members), ())
+        for j in range(lo, hi + 1):
+            need = need_of(alpha, j)
+            got = oracle_greedy(view, members, 2.0 ** -j, stop_at=need)
+            if len(got) >= need:
+                row = (j, len(members), tuple(got[:need]))
+                break
+        want.append(row)
+        if row[0] is None:
+            break
+    return want
+
+
+def kernel_scans(net, r, alpha, lo, hi, need_of):
+    """The kernel's ``(reps, rows, cls)`` on every center, expanded to the
+    oracle's per-center list: each center takes its class's row, the packing
+    shifted from the class's first center, up to the first center whose
+    class was not scanned."""
+    reps, rows, cls = families._first_scales(net, np.arange(net.n_points), r, alpha,
+                                             lo, hi, need_of)
+    out = []
+    for c, k in enumerate(cls.tolist()):
+        if k >= len(rows):
+            break
+        j, size, pack = rows[k]
+        out.append((j, size, tuple(p + c - int(reps[k]) for p in pack)))
+    return out
+
+
 def oracle_suggest_origin(view, radius=0.25):
     best, best_n = 0, -1
     for i in range(view.n_points):
@@ -339,23 +374,10 @@ class TestKernelMatchesOracles:
         # with no scale, against one oracle scan per center of the float twin
         net, twin = line
         r = 2.0 ** -k
-        want = []
-        for c in range(net.n_points):
-            members = oracle_ball(twin, c, r)
-            row = (None, len(members), ())
-            for j in range(lo, lo + span + 1):
-                need = need_of(alpha, j)
-                got = oracle_greedy(twin, members, 2.0 ** -j, stop_at=need)
-                if len(got) >= need:
-                    row = (j, len(members), tuple(got[:need]))
-                    break
-            want.append(row)
-            if row[0] is None:
-                break
+        want = oracle_scans(twin, r, alpha, lo, lo + span, need_of)
         for block in BLOCKINGS:
             with blocking(block):
-                got = families._first_scales(net, np.arange(net.n_points), r, alpha,
-                                             lo, lo + span, need_of)
+                got = kernel_scans(net, r, alpha, lo, lo + span, need_of)
                 assert got[:len(want)] == want
 
     @settings(max_examples=120, deadline=None)
@@ -416,6 +438,20 @@ class TestKernelMatchesOracles:
                         assert tree == want_tree
                     else:
                         assert tree.levels == want_tree.levels
+
+    @settings(max_examples=120, deadline=None)
+    @given(net=random_nets(), k=st.integers(-2, 8),
+           alpha=st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+           need_of=st.sampled_from([floor_pow2, families._ceil_pow2]),
+           lo=st.integers(0, 8), span=st.integers(0, 6))
+    def test_scans_match_per_center_oracle(self, net, k, alpha, need_of, lo, span):
+        # float and matrix nets: every center is its own ball class
+        r = 2.0 ** -k
+        want = oracle_scans(net, r, alpha, lo, lo + span, need_of)
+        for block in BLOCKINGS:
+            with blocking(block):
+                got = kernel_scans(net, r, alpha, lo, lo + span, need_of)
+                assert got[:len(want)] == want
 
     @settings(max_examples=120, deadline=None)
     @given(net=random_nets(), data=st.data())
@@ -531,24 +567,48 @@ class TestLatticeNet:
         # with no scale, against one oracle scan per center
         net = EuclideanNet.grid_2d(side)
         r = 2.0 ** -k
-        want = []
-        for c in range(net.n_points):
-            members = oracle_ball(net, c, r)
-            row = (None, len(members), ())
-            for j in range(lo, lo + span + 1):
-                need = need_of(alpha, j)
-                got = oracle_greedy(net, members, 2.0 ** -j, stop_at=need)
-                if len(got) >= need:
-                    row = (j, len(members), tuple(got[:need]))
-                    break
-            want.append(row)
-            if row[0] is None:
-                break
+        want = oracle_scans(net, r, alpha, lo, lo + span, need_of)
         for block in BLOCKINGS:
             with blocking(block):
-                got = families._first_scales(net, np.arange(net.n_points), r, alpha,
-                                             lo, lo + span, need_of)
+                got = kernel_scans(net, r, alpha, lo, lo + span, need_of)
                 assert got[:len(want)] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(2, 16), k=st.integers(-1, 5),
+           phi=st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+           lo=st.integers(0, 4), span=st.integers(0, 6), data=st.data())
+    def test_extension_packings_match_per_center_oracle(self, side, k, phi, lo, span, data):
+        # the centers an extension places, in any order: each gets its class's
+        # packing shifted to it, and an error names the first failing center
+        net = EuclideanNet.grid_2d(side)
+        centers = data.draw(st.lists(st.integers(0, net.n_points - 1), min_size=1,
+                                     max_size=40, unique=True))
+        args = (net, centers, 2.0 ** -k, phi, lo, lo + span, "extension at {y}")
+        want = outcome(lambda: oracle_packings(*args))
+        for block in BLOCKINGS:
+            with blocking(block):
+                assert outcome(lambda: families._packings(*args)) == want
+
+    def test_first_failing_class_is_reported_at_its_first_center(self):
+        # the corner 399 is the first center with no witness, and it opens
+        # the 361st ball class
+        net = EuclideanNet.grid_2d(20)
+        args = ([Fraction(4, 3)], "packing", 1, 4, "linear")
+        want = outcome(lambda: oracle_level_schedule(net, *args))
+        assert "at point 399 (83 net points inside)" in want[1]
+        for block in BLOCKINGS:
+            with blocking(block):
+                assert outcome(lambda: level_schedule(net, *args)) == want
+
+    def test_first_failing_extension_center_is_reported(self):
+        # centers 1 and 2 share a ball class and find a packing; 0 does not
+        net = EuclideanNet.grid_2d(4)
+        args = (net, [1, 2, 0], 0.5, Fraction(1), 1, 1, "extension at {y}")
+        want = outcome(lambda: oracle_packings(*args))
+        assert want[1].startswith("extension at 0: ")
+        for block in BLOCKINGS:
+            with blocking(block):
+                assert outcome(lambda: families._packings(*args)) == want
 
     @settings(max_examples=100, deadline=None)
     @given(side=st.integers(2, 16),
@@ -978,6 +1038,16 @@ class TestExtensions:
         b = family_member("010", spec, net, "box", 3, kseq=ks)
         assert a.centers == b.centers
 
+
+    @pytest.mark.parametrize("schedule,member", [("box", "packing"), ("packing", "box")])
+    def test_member_refuses_other_variants_schedule(self, schedule, member):
+        # the variants' schedules leave different gaps (3 and 2) below k_{n+1}
+        net = grid_1d(8)
+        ks = level_schedule(net, [Fraction(1, 4)] * 2, schedule, 2, g_mode="linear")
+        spec = TargetSpec.finite_set([Fraction(1, 4)])
+        with pytest.raises(ValueError, match=f"a {member} member needs a {member} "
+                                             f"schedule, got a {schedule} schedule"):
+            family_member("01", spec, net, member, 2, kseq=ks)
 
 class TestFamilyProperties:
     def test_report_all_green_box(self):

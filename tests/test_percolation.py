@@ -3,7 +3,7 @@ import itertools
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import sqrt
+from math import nextafter, sqrt
 
 import numpy as np
 import pytest
@@ -340,6 +340,14 @@ class TestHelpers:
         i = choose_copies(0.5)
         assert (1 - 0.5) ** i < 0.5 and (1 - 0.25) ** i < 0.5
         assert choose_copies(0.01, cap=16) == 16
+        # estimates where (1 - c/2)^k is 1/2 up to rounding, and one ulp either
+        # side: the smallest i with (1 - c/2)^i < 1/2, or the cap
+        for k in range(1, 64):
+            edge = 2 * (1 - 2 ** (-1 / k))
+            for c in (nextafter(edge, 0), edge, nextafter(edge, 1)):
+                i = choose_copies(c)
+                assert i == 64 or (1 - c / 2) ** i < 0.5
+                assert i == 1 or (1 - c / 2) ** (i - 1) >= 0.5
 
     def test_choose_copies_refuses_cap_below_one(self):
         assert choose_copies(0.5, cap=1) == 1
