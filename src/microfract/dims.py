@@ -346,7 +346,7 @@ def packing_counts(points, levels: Sequence[int],
     (inclusion-maximal, a lower bound) beyond; the flag records which.
     """
     return _series("packing", points, levels, dist, _packing_number,
-                   MetricSpaceView.global_packing_number, 1)
+                   lambda view, r: view.global_packing_number(r), 1)
 
 
 def chain_check(n_series: CountSeries, p_series: CountSeries) -> bool:

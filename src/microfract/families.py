@@ -27,6 +27,9 @@ target value and ``l`` is the smallest admissible scale of the level
 schedule.  The box variant packs inside the origin ball and keeps every
 older center (the origin is swapped into each new packing); the packing
 variant refines every ball separately and keeps only the new points.
+The variant lives in the schedule (``KSeq.variant``); :func:`root_tree`
+and the extensions refuse the other one.  :func:`family_dim_report`
+re-checks a tree in one pass, its nesting radius an exact ``Fraction``.
 Packing sizes, witness counts and percolation's survival thresholds all
 compare integers with ``2^(p/q)`` through one exact test, behind
 :func:`floor_pow2` and :func:`count_reaches_pow2`.
@@ -211,9 +214,10 @@ class MetricSpaceView:
     def dist(self, i: int, j: int) -> float:
         return float(self.dists_from(i, np.array([j]))[0])
 
-    def within(self, i, idx, r: float) -> np.ndarray:
+    def within(self, i, idx, r: float | Fraction) -> np.ndarray:
         """Whether the points idx lie in the closed ball B(i, r), shaped as
-        :meth:`dists_from`; here the computed distance compared with r."""
+        :meth:`dists_from`; here the computed distance compared with r.  A
+        ``Fraction`` r is compared exactly, by every net."""
         return self.dists_from(i, idx) <= r
 
     def _balls(self, centers: np.ndarray, r: float):
@@ -361,7 +365,7 @@ def _grid_points(side: int, d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _lattice_threshold(r: float, den: int) -> int:
+def _lattice_threshold(r: float | Fraction, den: int) -> int:
     """The integer T with ``dx^2 + dy^2 <= T`` exactly when the offset
     (dx, dy)/den lies within r: ``floor((r*den)^2)``, as ``Fraction(r)`` is
     exact; -1 for a negative or NaN r; at most ``2*den^2 + 1``, past every
@@ -421,7 +425,7 @@ class LatticeNet(EuclideanNet):
         # power of two: sqrt and the division each round once
         return np.sqrt(self._sq_dists(i, idx)) / self.den
 
-    def within(self, i, idx, r: float) -> np.ndarray:
+    def within(self, i, idx, r: float | Fraction) -> np.ndarray:
         return self._sq_dists(i, idx) <= _lattice_threshold(r, self.den)
 
     def _widths(self, r: float) -> tuple[int, ...]:
@@ -607,6 +611,11 @@ def _first_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
 # Level schedule
 # ---------------------------------------------------------------------------
 
+# k_{n+1} = j + gap over the witness scale j: the box variant's origin swap
+# halves its packing's separation, so it leaves one more scale than packing.
+_GAP = {"box": 3, "packing": 2}
+
+
 @dataclass(frozen=True)
 class KSeq:
     """Radius exponents ``k_0 < k_1 < ...`` with their witnesses.
@@ -645,7 +654,7 @@ def level_schedule(view: MetricSpaceView, alphas: Sequence, variant: str,
     when no admissible scale exists below ``j_cap`` -- on finite nets with
     the strict level function this is the norm beyond a couple of levels.
     """
-    if variant not in ("box", "packing"):
+    if variant not in _GAP:
         raise ValueError(f"unknown variant {variant!r}")
     if g_mode not in ("strict", "linear"):
         raise ValueError(f"unknown g_mode {g_mode!r}")
@@ -654,7 +663,6 @@ def level_schedule(view: MetricSpaceView, alphas: Sequence, variant: str,
         levels = len(alphas)
     if len(alphas) < levels:
         raise ValueError("need one alpha per level")
-    gap = 3 if variant == "box" else 2
     ks, gs, js = [0], [], []
     for n in range(levels):
         g_kn = _g_of(view, ks[n], g_mode)
@@ -673,7 +681,7 @@ def level_schedule(view: MetricSpaceView, alphas: Sequence, variant: str,
                     level=n + 1,
                 )
         j_needed = max(j for j, _, _ in rows)
-        ks.append(j_needed + gap)
+        ks.append(j_needed + _GAP[variant])
         gs.append(g_kn)
         js.append(j_needed)
     return KSeq(variant, alphas, tuple(ks), tuple(gs), tuple(js), g_mode)
@@ -703,9 +711,12 @@ class BallLevel:
 class BallTree:
     view: MetricSpaceView
     kseq: KSeq
-    variant: str
     prefix: str
     levels: tuple[BallLevel, ...]
+
+    @property
+    def variant(self) -> str:
+        return self.kseq.variant
 
     @property
     def centers(self) -> tuple[int, ...]:
@@ -722,8 +733,11 @@ class BallTree:
 
 
 def root_tree(view: MetricSpaceView, kseq: KSeq, variant: str) -> BallTree:
-    lvl = BallLevel(0, kseq.ks[0], (view.y0,), ())
-    return BallTree(view, kseq, variant, "", (lvl,))
+    """The one-ball tree at the origin; the variant is the schedule's."""
+    if kseq.variant != variant:
+        raise ValueError(f"a {variant} member needs a {variant} schedule, "
+                         f"got a {kseq.variant} schedule")
+    return BallTree(view, kseq, "", (BallLevel(0, kseq.ks[0], (view.y0,), ()),))
 
 
 def _swap_in_origin(view: MetricSpaceView, s: list[int], ell: int) -> list[int]:
@@ -765,7 +779,7 @@ def _packings(view, centers: Sequence[int], radius: float, phi: Fraction,
 
 def _check_separation(view, centers: Sequence[int], threshold: float, what: str):
     arr = np.array(centers, dtype=np.int64)
-    for i in range(len(arr)):
+    for i in range(len(arr) - 1):  # the last center has no later one to meet
         close = np.flatnonzero(view.within(int(arr[i]), arr[i + 1:], threshold))
         if close.size:
             j = int(close[0]) + i + 1
@@ -775,18 +789,25 @@ def _check_separation(view, centers: Sequence[int], threshold: float, what: str)
             )
 
 
+def _next_level(tree: BallTree, variant: str, varphi) -> tuple[int, Fraction, int, int]:
+    """``(n, phi, g(k_n), k_{n+1})`` for the extension of a ``variant`` tree
+    of prefix length n, ``phi = min(varphi, alpha_n)``; refuses a tree of
+    the other variant or one at the end of its schedule."""
+    if tree.variant != variant:
+        raise ValueError(f"a {variant} extension needs a {variant} tree, "
+                         f"got a {tree.variant} tree")
+    n, kseq = len(tree.prefix), tree.kseq
+    if n >= kseq.levels:
+        raise ResolutionExhausted(f"schedule has only {kseq.levels} levels")
+    return n, min(Fraction(varphi), kseq.alphas[n]), kseq.g_values[n], kseq.ks[n + 1]
+
+
 def extend_box(tree: BallTree, c: int, varphi) -> BallTree:
     """One box-variant extension: pack inside the origin ball, swap the
     origin in at halved separation, keep all older centers."""
-    n = len(tree.prefix)
-    kseq = tree.kseq
-    if n >= kseq.levels:
-        raise ResolutionExhausted(f"schedule has only {kseq.levels} levels")
-    phi = min(Fraction(varphi), kseq.alphas[n])
-    g_kn = kseq.g_values[n]
-    k_next = kseq.ks[n + 1]
+    n, phi, g_kn, k_next = _next_level(tree, "box", varphi)
     (ell, s), = _packings(tree.view, [tree.view.y0], 2.0 ** -g_kn, phi,
-                          g_kn, k_next - 3, "box extension")
+                          g_kn, k_next - _GAP["box"], "box extension")
     t_set = _swap_in_origin(tree.view, s, ell)
     _check_separation(tree.view, t_set, 2.0 ** -(ell + 1), "swapped packing")
     old = tree.centers
@@ -797,34 +818,22 @@ def extend_box(tree: BallTree, c: int, varphi) -> BallTree:
     _check_separation(tree.view, centers, 2.0 ** (2 - k_next), "box level")
     rec = PackingRecord(tree.view.y0, ell, tuple(t_set), phi)
     lvl = BallLevel(n + 1, k_next, centers, (rec,))
-    return BallTree(tree.view, kseq, tree.variant, tree.prefix + str(c),
-                    tree.levels + (lvl,))
+    return BallTree(tree.view, tree.kseq, tree.prefix + str(c), tree.levels + (lvl,))
 
 
 def extend_packing(tree: BallTree, c: int, varphi) -> BallTree:
     """One packing-variant extension: refine every ball with its own scale;
     old centers are replaced by the union of the per-ball packings."""
-    n = len(tree.prefix)
-    kseq = tree.kseq
-    if n >= kseq.levels:
-        raise ResolutionExhausted(f"schedule has only {kseq.levels} levels")
-    phi = min(Fraction(varphi), kseq.alphas[n])
-    g_kn = kseq.g_values[n]
-    k_next = kseq.ks[n + 1]
-    records = []
-    union: list[int] = []
+    n, phi, g_kn, k_next = _next_level(tree, "packing", varphi)
     found = _packings(tree.view, tree.centers, 2.0 ** -g_kn, phi, g_kn,
-                      k_next - 2, "packing extension at {y}")
-    for y, (ell, s) in zip(tree.centers, found):
-        records.append(PackingRecord(y, ell, s, phi))
-        union.extend(s)
-    centers = tuple(sorted(set(union)))
+                      k_next - _GAP["packing"], "packing extension at {y}")
+    records = tuple(PackingRecord(y, ell, s, phi) for y, (ell, s) in zip(tree.centers, found))
+    centers = tuple(sorted({p for r in records for p in r.selected}))
     if len(centers) != sum(len(r.selected) for r in records):
         raise InvariantViolation("packing balls overlapped; union lost points")
     _check_separation(tree.view, centers, 2.0 ** (2 - k_next), "packing level")
-    lvl = BallLevel(n + 1, k_next, centers, tuple(records))
-    return BallTree(tree.view, kseq, tree.variant, tree.prefix + str(c),
-                    tree.levels + (lvl,))
+    lvl = BallLevel(n + 1, k_next, centers, records)
+    return BallTree(tree.view, tree.kseq, tree.prefix + str(c), tree.levels + (lvl,))
 
 
 def family_member(x, spec: TargetSpec, view: MetricSpaceView, variant: str,
@@ -841,9 +850,6 @@ def family_member(x, spec: TargetSpec, view: MetricSpaceView, variant: str,
     if kseq is None:
         kseq = level_schedule(view, [spec.b] * levels, variant, levels,
                               g_mode=g_mode)
-    elif kseq.variant != variant:
-        raise ValueError(f"a {variant} member needs a {variant} schedule, "
-                         f"got a {kseq.variant} schedule")
     vm = varphi or VarphiMap(spec)
     tree = root_tree(view, kseq, variant)
     step = extend_box if variant == "box" else extend_packing
@@ -870,78 +876,46 @@ class FamilyDimReport:
 
 
 def family_dim_report(tree: BallTree) -> FamilyDimReport:
-    """Re-verify everything the construction stored: exact packing sizes,
-    separations, ball nesting, the origin anchor, and the covering chain at
-    the realized scales."""
-    view, kseq, variant = tree.view, tree.kseq, tree.variant
-    notes = []
-    cards = True
-    seps = True
-    for lvl in tree.levels[1:]:
-        for rec in lvl.records:
-            want = floor_pow2(rec.phi, rec.ell)
-            if len(rec.selected) != want:
-                cards = False
-                notes.append(f"level {lvl.n}: packing size {len(rec.selected)} != {want}")
-            sep = 2.0 ** -(rec.ell + 1) if variant == "box" else 2.0 ** -rec.ell
-            try:
-                _check_separation(view, rec.selected, sep, f"record at level {lvl.n}")
-            except InvariantViolation as e:
-                seps = False
-                notes.append(str(e))
+    """Re-verify everything the construction stored in one pass over the
+    (parent level, level) pairs: each record's size, separation, covering
+    chain and (packing variant) parent ball; each level's separation,
+    nesting and its parent level's count bound.  Notes come grouped by flag."""
+    view, kseq, box = tree.view, tree.kseq, tree.variant == "box"
+    cards, seps, nest, chain, rich = [], [], [], [], []
+    count_ok = True
+
+    def separated(centers, threshold: float, what: str):
         try:
-            _check_separation(view, lvl.centers, 2.0 ** (2 - lvl.k), f"level {lvl.n}")
+            _check_separation(view, centers, threshold, what)
         except InvariantViolation as e:
-            seps = False
-            notes.append(str(e))
+            seps.append(str(e))
 
-    nested = True
-    for prev, cur in zip(tree.levels, tree.levels[1:]):
-        # B(y, r_cur) lies in B(p, r_prev) when d(y, p) <= r_prev - r_cur, a
-        # difference of powers of two: exact while the exponents differ by
-        # at most 53
-        gap = 2.0 ** -prev.k - 2.0 ** -cur.k
-        prev_arr = np.array(prev.centers, dtype=np.int64)
-        for y in cur.centers:
-            if not view.within(int(y), prev_arr, gap).any():
-                nested = False
-                notes.append(f"center {y} at level {cur.n} escapes every parent ball")
-
-    anchored = all(view.y0 in lvl.centers for lvl in tree.levels) \
-        if variant == "box" else True
-
-    count_ok = all(
-        len(tree.levels[n].centers) <= kseq.g_values[n]
-        for n in range(min(len(tree.levels) - 1, len(kseq.g_values)))
-    )
-
-    chain_ok = True
-    for lvl in tree.levels[1:]:
-        pts = np.array(lvl.centers, dtype=np.int64)
-        for rec in lvl.records:
-            ell = rec.ell
-            # a greedy 2^-ell packing of the centers covers them with balls
-            # of that radius
-            n_balls = len(view.greedy_packing_indices(pts, 2.0 ** -ell))
-            bound = ell + floor_pow2(rec.phi, ell) + 1
-            if n_balls > bound:
-                chain_ok = False
-                notes.append(
-                    f"level {lvl.n}: N_{ell}(C) ~ {n_balls} exceeds l + 2^(phi*l)"
-                )
-
-    rich = True
-    if variant == "packing":
-        for lvl in tree.levels[1:]:
-            for rec in lvl.records:
-                inside = view.within(rec.parent_center, np.array(rec.selected, dtype=np.int64),
-                                     2.0 ** -kseq.g_values[lvl.n - 1])
-                if not inside.all():
-                    rich = False
-                    notes.append(f"level {lvl.n}: packing leaks its parent ball")
-
-    return FamilyDimReport(cards, seps, nested, anchored, chain_ok,
-                           count_ok, rich, kseq.g_mode, tuple(notes))
+    for n, (prev, cur) in enumerate(zip(tree.levels, tree.levels[1:])):
+        count_ok &= len(prev.centers) <= kseq.g_values[n]
+        pts = np.array(cur.centers, dtype=np.int64)
+        # a greedy 2^-l packing of the centers covers them with balls of that radius
+        n_balls = {ell: len(view.greedy_packing_indices(pts, 2.0 ** -ell))
+                   for ell in {rec.ell for rec in cur.records}}
+        for rec in cur.records:
+            ell, size = rec.ell, floor_pow2(rec.phi, rec.ell)
+            if len(rec.selected) != size:
+                cards.append(f"level {cur.n}: packing size {len(rec.selected)} != {size}")
+            # the box variant's origin swap halves the separation
+            separated(rec.selected, 2.0 ** -(ell + box), f"record at level {cur.n}")
+            if n_balls[ell] > ell + size + 1:
+                chain.append(f"level {cur.n}: N_{ell}(C) ~ {n_balls[ell]} exceeds l + 2^(phi*l)")
+            if not (box or view.within(rec.parent_center, np.array(rec.selected, dtype=np.int64),
+                                       2.0 ** -kseq.g_values[n]).all()):
+                rich.append(f"level {cur.n}: packing leaks its parent ball")
+        separated(cur.centers, 2.0 ** (2 - cur.k), f"level {cur.n}")
+        # B(y, r_cur) lies in B(p, r_prev) when d(y, p) <= r_prev - r_cur
+        radius = Fraction(1, 1 << prev.k) - Fraction(1, 1 << cur.k)
+        parents = np.array(prev.centers, dtype=np.int64)
+        nest += [f"center {y} at level {cur.n} escapes every parent ball"
+                 for y in cur.centers if not view.within(y, parents, radius).any()]
+    anchored = not box or all(view.y0 in lvl.centers for lvl in tree.levels)
+    return FamilyDimReport(not cards, not seps, not nest, anchored, not chain, count_ok,
+                           not rich, kseq.g_mode, (*cards, *seps, *nest, *chain, *rich))
 
 
 # ---------------------------------------------------------------------------

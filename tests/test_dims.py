@@ -6,6 +6,7 @@ import operator
 import signal
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -464,6 +465,20 @@ class TestNetViewOracles:
         assert greedy_packing([], 0.5) == greedy_cover([], 0.5) == []
         assert exact_packing_number([], 0.5) == exact_covering_number([], 0.5) == 0
         assert packing_counts([], [0, 1]).entries == ((0, 1), (1, 1))
+
+    def test_greedy_packing_counts_use_the_lattice_closed_form(self):
+        class FloatNet(EuclideanNet):
+            """The same points on the float path (a subclass is not detected)."""
+
+        pts = [(i / 2 ** 7,) for i in range(2 ** 7 + 1)]
+        twin = FloatNet(pts)
+        want = [(n, twin.global_packing_number(2.0 ** -n)) for n in range(8)]
+        # the dyadic line's view is a lattice net, which counts without a greedy scan
+        with mock.patch.object(EuclideanNet, "greedy_packing_indices",
+                               side_effect=AssertionError("greedy scan")):
+            series = packing_counts(pts, range(8))
+        assert series.entries == tuple(want)
+        assert not series.exact
 
 
 @contextlib.contextmanager

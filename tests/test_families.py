@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -18,6 +20,7 @@ from microfract.dims import exact_packing_number
 from microfract.dyadic import kx_set, product
 from microfract.errors import ResolutionExhausted, ResourceLimitError
 from microfract.families import (
+    BallLevel,
     EuclideanNet,
     KSeq,
     MatrixNet,
@@ -1049,6 +1052,74 @@ class TestExtensions:
                                              f"schedule, got a {schedule} schedule"):
             family_member("01", spec, net, member, 2, kseq=ks)
 
+    @pytest.mark.parametrize("schedule,tree", [("box", "packing"), ("packing", "box")])
+    def test_root_and_extensions_refuse_other_variant(self, schedule, tree):
+        # each pairing used to build a member whose report was all green
+        extend = {"box": extend_box, "packing": extend_packing}
+        for m in (8, 9, 10):
+            net = EuclideanNet(np.linspace(0, 1, 2 ** m + 1))
+            ks = level_schedule(net, [Fraction(1, 8)] * 2, schedule, 2, g_mode="linear")
+            with pytest.raises(ValueError, match=f"a {tree} member needs a {tree} "
+                                                 f"schedule, got a {schedule} schedule"):
+                root_tree(net, ks, tree)
+            with pytest.raises(ValueError, match=f"a {tree} extension needs a {tree} "
+                                                 f"tree, got a {schedule} tree"):
+                extend[tree](root_tree(net, ks, schedule), 1, Fraction(1, 8))
+
+
+REPORT_FLAGS = ("cardinalities_exact", "separations_ok", "nested", "origin_anchored",
+                "upper_chain_ok", "count_bound_ok", "local_richness_ok")
+
+
+@functools.cache
+def green_members():
+    """A two-level packing member on the dyadic line i/2^12, whose level 2
+    holds the 64 points of one record at scale 12, and the three-level box
+    member of the telescope net."""
+    line = EuclideanNet(np.linspace(0, 1, 2 ** 12 + 1))
+    packing = family_member("11", TargetSpec.finite_set([Fraction(1, 2)]), line, "packing", 2,
+                            g_mode="linear")
+    net = telescope_net(3)
+    ks = level_schedule(net, [Fraction(1, 8)] * 3, "box", 3, g_mode="linear")
+    box = family_member("101", TargetSpec.finite_set([Fraction(1, 8)]), net, "box", 3, kseq=ks)
+    return packing, box
+
+
+def with_level(tree, n, **changes):
+    lvl = dataclasses.replace(tree.levels[n], **changes)
+    return dataclasses.replace(tree, levels=tree.levels[:n] + (lvl,) + tree.levels[n + 1:])
+
+
+def with_record(tree, **changes):
+    """The tree with the first record of its deepest level changed."""
+    n = len(tree.levels) - 1
+    return with_level(tree, n, records=(dataclasses.replace(tree.levels[n].records[0], **changes),))
+
+
+def last_selected(tree):
+    return tree.levels[-1].records[0].selected
+
+
+# one corruption of a green member per report flag: the flag, the start of
+# its note (None for the two flags that record none) and the broken tree
+CORRUPTIONS = [
+    ("cardinalities_exact", "level 2: packing size 63 != 64",
+     lambda p, b: with_record(p, selected=last_selected(p)[:-1])),
+    ("separations_ok", "record at level 2: centers 0 and 1 are",
+     lambda p, b: with_record(p, selected=(0, 1) + last_selected(p)[2:])),
+    ("nested", "center 4096 at level 2 escapes every parent ball",
+     lambda p, b: with_level(p, 2, centers=p.levels[2].centers[:-1] + (4096,))),
+    ("origin_anchored", None,
+     lambda p, b: with_level(b, 3, centers=b.levels[3].centers[1:])),
+    ("upper_chain_ok", "level 2: N_12(C) ~ 64 exceeds l + 2^(phi*l)",
+     lambda p, b: with_record(p, phi=Fraction(0), selected=last_selected(p)[:1])),
+    ("count_bound_ok", None,
+     lambda p, b: with_level(p, 0, centers=(0, 4096))),
+    ("local_richness_ok", "level 2: packing leaks its parent ball",
+     lambda p, b: with_record(p, parent_center=4096)),
+]
+
+
 class TestFamilyProperties:
     def test_report_all_green_box(self):
         net = telescope_net(3)
@@ -1072,6 +1143,31 @@ class TestFamilyProperties:
         rep = family_dim_report(tree)
         assert rep.cardinalities_exact and rep.separations_ok and rep.nested
         assert rep.local_richness_ok
+
+    @pytest.mark.parametrize("flag,note,corrupt", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+    def test_broken_tree_turns_its_flag_false(self, flag, note, corrupt):
+        assert all(getattr(family_dim_report(t), f) for t in green_members() for f in REPORT_FLAGS)
+        rep = family_dim_report(corrupt(*green_members()))
+        assert [f for f in REPORT_FLAGS if not getattr(rep, f)] == [flag]
+        if note is None:
+            assert rep.details == ()
+        else:
+            assert len(rep.details) == 1 and rep.details[0].startswith(note)
+
+    @pytest.mark.parametrize("make", [EuclideanNet, FloatNet,
+                                      lambda x: MatrixNet(abs(x[:, None] - x))])
+    def test_nesting_radius_is_exact_past_53_exponents(self, make):
+        # a child ball of radius 2^-60 nests in its parent's of radius 1/2
+        # within 1/2 - 2^-60, which a float subtraction rounds to 1/2
+        net = make(np.linspace(0, 1, 9))
+        ks = KSeq("packing", (Fraction(0),), (1, 60), (2,), (2,), "linear")
+        for child, nested in ((4, False), (3, True)):
+            levels = (BallLevel(0, 1, (0,), ()), BallLevel(1, 60, (child,), ()))
+            tree = dataclasses.replace(root_tree(net, ks, "packing"), prefix="0", levels=levels)
+            rep = family_dim_report(tree)
+            assert rep.nested is nested
+            assert rep.details == (() if nested else
+                                   (f"center {child} at level 1 escapes every parent ball",))
 
     def test_continuity_modulus_exhaustive_depth3(self):
         levels = 3
