@@ -26,6 +26,7 @@ coincide, and an interval sweep computes them.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Set
 from contextlib import suppress
 from dataclasses import dataclass
@@ -601,7 +602,53 @@ def to_json(a: DyadicSet) -> str:
     return '{"d":%d,"depth":%d,"leaves":[%s]}' % (a.d, a.depth, leaves)
 
 
+# The header to_json writes, with d and depth of at most two digits.
+_JSON_HEAD = re.compile(r'\{"d":([1-9][0-9]?),"depth":(0|[1-9][0-9]?),"leaves":\[')
+
+
+def _canonical_cells(body: bytes, d: int) -> np.ndarray | None:
+    """The cells of the rows ``body`` that to_json writes between the
+    header and the closing ``]}``, or None where ``body`` is not such rows.
+
+    Those rows are ``[n,..,n]`` (d numerals) joined by ``,``; a numeral is
+    1 to 18 digits (so below 2^63) with no leading zero.  Checked by byte
+    classes, with no backtracking state per row: the non-digits must spell
+    the rows' brackets and commas, and the digit runs between them must be
+    numerals after ``[`` and inner commas and empty elsewhere."""
+    if not body:
+        return np.empty((0, d), np.int64)
+    b = np.frombuffer(body, np.uint8)
+    seps = np.flatnonzero((b - ord("0")) > 9)  # the uint8 difference wraps
+    rows, rest = divmod(seps.size + 1, d + 2)
+    if rest or seps[0] != 0 or seps[-1] != b.size - 1:
+        return None
+    row = np.frombuffer(b"[" + b"," * (d - 1) + b"],", np.uint8)
+    digits = np.diff(seps) - 1  # the run after each separator but the last
+    numeral = np.tile(np.arange(d + 2) < d, rows)[:-2]
+    if not (np.array_equal(b[seps], np.tile(row, rows)[:-1])
+            and np.array_equal(digits > 0, numeral) and digits.max() <= 18):
+        return None
+    if ((b[seps[:-1] + 1] == ord("0")) & (digits > 1)).any():  # leading zero
+        return None
+    return np.fromstring(body.translate(None, b"[]"), np.int64, sep=",").reshape(-1, d)
+
+
 def from_json(s: str) -> DyadicSet:
+    """The set that :func:`to_json` wrote as ``s``.
+
+    The canonical text, ``to_json``'s output optionally followed by JSON
+    whitespace, is read without ``json.loads``: byte-class checks on the
+    rows and numpy's text reader put the digits into one int64 array.  Any
+    other JSON goes through ``json.loads``.  Either way the cells reach the
+    constructor's checks, so every set and every error, its type and its
+    one-line message, is the same on both paths."""
+    head = _JSON_HEAD.match(s) if isinstance(s, str) and s.isascii() else None
+    if head:
+        body = s[head.end():].rstrip(" \t\n\r")
+        d = int(head[1])
+        cells = _canonical_cells(body[:-2].encode(), d) if body.endswith("]}") else None
+        if cells is not None:
+            return _from_cells(d, int(head[2]), cells)
     try:
         obj = json.loads(s)
     except RecursionError:

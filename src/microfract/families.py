@@ -177,6 +177,15 @@ def _margin(r: float) -> float:
     return max(r * (1 + 2.0 ** -40), 2.0 ** -500)
 
 
+def _float_floor(r: Fraction) -> float:
+    """The largest float not above r."""
+    try:
+        f = float(r)  # correctly rounded
+    except OverflowError:  # |r| is past every finite float
+        return math.nextafter(math.inf, 0) if r > 0 else -math.inf
+    return f if Fraction(f) <= r else math.nextafter(f, -math.inf)
+
+
 class MetricSpaceView:
     """Finite net presentation; subclasses supply the metric.
 
@@ -217,7 +226,11 @@ class MetricSpaceView:
     def within(self, i, idx, r: float | Fraction) -> np.ndarray:
         """Whether the points idx lie in the closed ball B(i, r), shaped as
         :meth:`dists_from`; here the computed distance compared with r.  A
-        ``Fraction`` r is compared exactly, by every net."""
+        ``Fraction`` r is compared exactly, by every net: here through the
+        largest float not above r, which every float distance is at most
+        exactly when it is at most r."""
+        if isinstance(r, Fraction):
+            r = _float_floor(r)
         return self.dists_from(i, idx) <= r
 
     def _balls(self, centers: np.ndarray, r: float):

@@ -564,6 +564,23 @@ def test_zoom_reads_back_its_own_artifact(tmp_path, argv):
     assert body[0] == body[1] and body[0].leaves == body[1].leaves
 
 
+def test_zoom_reads_its_artifact_without_json_loads(tmp_path, monkeypatch):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["zoom", "--set", "full:2", "--depth", "3", "--m", "1", "--u", "1/4,0",
+                 "--out", str(first)]) == 0
+    assert read(first).startswith("# microfract")
+
+    def no_loads(*args, **kwargs):
+        raise AssertionError("json.loads called on a zoom artifact")
+
+    monkeypatch.setattr(json, "loads", no_loads)
+    assert main(["zoom", "--in-file", str(first), "--m", "0", "--out", str(second)]) == 0
+    monkeypatch.undo()
+    body = [from_json(ln) for ln in (read(first), read(second))
+            for ln in ln.splitlines() if not ln.startswith("#")]
+    assert body[0] == body[1] and not body[0].is_empty
+
+
 _WORDS = ["beatty:1/3", "beatty:2/5", "beatty:0", "beatty:1", "beatty:3", "beatty:-1",
           "beatty:1/0", "beatty:x", "beatty:1e10000000", "word:1011", "word:", "word:12", "periodic:01",
           "periodic:", "x:1", ""]

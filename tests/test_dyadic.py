@@ -728,6 +728,104 @@ def oracle_from_json(s):
     return DyadicSet(obj["d"], obj["depth"], leaves)
 
 
+def assert_reads_as_oracle(text):
+    """``from_json`` gives the oracle's set, or its error type and message."""
+    try:
+        want = oracle_from_json(text)
+    except (ValueError, ResourceLimitError) as e:
+        with pytest.raises(type(e)) as got:
+            from_json(text)
+        assert str(got.value) == str(e) and "\n" not in str(e)
+        return
+    assert from_json(text) == want
+
+
+def _no_json_loads(*args, **kwargs):
+    raise AssertionError("json.loads called on canonical text")
+
+
+class TestCanonicalJson:
+    """The text ``to_json`` writes is read without ``json.loads``; all of it,
+    and the JSON one edit away, reads as the ``json.loads`` path does."""
+
+    @given(TestJsonFuzz.objects)
+    @settings(max_examples=400, deadline=None)
+    def test_compact_text_matches_the_json_loads_path(self, obj):
+        assert_reads_as_oracle(json.dumps(obj, separators=(",", ":")))
+
+    @pytest.mark.parametrize("text", [
+        '{"d":1,"depth":3,"leaves":[[01]]}',
+        '{"d":1,"depth":3,"leaves":[[-0]]}',
+        '{"d":1,"depth":3,"leaves":[[00]]}',
+        '{"d":1,"depth":60,"leaves":[[999999999999999999]]}',
+        '{"d":1,"depth":60,"leaves":[[1000000000000000000]]}',
+        '{"d":1,"depth":3,"leaves":[[999999999999999999]]}',
+        '{"d":1,"depth":3,"leaves":[[99999999999999999999]]}',
+        '{"d":1,"depth":3,"leaves":[[9999999999999999999]]}',
+        '{"d":0,"depth":3,"leaves":[[1]]}',
+        '{"d":100,"depth":3,"leaves":[[1]]}',
+        '{"d":1,"depth":0,"leaves":[[0]]}',
+        '{"d":1,"depth":100,"leaves":[[1]]}',
+        '{"d":2,"depth":1,"leaves":[[0]]}',
+        '{"d":07,"depth":3,"leaves":[[1]]}',
+        '{"d":2,"depth":3,"leaves":[[1,2],[3]]}',
+        '{"d":2,"depth":3,"leaves":[[1,2],[3,4,5]]}',
+        '{"d":2,"depth":3,"leaves":[[1,2],[]]}',
+        '{"d":2,"depth":3,"leaves":[[1,2],[3,8]]}',
+        '{"d":2,"depth":3,"leaves":[]}',
+        '{"d":2,"depth":3,"leaves":[]}\n',
+        '{"d":2,"depth":3,"leaves":[[1,2]]} \t\r\n',
+        '{"d":2,"depth":3,"leaves":[[1,2]]}　',
+        '{"d":2,"depth":3,"leaves":[[1,2]]}\x0b',
+        ' {"d":2,"depth":3,"leaves":[[1,2]]}',
+        '{"d":1,"d":2,"depth":3,"leaves":[[1,2]]}',
+        '{"d":1,"depth":3,"leaves":[[1],[٣]]}',
+        '{"d":1,"depth":3,"leaves":[[1],[2٣]]}',
+        '{"d":1,"depth":3,"leaves":[[1],[2]],"x":[]}',
+        '{"d":1,"depth":3,"leaves":[[1],[2]]}]',
+        '{"d":1,"depth":3,"leaves":[[1],[2],]}',
+        '{"d":1,"depth":3,"leaves":[[1],[2.0]]}',
+        '{"d":1,"depth":3,"leaves":[[1],[true]]}',
+        '{"d":1,"depth":3,"leaves":[[1] ,[2]]}',
+        '{"d":2,"depth":3,"leaves":[[1 2]]}',
+        '{"d":2,"depth":3,"leaves":[[1;2]]}',
+        '{"d":1,"depth":3,"leaves":[]1[,[2]]}',
+        '{"d":1,"depth":3,"leaves":[5[1]]}',
+        '{"d":1,"depth":3,"leaves":[[1]5]}',
+        '{"d":1,"depth":3,"leaves":[[1],[\ud800]]}',
+    ])
+    def test_edge_texts_match_the_json_loads_path(self, text):
+        assert_reads_as_oracle(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"d":1,"depth":60,"leaves":[[999999999999999999]]}',
+        '{"d":2,"depth":3,"leaves":[]}\n',
+        '{"d":1,"depth":3,"leaves":[[1],[2],[1]]}',
+    ])
+    def test_edge_texts_take_the_fast_path(self, text):
+        with mock.patch.object(dyadic.json, "loads", _no_json_loads):
+            got = from_json(text)
+        assert got == oracle_from_json(text)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_artifacts_do_not_call_json_loads(self, d):
+        sets = [cells(d, 9 // d, d, 0.4), full_cube(d, 0), DyadicSet(d, 3, []),
+                singleton_chain(d, 60 // d, (5,) * d)]
+        texts = [to_json(s) + "\n" for s in sets]
+        with mock.patch.object(dyadic.json, "loads", _no_json_loads):
+            assert [from_json(t) for t in texts] == sets
+
+    def test_bytes_go_through_json_loads(self):
+        s = cells(2, 4, 2, 0.4)
+        assert from_json(to_json(s).encode()) == s
+
+    def test_out_of_range_cells_raise_the_constructor_error(self):
+        text = '{"d":2,"depth":3,"leaves":[[1,2],[3,8]]}'
+        with mock.patch.object(dyadic.json, "loads", _no_json_loads):
+            with pytest.raises(ValueError, match=r"^leaves of a set at d=2, depth=3 are 2 "):
+                from_json(text)
+
+
 def oracle_leaves(s):
     return frozenset(zip(*dyadic._unmorton(s.codes, s.depth, s.d).T.tolist()))
 

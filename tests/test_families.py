@@ -406,6 +406,24 @@ class TestKernelMatchesOracles:
                         == oracle_global_packing_number(twin, r))
                 assert suggest_origin(net, r) == oracle_suggest_origin(twin, r)
 
+    @settings(max_examples=200, deadline=None)
+    @given(net=random_nets(), data=st.data())
+    def test_within_a_fraction_radius_compares_exactly(self, net, data):
+        # radii on a computed distance, one float step to either side, and
+        # strictly between those floats, against one exact comparison each
+        every = np.arange(net.n_points)
+        rows = np.tile(every, (net.n_points, 1))
+        dists = net.dists_from(every, rows)
+        x = data.draw(st.sampled_from(sorted(set(dists.ravel().tolist())) + [0.1, 2.0 ** -60]))
+        below, above = (Fraction(math.nextafter(x, t)) for t in (-math.inf, math.inf))
+        r = data.draw(st.sampled_from([Fraction(x), below, above, (below + x) / 2,
+                                       (above + x) / 2, (below + 2 * x) / 3]))
+        want = [[d <= r for d in row] for row in dists.tolist()]
+        assert net.within(every, rows, r).tolist() == want
+        assert net.within(0, every, r).tolist() == want[0]
+        huge = Fraction(10 ** 400)  # past every float
+        assert net.within(0, every, huge).all() and not net.within(0, every, -huge).any()
+
     @settings(max_examples=120, deadline=None)
     @given(net=random_nets(),
            alpha=st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 4),
