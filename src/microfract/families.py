@@ -9,9 +9,9 @@ nets (:class:`LatticeNet`: the grids of ``EuclideanNet.grid_2d``, and the
 dyadic lines i/2^m, i = 0..2^m in index order, that ``EuclideanNet``
 detects) decide it exactly on their integer coordinates over one
 denominator D: ``dx^2 + dy^2 <= floor((r*D)^2)``.  Other float point sets
-and distance matrices compare computed float distances with r, and window
-their queries by :func:`_margin`; an exact test for them (a float filter
-with an exact fallback) is not built.
+and distance matrices compare computed float distances with r, and take
+their queries' first-coordinate slices from :func:`_window`; an exact test
+for them (a float filter with an exact fallback) is not built.
 
 Every net sorts the centers of a query into ball classes, centers whose
 balls are translates (by index difference) of each other's: a lattice net
@@ -167,23 +167,16 @@ _BLOCK_ELEMS = 1 << 13
 _MAX_POINTS = 1 << 21
 
 
-def _margin(r: float) -> float:
-    """Half-width of the first-coordinate window that holds every point whose
-    computed distance is ``<= r``.  A point outside it differs by more than
-    r * (1 + 2^-40) in that coordinate, and rounding the difference, its
-    square, the sum and the root loses far less than 2^-40 of it; the floor
-    2^-500 keeps the squared difference clear of underflow, below which the
-    distance formula rounds to 0."""
-    return max(r * (1 + 2.0 ** -40), 2.0 ** -500)
-
-
-def _float_floor(r: Fraction) -> float:
-    """The largest float not above r."""
-    try:
-        f = float(r)  # correctly rounded
-    except OverflowError:  # |r| is past every finite float
-        return math.nextafter(math.inf, 0) if r > 0 else -math.inf
-    return f if Fraction(f) <= r else math.nextafter(f, -math.inf)
+def _window(sorted_keys: np.ndarray, keys: np.ndarray, r: float):
+    """Per key, the slice ``[lo, hi)`` of ``sorted_keys`` holding every point
+    at computed distance ``<= r`` from that first coordinate: one further
+    out differs by more than r * (1 + 2^-40) in it, and rounding the
+    difference, its square, the sum and the root loses far less than 2^-40
+    of it; the floor 2^-500 keeps the squared difference clear of underflow,
+    below which the distance formula rounds to 0."""
+    m = max(r * (1 + 2.0 ** -40), 2.0 ** -500)
+    return (np.searchsorted(sorted_keys, keys - m, "left"),
+            np.searchsorted(sorted_keys, keys + m, "right"))
 
 
 class MetricSpaceView:
@@ -191,9 +184,11 @@ class MetricSpaceView:
 
     Every net keeps its points' first coordinate (0 for a net without
     coordinates) in sorted order, so a query at radius r of a float point
-    set or a distance matrix examines only the points within ``_margin(r)``
-    of the center along it.  A :class:`LatticeNet` (a ``grid_2d`` grid or a
-    dyadic line i/2^m) tables its balls from integer stencils instead.
+    set or a distance matrix examines only the points in its :func:`_window`
+    along it.  A :class:`LatticeNet` (a ``grid_2d`` grid or a dyadic line
+    i/2^m) tables its balls from integer stencils instead, a line each ball
+    by its first index.  Only the net's own :meth:`_greedy_rows` and
+    :meth:`ball` read a ball table; the kernel reads its sizes.
     """
 
     y0: int
@@ -225,24 +220,19 @@ class MetricSpaceView:
 
     def within(self, i, idx, r: float | Fraction) -> np.ndarray:
         """Whether the points idx lie in the closed ball B(i, r), shaped as
-        :meth:`dists_from`; here the computed distance compared with r.  A
-        ``Fraction`` r is compared exactly, by every net: here through the
-        largest float not above r, which every float distance is at most
-        exactly when it is at most r."""
-        if isinstance(r, Fraction):
-            r = _float_floor(r)
+        :meth:`dists_from`; here the computed distance ``<= r``, which numpy
+        decides exactly for a ``Fraction`` r (as every net does), per entry."""
         return self.dists_from(i, idx) <= r
 
     def _balls(self, centers: np.ndarray, r: float):
         """Yield ``(members, sizes)`` for consecutive blocks of centers:
-        ``members[i, :sizes[i]]`` are the ascending indices of the closed ball
-        B(center, r) of the block's i-th center; the rest of the row is
-        padding (a valid index).  A block holds about ``_BLOCK_ELEMS``
-        candidates."""
-        n, m = self.n_points, _margin(r)
-        key = self._keys[centers]
-        lo = np.searchsorted(self._sorted_keys, key - m, "left")
-        hi = np.searchsorted(self._sorted_keys, key + m, "right")
+        ``sizes[i]`` is the size of the closed ball B(center, r) of the
+        block's i-th center and ``members[i, :sizes[i]]`` its ascending
+        indices, the rest of the row padding (a valid index): a table only
+        this net's :meth:`_greedy_rows` and :meth:`ball` read.  A block holds
+        one row or at most ``_BLOCK_ELEMS`` table entries."""
+        n = self.n_points
+        lo, hi = _window(self._sorted_keys, self._keys[centers], r)
         width = int((hi - lo).max())
         step = max(1, _BLOCK_ELEMS // max(width, 1))
         for s in range(0, len(centers), step):
@@ -264,11 +254,14 @@ class MetricSpaceView:
         return np.arange(len(centers))
 
     def _greedy_rows(self, members: np.ndarray, sizes: np.ndarray, sep: float, need: int):
-        """Greedy packing at separation ``sep`` of every row of a ball table, all
-        rows a step at a time: each step takes the first live member of every
-        row and retires it and every live member within ``sep`` of it.  Returns
-        ``(picks, counts)``; a row stops at ``need`` points, and its picks past
-        its count are unspecified."""
+        """Greedy packing at separation ``sep`` of the rows of a block of this
+        net's own :meth:`_balls` table (a line's holds each run's first index),
+        here all a step at a time: each takes every row's first live member and
+        retires it and every live member within ``sep``; below ``min_separation``
+        a row's first ``need`` members pack.  Returns ``(picks, counts)``: a row
+        stops at ``need``, and its picks past its count are unspecified."""
+        if self.min_separation is not None and sep < self.min_separation:
+            return members[:, :need], np.minimum(sizes, need)
         alive = np.arange(members.shape[1]) < sizes[:, None]
         picks = np.zeros((len(sizes), need), dtype=np.int64)
         counts = np.zeros(len(sizes), dtype=np.int64)
@@ -301,8 +294,7 @@ class MetricSpaceView:
             return list(dict.fromkeys(cand.tolist()))
         keys = self._keys[cand]
         by_key = np.argsort(keys)
-        sorted_keys = keys[by_key]
-        m = _margin(delta)
+        lo, hi = _window(keys[by_key], keys, delta)
         # a trailing sentinel ends the scan for the next live candidate
         alive = np.ones(len(cand) + 1, dtype=bool)
         chosen: list[int] = []
@@ -311,9 +303,7 @@ class MetricSpaceView:
             c = int(cand[i])
             chosen.append(c)
             alive[i] = False
-            a = np.searchsorted(sorted_keys, keys[i] - m, "left")
-            b = np.searchsorted(sorted_keys, keys[i] + m, "right")
-            win = by_key[a:b]
+            win = by_key[lo[i]:hi[i]]
             win = win[alive[win]]
             alive[win[self.within(c, cand[win], delta)]] = False
             i += int(alive[i:].argmax())
@@ -458,14 +448,13 @@ class LatticeNet(EuclideanNet):
         return ((top * (h + 1) + bottom) * (h + 1) + left) * (h + 1) + right
 
     def _balls(self, centers: np.ndarray, r: float):
-        if self.d == 1:  # a run of indices, clipped at the line's two ends
+        if self.d == 1:  # a run of indices, clipped at the line's two ends, by its first
             h = max(self._widths(r), default=-1)
             lo = np.maximum(centers - h, 0)
             sizes = np.maximum(np.minimum(centers + h, self.den) - lo + 1, 0)
-            run = np.arange(sizes.max())
-            step = max(1, _BLOCK_ELEMS // max(run.size, 1))
+            step = max(1, _BLOCK_ELEMS // max(int(sizes.max()), 1))
             for s in range(0, len(centers), step):
-                yield np.minimum(lo[s:s + step, None] + run, self.den), sizes[s:s + step]
+                yield lo[s:s + step, None], sizes[s:s + step]
             return
         side, w = self.side, np.array(self._widths(r), dtype=np.int64)
         h = len(w) - 1
@@ -491,7 +480,11 @@ class LatticeNet(EuclideanNet):
         if self.d == 2:
             return super()._greedy_rows(members, sizes, sep, need)
         step = self._widths(sep)[0] + 1  # each pick retires the next w members
-        return members[:, :1] + step * np.arange(need), np.minimum((sizes - 1) // step + 1, need)
+        return members + step * np.arange(need), np.minimum((sizes - 1) // step + 1, need)
+
+    def ball(self, center: int, r: float) -> np.ndarray:
+        (members, sizes), = self._balls(np.array([center]), r)  # a line's run by its first
+        return members[0, 0] + np.arange(sizes[0]) if self.d == 1 else members[0, :sizes[0]]
 
     def global_packing_number(self, delta: float) -> int:
         """The greedy packing in index order as a sweep of row bitmasks: each
@@ -602,11 +595,7 @@ def _first_scales(view: MetricSpaceView, centers: np.ndarray, r: float,
             live = np.flatnonzero((found < 0) & (sizes >= need))
             if live.size == 0:
                 continue
-            sep = 2.0 ** -j
-            if view.min_separation is not None and sep < view.min_separation:
-                picks, counts = members[live, :need], sizes[live]
-            else:
-                picks, counts = view._greedy_rows(members[live], sizes[live], sep, need)
+            picks, counts = view._greedy_rows(members[live], sizes[live], 2.0 ** -j, need)
             for row, pick, count in zip(live.tolist(), picks.tolist(), counts.tolist()):
                 if count >= need:
                     found[row] = j
@@ -674,6 +663,8 @@ def level_schedule(view: MetricSpaceView, alphas: Sequence, variant: str,
     alphas = tuple(Fraction(a) for a in alphas)
     if levels is None:
         levels = len(alphas)
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     if len(alphas) < levels:
         raise ValueError("need one alpha per level")
     ks, gs, js = [0], [], []
@@ -857,6 +848,8 @@ def family_member(x, spec: TargetSpec, view: MetricSpaceView, variant: str,
     centers are the finite-depth trace of C(x))."""
     if spec.a < 0:
         raise ValueError(f"target value {spec.a} is negative; a family needs values >= 0")
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     x = as_word(x)
     if len(x) < levels:
         raise ValueError(f"branch must supply {levels} bits")

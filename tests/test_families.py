@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -525,6 +526,72 @@ class TestKernelMatchesOracles:
                 assert outcome(lambda: level_schedule(net, *args)) == want
 
 
+def shortcut_outcomes(net):
+    """What the below-resolution shortcut may only speed up: both variants'
+    two-level schedules under both level functions, every center's kernel
+    packing at scales from 2^-12 on, and the greedy packing of a fixed
+    candidate list (with repeats) and the global packing number at every
+    scale 2^0 .. 2^-12."""
+    got = [outcome(lambda: level_schedule(net, [alpha] * 2, variant, 2, 30, g_mode))
+           for variant in ("box", "packing") for g_mode in ("strict", "linear")
+           for alpha in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))]
+    got += [kernel_scans(net, 0.25, alpha, 12, 14, floor_pow2)
+            for alpha in (Fraction(1, 4), Fraction(1, 2))]
+    cand = np.random.default_rng(net.n_points).integers(0, net.n_points, 3 * net.n_points)
+    for k in range(13):
+        got.append((net.greedy_packing_indices(cand, 2.0 ** -k),
+                    net.global_packing_number(2.0 ** -k)))
+    return got
+
+
+class TestKernelShortcutAndBlocks:
+    @pytest.mark.parametrize("m", range(6, 11))
+    def test_line_separation_is_only_a_speed_up(self, m):
+        pts = np.linspace(0, 1, 2 ** m + 1)
+        want = shortcut_outcomes(EuclideanNet(pts, y0=2 ** (m - 1)))
+        assert any(isinstance(w, KSeq) for w in want)
+        assert shortcut_outcomes(EuclideanNet(pts, y0=2 ** (m - 1),
+                                              min_separation=2.0 ** -m)) == want
+
+    @pytest.mark.parametrize("side", range(9, 34))
+    def test_grid_separation_is_only_a_speed_up(self, side):
+        net = EuclideanNet.grid_2d(side)
+        assert net.min_separation == 1 / (side - 1)
+        want = shortcut_outcomes(families.LatticeNet(families._grid_points(side, 2), net.y0))
+        assert any(isinstance(w, KSeq) for w in want)
+        assert shortcut_outcomes(net) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=random_nets())
+    def test_float_and_matrix_separation_is_only_a_speed_up(self, net):
+        # the true minimum of the computed distances, 0 with repeated points
+        n = net.n_points
+        every = np.arange(n)
+        off = net.dists_from(every, np.broadcast_to(every, (n, n)))[~np.eye(n, dtype=bool)]
+        told, untold = copy.copy(net), copy.copy(net)
+        told.min_separation = float(off.min()) if off.size else None
+        untold.min_separation = None
+        if isinstance(net, MatrixNet):
+            assert told.min_separation == net.min_separation
+        assert shortcut_outcomes(told) == shortcut_outcomes(untold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=random_nets() | dyadic_lines().map(lambda line: line[0])
+           | st.integers(2, 40).map(EuclideanNet.grid_2d),
+           r=st.sampled_from([2.0 ** -k for k in range(-2, 13)] + [0.0, 0.3]))
+    def test_blocks_hold_one_row_or_at_most_the_block_bound(self, net, r):
+        # the bound keeps the kernel's (rows, need) picks small and lets it
+        # stop after the first block holding a failing class
+        every = np.arange(net.n_points)
+        want = [int(net.within(c, every, r).sum()) for c in range(net.n_points)]
+        for block in BLOCKINGS:
+            with blocking(block):
+                blocks = [sizes for _, sizes in net._balls(every, r)]
+                for sizes in blocks:
+                    assert len(sizes) == 1 or len(sizes) * sizes.max() <= families._BLOCK_ELEMS
+                assert np.concatenate(blocks).tolist() == want
+
+
 def exact_lattice_table(side, r):
     """Brute force on the grid points (i/D, j/D), D = side - 1: entry [p, q]
     says whether point q lies in the closed ball of radius r (r >= 0) about
@@ -976,6 +1043,21 @@ class TestLevelSchedule:
         with pytest.raises(ResolutionExhausted) as err:
             level_schedule(net, [Fraction(1, 2)] * 3, "box", 3)
         assert err.value.level == 2
+
+    @pytest.mark.parametrize("levels", [-1, -3])
+    def test_negative_levels_are_refused(self, levels):
+        net, spec = grid_1d(6), TargetSpec.finite_set([Fraction(1, 2)])
+        ks = level_schedule(net, [Fraction(1, 2)], "box", 1, g_mode="linear")
+        for call in (lambda: level_schedule(net, [Fraction(1, 2)], "box", levels=levels),
+                     lambda: family_member("010", spec, net, "box", levels),
+                     lambda: family_member("010", spec, net, "box", levels, kseq=ks)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"levels must be >= 0, got {levels}"
+        # no levels stays valid: the empty schedule and the root-only member
+        assert level_schedule(net, [Fraction(1, 2)], "box", levels=0).ks == (0,)
+        assert family_member("", spec, net, "box", 0).levels == root_tree(
+            net, level_schedule(net, [], "box"), "box").levels
 
     def test_single_point_fails_immediately(self):
         net = EuclideanNet(np.array([[0.3, 0.3]]))
