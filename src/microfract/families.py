@@ -414,6 +414,12 @@ class LatticeNet(EuclideanNet):
         if d > 2 or self.den < 1 or not np.array_equal(self.points, _grid_points(self.side, d)):
             raise ValueError("lattice points must be a full grid of side >= 2 "
                              "in d = 1 or 2, in index order")
+        # a claim past the spacing 1/D is false; 1/D rounded to a float, as
+        # grid_2d claims it, is not (no float lies between the two)
+        if min_separation is not None and not (min_separation == 1 / self.den
+                                               or min_separation <= Fraction(1, self.den)):
+            raise ValueError(f"min_separation {min_separation} exceeds the lattice "
+                             f"spacing 1/{self.den}")
 
     def _sq_dists(self, i, idx) -> np.ndarray:
         """Squared distances in units of 1/D, shaped as :meth:`dists_from`."""
@@ -782,11 +788,19 @@ def _packings(view, centers: Sequence[int], radius: float, phi: Fraction,
 
 
 def _check_separation(view, centers: Sequence[int], threshold: float, what: str):
+    """Refuse the first pair i < j of centers (by i, then j) within
+    ``threshold``: one ``within`` call per block of rows of the pair table,
+    a block at most ``_BLOCK_ELEMS`` entries or one row."""
     arr = np.array(centers, dtype=np.int64)
-    for i in range(len(arr) - 1):  # the last center has no later one to meet
-        close = np.flatnonzero(view.within(int(arr[i]), arr[i + 1:], threshold))
-        if close.size:
-            j = int(close[0]) + i + 1
+    n = len(arr)
+    step = max(1, _BLOCK_ELEMS // max(n, 1))
+    for s in range(0, n - 1, step):
+        rows = np.arange(s, min(s + step, n - 1))  # the last center meets no later one
+        close = view.within(arr[rows], arr[None, :].repeat(len(rows), 0), threshold)
+        close &= np.arange(n) > rows[:, None]
+        if close.any():
+            r, j = np.argwhere(close)[0]
+            i, j = int(rows[r]), int(j)
             raise InvariantViolation(
                 f"{what}: centers {centers[i]} and {centers[j]} are "
                 f"{view.dist(int(arr[i]), int(arr[j]))} apart, need > {threshold}"

@@ -1067,3 +1067,62 @@ class TestSupKernel:
             grown = grown[:-2] | grown[1:-1] | grown[2:]
             covered, steps = grown[:, :-2] | grown[:, 1:-1] | grown[:, 2:], steps + 1
         assert value == Fraction(steps - 1, 1 << 8)
+
+
+def spied_paths():
+    """Patches that record each directed value the lattice path and the
+    branch-and-bound return, by path."""
+    calls = {"lattice": [], "bnb": []}
+
+    def spy(kernel, path):
+        def run(*args):
+            calls[path].append(kernel(*args))
+            return calls[path][-1]
+        return run
+
+    return calls, (mock.patch.object(dyadic, "_lattice_directed",
+                                     spy(dyadic._lattice_directed, "lattice")),
+                   mock.patch.object(dyadic, "_directed_sup",
+                                     spy(dyadic._directed_sup, "bnb")))
+
+
+class TestLatticePath:
+    """The half-lattice distance transform against the candidate scan, and
+    the budget that chooses it over the branch-and-bound."""
+
+    @given(pair=sup_pairs(), budget=st.sampled_from([0, 1 << 62]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_path_matches_candidate_scan(self, pair, budget):
+        # a budget of 0 forces the branch-and-bound, a huge one the lattice
+        a, b = pair
+        want = [oracle_directed_sup(a, b), oracle_directed_sup(b, a)]
+        calls, spies = spied_paths()
+        with mock.patch.object(dyadic, "_GRID_BUDGET", budget), spies[0], spies[1]:
+            assert hausdorff_distance(a, b) == Fraction(max(want), 1 << (a.depth + 1))
+        ran, idle = ("lattice", "bnb") if budget else ("bnb", "lattice")
+        assert calls[ran] == ([] if a.d == 1 else want) and calls[idle] == []
+
+    @pytest.mark.parametrize("d, depth, path", [(2, 5, "lattice"), (2, 6, "lattice"),
+                                                (2, 7, "bnb"), (3, 4, "lattice"),
+                                                (3, 5, "bnb"), (2, 30, "bnb")])
+    def test_budget_chooses_the_path(self, d, depth, path):
+        # the benchmark's depth-5 and depth-6 planar sets take the lattice
+        # path; an over-budget set never builds a grid
+        rng = np.random.default_rng(depth)
+        a, b = (DyadicSet(d, depth, map(tuple, rng.integers(0, 1 << depth, (5, d)).tolist()))
+                for _ in range(2))
+        want = max(oracle_directed_sup(a, b), oracle_directed_sup(b, a))
+        calls, spies = spied_paths()
+        grids = mock.patch.object(dyadic, "_half_lattice", wraps=dyadic._half_lattice)
+        with spies[0], spies[1], grids as half_lattice:
+            assert hausdorff_distance(a, b) == Fraction(want, 1 << (depth + 1))
+        assert {k: len(v) for k, v in calls.items()} == {p: 2 * (p == path) for p in calls}
+        assert half_lattice.call_count == (2 if path == "lattice" else 0)
+
+    def test_grid_marks_the_half_lattice_points(self):
+        rng = np.random.default_rng(23)
+        for d, depth in [(2, 3), (3, 2), (4, 1)]:
+            s = DyadicSet(d, depth, map(tuple, rng.integers(0, 1 << depth, (6, d)).tolist()))
+            want = np.zeros(((2 << depth) + 1,) * d, dtype=bool)
+            want[tuple(oracle_half_lattice_candidates(s).T)] = True
+            assert np.array_equal(dyadic._half_lattice(s), want)

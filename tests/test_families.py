@@ -241,6 +241,16 @@ def outcome(fn):
         return type(e), str(e), getattr(e, "level", None)
 
 
+def distance_matrix(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``pts``, each pair's gaps
+    divided by their largest before squaring: squared gaps of coordinates
+    near 1e-154 would underflow and lose the triangle inequality."""
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    scale = diff.max(axis=-1, keepdims=True)
+    unit = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    return scale[..., 0] * np.sqrt((unit * unit).sum(axis=-1))
+
+
 @st.composite
 def random_nets(draw):
     """Small Euclidean nets (d = 1-3; on the 1/8 lattice, so distances tie
@@ -259,8 +269,7 @@ def random_nets(draw):
         pts[dst] = pts[src]
     y0 = draw(st.integers(0, n - 1))
     if draw(st.booleans()):
-        diff = pts[:, None, :] - pts[None, :, :]
-        return MatrixNet(np.sqrt((diff * diff).sum(axis=-1)), y0=y0)
+        return MatrixNet(distance_matrix(pts), y0=y0)
     gaps = [EuclideanNet(pts).dist(i, j) for i, j in itertools.combinations(range(n), 2)]
     sep = min(gaps, default=0.0)
     return EuclideanNet(pts, y0=y0,
@@ -792,6 +801,24 @@ class TestLatticeNet:
         with pytest.raises(ValueError, match="full grid"):
             families.LatticeNet(np.zeros((8, 3)))
 
+    @pytest.mark.parametrize("claim", [1.0, float(np.nextafter(2.0 ** -4, 1)), math.inf, math.nan])
+    def test_a_separation_past_the_spacing_is_refused(self, claim):
+        # 17 points i/16 lie 1/16 apart: a larger claim would let the greedy
+        # packing at 1/2 take all 17 where 2 fit
+        with pytest.raises(ValueError, match=r"^min_separation \S+ exceeds the lattice "
+                                             r"spacing 1/16$"):
+            EuclideanNet(np.linspace(0, 1, 17), min_separation=claim)
+
+    def test_true_separations_are_accepted(self):
+        for m in range(1, 22):  # the claim 2^-m the benchmark's lines make
+            net = EuclideanNet(np.linspace(0.0, 1.0, 2 ** m + 1), min_separation=2.0 ** -m)
+            assert net.min_separation == 2.0 ** -m
+        assert EuclideanNet(np.linspace(0, 1, 17), min_separation=0.05).min_separation == 0.05
+        # grid_2d claims 1/D in floats, above the exact 1/D for D = 10
+        assert Fraction(1 / 10) > Fraction(1, 10)
+        for side in range(2, 100):
+            assert EuclideanNet.grid_2d(side).min_separation == 1 / (side - 1)
+
     def test_dyadic_line_from_csv_is_a_lattice_net(self, tmp_path):
         path = tmp_path / "line.csv"
         path.write_text("".join(f"{i / 64!r}\n" for i in range(65)))
@@ -916,6 +943,18 @@ class TestNets:
         with pytest.raises(ValueError):
             MatrixNet(bad)
 
+    def test_distances_of_tiny_coordinates_stay_a_metric(self):
+        # the squared gaps underflow, so sqrt(sum(diff^2)) puts points 0 and 1
+        # at distance 0 and d(0, 2) past d(1, 2); the matrix of random_nets
+        # scales each pair's gaps first
+        pts = np.array([[0.0, 9e-165], [1e-163, 1e-163], [1e-161, 1e-160]])
+        diff = pts[:, None, :] - pts[None, :, :]
+        with pytest.raises(ValueError, match="triangle inequality fails"):
+            MatrixNet(np.sqrt((diff * diff).sum(axis=-1)))
+        net = MatrixNet(distance_matrix(pts))
+        for i, j in itertools.combinations(range(3), 2):
+            assert net.dist(i, j) == pytest.approx(math.hypot(*(pts[i] - pts[j])), rel=1e-15)
+
     def test_matrix_net_symmetry_is_exact(self):
         with pytest.raises(ValueError, match="symmetric"):
             MatrixNet([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
@@ -994,6 +1033,33 @@ class TestNets:
         with pytest.raises(families.InvariantViolation) as err:
             families._check_separation(net, [0, 1, 2], 0.5, "test")
         assert str(err.value) == "test: centers 0 and 1 are 0.3 apart, need > 0.5"
+
+    @pytest.mark.parametrize("block", BLOCKINGS)
+    def test_separation_error_names_the_first_pair_by_row(self, block):
+        # on the line i/16, (12, 13) is the first close pair by column, but
+        # (8, 9) comes first by row, as center by center
+        net = EuclideanNet(np.linspace(0.0, 1.0, 17))
+        with blocking(block), pytest.raises(families.InvariantViolation) as err:
+            families._check_separation(net, [0, 8, 12, 13, 9, 16], 0.07, "level 2")
+        assert str(err.value) == "level 2: centers 8 and 9 are 0.0625 apart, need > 0.07"
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=random_nets(), data=st.data(),
+           threshold=st.sampled_from([0.0, 2.0 ** -6, 0.1, 0.3, 1.0]),
+           block=st.sampled_from(BLOCKINGS + [5]))
+    def test_separation_check_matches_center_by_center(self, net, data, threshold, block):
+        centers = data.draw(st.lists(st.integers(0, net.n_points - 1), max_size=12))
+        want = None
+        for i, c in enumerate(centers[:-1]):  # the first later center within threshold
+            close = np.flatnonzero(net.within(c, np.array(centers[i + 1:]), threshold))
+            if close.size:
+                j = i + 1 + int(close[0])
+                want = (f"x: centers {c} and {centers[j]} are "
+                        f"{net.dist(c, centers[j])} apart, need > {threshold}")
+                break
+        with blocking(block):
+            got = outcome(lambda: families._check_separation(net, centers, threshold, "x"))
+        assert got == (None if want is None else (families.InvariantViolation, want, None))
 
     def test_grid_point_limit_allocates_nothing(self):
         side = 1449  # 1449^2 = 2,099,601 > 2^21 points
