@@ -192,7 +192,9 @@ class MetricSpaceView:
     """
 
     y0: int
-    # minimal pairwise distance when known; lets packing numbers saturate
+    # the least distance between distinct points, where the net derives it (a
+    # lattice's spacing, a matrix's least off-diagonal entry); below it packings
+    # need no scan
     min_separation: float | None = None
 
     def _index(self, keys: np.ndarray, y0: int):
@@ -212,7 +214,7 @@ class MetricSpaceView:
 
     def dists_from(self, i, idx) -> np.ndarray:
         """Distances from point i to the points idx; with centers i of shape
-        (R,) and idx of shape (R, W), row r is measured from i[r]."""
+        (R,) and idx of shape (R, W) or (1, W), row r is measured from i[r]."""
         raise NotImplementedError
 
     def dist(self, i: int, j: int) -> float:
@@ -325,8 +327,7 @@ class EuclideanNet(MetricSpaceView):
             cls = LatticeNet
         return super().__new__(cls)
 
-    def __init__(self, points, y0: int | None = None,
-                 min_separation: float | None = None):
+    def __init__(self, points, y0: int | None = None):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -335,7 +336,6 @@ class EuclideanNet(MetricSpaceView):
         if not np.isfinite(pts).all():
             raise ValueError("net coordinates must be finite")
         self.points = np.ascontiguousarray(pts)
-        self.min_separation = min_separation
         self._index(self.points[:, 0], 0 if y0 is None else int(y0))
 
     def dists_from(self, i, idx) -> np.ndarray:
@@ -351,7 +351,7 @@ class EuclideanNet(MetricSpaceView):
         if side * side > _MAX_POINTS:
             raise ResourceLimitError(
                 f"grid side {side} gives {side * side} points, over the limit {_MAX_POINTS}")
-        return LatticeNet(_grid_points(side, 2), (side // 2) * side + side // 2, 1.0 / (side - 1))
+        return LatticeNet(_grid_points(side, 2), (side // 2) * side + side // 2)
 
     @classmethod
     def from_csv(cls, path: str, y0: int = 0) -> "EuclideanNet":
@@ -407,17 +407,17 @@ class LatticeNet(EuclideanNet):
 
     def __init__(self, points, y0: int | None = None,
                  min_separation: float | None = None):
-        super().__init__(points, y0, min_separation)
+        super().__init__(points, y0)
         n, d = self.points.shape
         self.d, self.side = d, n if d == 1 else math.isqrt(n)
         self.den = self.side - 1
         if d > 2 or self.den < 1 or not np.array_equal(self.points, _grid_points(self.side, d)):
             raise ValueError("lattice points must be a full grid of side >= 2 "
                              "in d = 1 or 2, in index order")
-        # a claim past the spacing 1/D is false; 1/D rounded to a float, as
-        # grid_2d claims it, is not (no float lies between the two)
-        if min_separation is not None and not (min_separation == 1 / self.den
-                                               or min_separation <= Fraction(1, self.den)):
+        # 1/D rounded; no float lies between it and 1/D, so floats compare alike
+        # with both.  A caller's claim is refused past it, then dropped.
+        self.min_separation = 1 / self.den
+        if min_separation is not None and not min_separation <= self.min_separation:
             raise ValueError(f"min_separation {min_separation} exceeds the lattice "
                              f"spacing 1/{self.den}")
 
@@ -645,12 +645,6 @@ class KSeq:
         return len(self.ks) - 1
 
 
-def _g_of(view: MetricSpaceView, k: int, g_mode: str) -> int:
-    if g_mode == "linear":
-        return k + 1
-    return max(k + 1, view.global_packing_number(2.0 ** -k))
-
-
 def level_schedule(view: MetricSpaceView, alphas: Sequence, variant: str,
                    levels: int | None = None, j_cap: int = 200,
                    g_mode: str = "strict") -> KSeq:
@@ -675,7 +669,8 @@ def level_schedule(view: MetricSpaceView, alphas: Sequence, variant: str,
         raise ValueError("need one alpha per level")
     ks, gs, js = [0], [], []
     for n in range(levels):
-        g_kn = _g_of(view, ks[n], g_mode)
+        k = ks[n]  # g(k) is the level function of the module note
+        g_kn = k + 1 if g_mode == "linear" else max(k + 1, view.global_packing_number(2.0 ** -k))
         alpha = alphas[n]
         centers = np.array([view.y0]) if variant == "box" else np.arange(view.n_points)
         reps, rows, _ = _first_scales(view, centers, 2.0 ** -g_kn, alpha, g_kn, j_cap,
@@ -787,20 +782,22 @@ def _packings(view, centers: Sequence[int], radius: float, phi: Fraction,
             for y, k in zip(arr.tolist(), cls.tolist())]
 
 
+def _within_rows(view, rows: np.ndarray, cols: np.ndarray, r):
+    """Yield ``(s, close)`` per block of rows, ``close[i, j]`` whether cols[j]
+    lies within r of rows[s + i]; a block is one row or at most ``_BLOCK_ELEMS``."""
+    step = max(1, _BLOCK_ELEMS // max(len(cols), 1))
+    for s in range(0, len(rows), step):
+        yield s, view.within(rows[s:s + step], cols[None, :], r)
+
+
 def _check_separation(view, centers: Sequence[int], threshold: float, what: str):
     """Refuse the first pair i < j of centers (by i, then j) within
-    ``threshold``: one ``within`` call per block of rows of the pair table,
-    a block at most ``_BLOCK_ELEMS`` entries or one row."""
+    ``threshold``, checked a block of rows of the pair table at a time."""
     arr = np.array(centers, dtype=np.int64)
-    n = len(arr)
-    step = max(1, _BLOCK_ELEMS // max(n, 1))
-    for s in range(0, n - 1, step):
-        rows = np.arange(s, min(s + step, n - 1))  # the last center meets no later one
-        close = view.within(arr[rows], arr[None, :].repeat(len(rows), 0), threshold)
-        close &= np.arange(n) > rows[:, None]
+    for s, close in _within_rows(view, arr[:-1], arr, threshold):  # the last meets no later one
+        close &= np.arange(len(arr)) > np.arange(s, s + len(close))[:, None]
         if close.any():
-            r, j = np.argwhere(close)[0]
-            i, j = int(rows[r]), int(j)
+            i, j = np.argwhere(close)[0] + (s, 0)
             raise InvariantViolation(
                 f"{what}: centers {centers[i]} and {centers[j]} are "
                 f"{view.dist(int(arr[i]), int(arr[j]))} apart, need > {threshold}"
@@ -930,9 +927,9 @@ def family_dim_report(tree: BallTree) -> FamilyDimReport:
         separated(cur.centers, 2.0 ** (2 - cur.k), f"level {cur.n}")
         # B(y, r_cur) lies in B(p, r_prev) when d(y, p) <= r_prev - r_cur
         radius = Fraction(1, 1 << prev.k) - Fraction(1, 1 << cur.k)
-        parents = np.array(prev.centers, dtype=np.int64)
-        nest += [f"center {y} at level {cur.n} escapes every parent ball"
-                 for y in cur.centers if not view.within(y, parents, radius).any()]
+        for s, close in _within_rows(view, pts, np.array(prev.centers, dtype=np.int64), radius):
+            nest += [f"center {y} at level {cur.n} escapes every parent ball"
+                     for y in pts[s:s + len(close)][~close.any(axis=1)].tolist()]
     anchored = not box or all(view.y0 in lvl.centers for lvl in tree.levels)
     return FamilyDimReport(not cards, not seps, not nest, anchored, not chain, count_ok,
                            not rich, kseq.g_mode, (*cards, *seps, *nest, *chain, *rich))

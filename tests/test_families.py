@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from microfract import families
+from microfract import dims, families
 from microfract.cli import main
 from microfract.dims import exact_packing_number
 from microfract.dyadic import kx_set, product
@@ -251,11 +251,18 @@ def distance_matrix(pts: np.ndarray) -> np.ndarray:
     return scale[..., 0] * np.sqrt((unit * unit).sum(axis=-1))
 
 
+def normal_gaps(pts: np.ndarray) -> np.ndarray:
+    """``pts`` with coordinates below 2^-500 set to 0: every nonzero gap is
+    then at least 2^-552, far from the subnormal range, where a distance
+    keeps too few bits for the triangle inequality."""
+    return np.where(pts < 2.0 ** -500, 0.0, pts)
+
+
 @st.composite
 def random_nets(draw):
     """Small Euclidean nets (d = 1-3; on the 1/8 lattice, so distances tie
     exactly, or at arbitrary floats; with duplicate points) and the matrix
-    nets of their distances."""
+    nets of their distances, their tiniest coordinates taken as 0."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 20))
     if draw(st.booleans()):
@@ -269,11 +276,8 @@ def random_nets(draw):
         pts[dst] = pts[src]
     y0 = draw(st.integers(0, n - 1))
     if draw(st.booleans()):
-        return MatrixNet(distance_matrix(pts), y0=y0)
-    gaps = [EuclideanNet(pts).dist(i, j) for i, j in itertools.combinations(range(n), 2)]
-    sep = min(gaps, default=0.0)
-    return EuclideanNet(pts, y0=y0,
-                        min_separation=sep if sep > 0 and draw(st.booleans()) else None)
+        return MatrixNet(distance_matrix(normal_gaps(pts)), y0=y0)
+    return EuclideanNet(pts, y0=y0)
 
 
 # the module's block size, and a size so small that every block holds one row
@@ -324,17 +328,17 @@ class FloatNet(EuclideanNet):
 
 @st.composite
 def dyadic_lines(draw):
-    """The line i/2^m (m = 1-10) as a lattice net and as its float twin:
-    shaped (n,) or (n, 1), any origin, with or without its separation 2^-m."""
+    """The line i/2^m (m = 1-10) as a lattice net, with or without the true
+    claim 2^-m of its separation, and as its float twin: shaped (n,) or
+    (n, 1), any origin."""
     m = draw(st.integers(1, 10))
     pts = np.linspace(0.0, 1.0, 2 ** m + 1)
     if draw(st.booleans()):
         pts = pts[:, None]
-    kw = {"y0": draw(st.integers(0, 2 ** m)),
-          "min_separation": draw(st.sampled_from([None, 2.0 ** -m]))}
-    net = EuclideanNet(pts, **kw)
+    y0 = draw(st.integers(0, 2 ** m))
+    net = EuclideanNet(pts, y0=y0, min_separation=draw(st.sampled_from([None, 2.0 ** -m])))
     assert isinstance(net, families.LatticeNet) and net.d == 1
-    return net, FloatNet(pts, **kw)
+    return net, FloatNet(pts, y0=y0)
 
 
 class TestKernelMatchesOracles:
@@ -553,20 +557,27 @@ def shortcut_outcomes(net):
     return got
 
 
+def without_separation(net):
+    """A copy of ``net`` that knows no separation, so it takes no shortcut."""
+    untold = copy.copy(net)
+    untold.min_separation = None
+    return untold
+
+
 class TestKernelShortcutAndBlocks:
     @pytest.mark.parametrize("m", range(6, 11))
     def test_line_separation_is_only_a_speed_up(self, m):
-        pts = np.linspace(0, 1, 2 ** m + 1)
-        want = shortcut_outcomes(EuclideanNet(pts, y0=2 ** (m - 1)))
+        net = EuclideanNet(np.linspace(0, 1, 2 ** m + 1), y0=2 ** (m - 1))
+        assert net.min_separation == 2.0 ** -m
+        want = shortcut_outcomes(without_separation(net))
         assert any(isinstance(w, KSeq) for w in want)
-        assert shortcut_outcomes(EuclideanNet(pts, y0=2 ** (m - 1),
-                                              min_separation=2.0 ** -m)) == want
+        assert shortcut_outcomes(net) == want
 
     @pytest.mark.parametrize("side", range(9, 34))
     def test_grid_separation_is_only_a_speed_up(self, side):
         net = EuclideanNet.grid_2d(side)
         assert net.min_separation == 1 / (side - 1)
-        want = shortcut_outcomes(families.LatticeNet(families._grid_points(side, 2), net.y0))
+        want = shortcut_outcomes(without_separation(net))
         assert any(isinstance(w, KSeq) for w in want)
         assert shortcut_outcomes(net) == want
 
@@ -813,11 +824,19 @@ class TestLatticeNet:
         for m in range(1, 22):  # the claim 2^-m the benchmark's lines make
             net = EuclideanNet(np.linspace(0.0, 1.0, 2 ** m + 1), min_separation=2.0 ** -m)
             assert net.min_separation == 2.0 ** -m
-        assert EuclideanNet(np.linspace(0, 1, 17), min_separation=0.05).min_separation == 0.05
-        # grid_2d claims 1/D in floats, above the exact 1/D for D = 10
+        # a smaller claim is dropped: the net keeps its own spacing
+        assert EuclideanNet(np.linspace(0, 1, 17), min_separation=0.05).min_separation == 1 / 16
+        # a grid's separation is 1/D in floats, above the exact 1/D for D = 10
         assert Fraction(1 / 10) > Fraction(1, 10)
         for side in range(2, 100):
             assert EuclideanNet.grid_2d(side).min_separation == 1 / (side - 1)
+
+    def test_a_line_derives_its_spacing_however_built(self, tmp_path):
+        assert EuclideanNet(np.linspace(0, 1, 17)).min_separation == 1 / 16
+        path = tmp_path / "line.csv"
+        path.write_text("".join(f"{i / 16!r}\n" for i in range(17)))
+        assert EuclideanNet.from_csv(str(path)).min_separation == 1 / 16
+        assert dims._view([(i / 16,) for i in range(17)], None).min_separation == 1 / 16
 
     def test_dyadic_line_from_csv_is_a_lattice_net(self, tmp_path):
         path = tmp_path / "line.csv"
@@ -954,6 +973,27 @@ class TestNets:
         net = MatrixNet(distance_matrix(pts))
         for i, j in itertools.combinations(range(3), 2):
             assert net.dist(i, j) == pytest.approx(math.hypot(*(pts[i] - pts[j])), rel=1e-15)
+
+    def test_subnormal_gaps_break_the_matrix_that_random_nets_builds(self):
+        # a subnormal distance keeps a few bits: sqrt(2)*a rounds to a, 2*sqrt(2)*a
+        # to 3a, past d(0, 1) + d(1, 2) = 2a; random_nets takes such points as 0
+        a = 5e-324
+        pts = np.array([[0.0, 0.0], [a, a], [2 * a, 2 * a]])
+        with pytest.raises(ValueError, match=r"triangle inequality fails on \(0,1,2\)"):
+            MatrixNet(distance_matrix(pts))
+        assert not normal_gaps(pts).any()
+
+    def test_a_float_net_takes_no_separation_claim(self):
+        # nothing checks a float net's claim, so it takes none: this false one
+        # would let the packing at 0.5 take all four points
+        with pytest.raises(TypeError, match="min_separation"):
+            EuclideanNet([0.0, 0.3, 0.1, 0.2], min_separation=1.0)
+        net = EuclideanNet([0.0, 0.3, 0.1, 0.2])
+        assert net.min_separation is None
+        assert net.greedy_packing_indices(np.arange(4), 0.5) == [0]
+        assert net.global_packing_number(0.5) == 1
+        # a matrix net derives its least distance
+        assert MatrixNet([[0.0, 0.3, 0.1], [0.3, 0.0, 0.2], [0.1, 0.2, 0.0]]).min_separation == 0.1
 
     def test_matrix_net_symmetry_is_exact(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -1286,7 +1326,37 @@ CORRUPTIONS = [
 ]
 
 
+def nesting_notes_center_by_center(tree):
+    """The report's nesting notes, one ``within`` call per center."""
+    notes = []
+    for prev, cur in zip(tree.levels, tree.levels[1:]):
+        radius = Fraction(1, 1 << prev.k) - Fraction(1, 1 << cur.k)
+        parents = np.array(prev.centers, dtype=np.int64)
+        notes += [f"center {y} at level {cur.n} escapes every parent ball"
+                  for y in cur.centers if not tree.view.within(y, parents, radius).any()]
+    return notes
+
+
 class TestFamilyProperties:
+    @pytest.mark.parametrize("block", BLOCKINGS + [5])
+    def test_nesting_matches_center_by_center(self, block):
+        # on the line i/4096, level 2 must lie within 2^-4 - 2^-14 of center 0
+        packing, box = green_members()
+        cur = packing.levels[2].centers
+        trees = [packing, box,
+                 with_level(packing, 2, centers=cur[:3] + (4096,) + cur[3:-2] + (300, 255)),
+                 with_level(packing, 1, centers=(4096,)),
+                 with_level(packing, 1, centers=(4096, 0))]  # level 2 in one of two balls
+        got = []
+        for tree in trees:
+            want = nesting_notes_center_by_center(tree)
+            with blocking(block):
+                rep = family_dim_report(tree)
+            assert [note for note in rep.details if "escapes" in note] == want
+            assert rep.nested == (not want)
+            got.append(len(want))
+        assert got == [0, 0, 2, 65, 1]
+
     def test_report_all_green_box(self):
         net = telescope_net(3)
         ks = level_schedule(net, [Fraction(1, 8)] * 3, "box", 3, g_mode="linear")
