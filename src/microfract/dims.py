@@ -24,7 +24,7 @@ import numpy as np
 
 from .dyadic import DyadicSet, product
 from .errors import ResourceLimitError
-from .families import EuclideanNet, MatrixNet, MetricSpaceView, _check_matrix_points
+from .families import EuclideanNet, MatrixNet, MetricSpaceView, _check_matrix_points, _within_rows
 from .seq import Word, as_word
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
 EXACT_POINT_LIMIT = 64
 # Largest table of ball bitmasks, n^2/8 bytes for n points: 2^25 allows 2^14.
 MASK_BYTES_LIMIT = 1 << 25
-# Distances one block of bitmask rows computes at a time.
-_MASK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -151,9 +149,9 @@ def _ball_masks(view: MetricSpaceView, r: float) -> list[int]:
     if n * n > 8 * MASK_BYTES_LIMIT:
         raise ResourceLimitError(f"ball bitmasks of {n} points need {n * n // 8} bytes, "
                                  f"over the limit {MASK_BYTES_LIMIT}")
-    idx, step, masks = np.arange(n), max(1, _MASK_BLOCK // n), []
-    for lo in range(0, n, step):
-        rows = np.packbits(view.within(idx[lo:lo + step], idx, r), axis=1, bitorder="little")
+    idx, masks = np.arange(n), []
+    for _, close in _within_rows(view, idx, idx, r):
+        rows = np.packbits(close, axis=1, bitorder="little")
         masks += [int.from_bytes(row.tobytes(), "little") for row in rows]
     return masks
 

@@ -9,9 +9,9 @@ nets (:class:`LatticeNet`: the grids of ``EuclideanNet.grid_2d``, and the
 dyadic lines i/2^m, i = 0..2^m in index order, that ``EuclideanNet``
 detects) decide it exactly on their integer coordinates over one
 denominator D: ``dx^2 + dy^2 <= floor((r*D)^2)``.  Other float point sets
-and distance matrices compare computed float distances with r, and take
-their queries' first-coordinate slices from :func:`_window`; an exact test
-for them (a float filter with an exact fallback) is not built.
+and distance matrices compare computed float distances with r, one block of
+rows against every point at a time (:func:`_within_rows`); an exact test for
+them (a float filter with an exact fallback) is not built.
 
 Every net sorts the centers of a query into ball classes, centers whose
 balls are translates (by index difference) of each other's: a lattice net
@@ -157,60 +157,50 @@ def _ceil_pow2(alpha: Fraction, ell: int) -> int:
 # Net presentations
 # ---------------------------------------------------------------------------
 
-# Window candidates (centers times padded row width) that one block of the
-# net kernel holds at once; a constant, like percolation's split size.  At
-# 2^16 the kernel's temporaries raised the families-net benchmark's peak
-# memory by 5 MB, at 2^13 by under 1 MB, at the same speed.
+# Table entries (rows times row width) that one block of the net kernel
+# holds at once; a constant, like percolation's split size.  At 2^16 the
+# kernel's temporaries raised the families-net benchmark's peak memory by
+# 5 MB, at 2^13 by under 1 MB, at the same speed.
 _BLOCK_ELEMS = 1 << 13
 # Largest grid ``EuclideanNet.grid_2d`` builds (the figure of
 # percolation's per-trial cell limit).
 _MAX_POINTS = 1 << 21
 
 
-def _window(sorted_keys: np.ndarray, keys: np.ndarray, r: float):
-    """Per key, the slice ``[lo, hi)`` of ``sorted_keys`` holding every point
-    at computed distance ``<= r`` from that first coordinate: one further
-    out differs by more than r * (1 + 2^-40) in it, and rounding the
-    difference, its square, the sum and the root loses far less than 2^-40
-    of it; the floor 2^-500 keeps the squared difference clear of underflow,
-    below which the distance formula rounds to 0."""
-    m = max(r * (1 + 2.0 ** -40), 2.0 ** -500)
-    return (np.searchsorted(sorted_keys, keys - m, "left"),
-            np.searchsorted(sorted_keys, keys + m, "right"))
+def _within_rows(view, rows: np.ndarray, cols: np.ndarray, r):
+    """Yield ``(s, close)`` per block of rows, ``close[i, j]`` whether cols[j]
+    lies within r of rows[s + i]; a block is one row or at most ``_BLOCK_ELEMS``."""
+    step = max(1, _BLOCK_ELEMS // max(len(cols), 1))
+    for s in range(0, len(rows), step):
+        yield s, view.within(rows[s:s + step], cols[None, :], r)
 
 
 class MetricSpaceView:
     """Finite net presentation; subclasses supply the metric.
 
-    Every net keeps its points' first coordinate (0 for a net without
-    coordinates) in sorted order, so a query at radius r of a float point
-    set or a distance matrix examines only the points in its :func:`_window`
-    along it.  A :class:`LatticeNet` (a ``grid_2d`` grid or a dyadic line
-    i/2^m) tables its balls from integer stencils instead, a line each ball
-    by its first index.  Only the net's own :meth:`_greedy_rows` and
-    :meth:`ball` read a ball table; the kernel reads its sizes.
+    A float point set or a distance matrix answers a ball query by testing
+    every point, a block of rows at a time (:func:`_within_rows`); it keeps
+    no neighbour search, so its ball tables and packings cost time
+    quadratic in the points.  A :class:`LatticeNet` (a ``grid_2d`` grid or
+    a dyadic line i/2^m) tables its balls from integer stencils instead, a
+    line each ball by its first index.  Only the net's own
+    :meth:`_greedy_rows` and :meth:`ball` read a ball table; the kernel
+    reads its sizes.
     """
 
     y0: int
+    n_points: int
     # the least distance between distinct points, where the net derives it (a
     # lattice's spacing, a matrix's least off-diagonal entry); below it packings
     # need no scan
     min_separation: float | None = None
 
-    def _index(self, keys: np.ndarray, y0: int):
-        n = len(keys)
+    def _index(self, n: int, y0: int):
         if n == 0:
             raise ValueError("a net needs at least one point")
         if not 0 <= y0 < n:
             raise ValueError(f"origin index {y0} outside [0, {n})")
-        self.y0 = y0
-        self._keys = keys
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._order]
-
-    @property
-    def n_points(self) -> int:
-        return len(self._keys)
+        self.y0, self.n_points = y0, n
 
     def dists_from(self, i, idx) -> np.ndarray:
         """Distances from point i to the points idx; with centers i of shape
@@ -233,21 +223,10 @@ class MetricSpaceView:
         indices, the rest of the row padding (a valid index): a table only
         this net's :meth:`_greedy_rows` and :meth:`ball` read.  A block holds
         one row or at most ``_BLOCK_ELEMS`` table entries."""
-        n = self.n_points
-        lo, hi = _window(self._sorted_keys, self._keys[centers], r)
-        width = int((hi - lo).max())
-        step = max(1, _BLOCK_ELEMS // max(width, 1))
-        for s in range(0, len(centers), step):
-            pos = lo[s:s + step, None] + np.arange(width)
-            cand = self._order[np.minimum(pos, n - 1)]
-            inside = pos < hi[s:s + step, None]
-            inside &= self.within(centers[s:s + step], cand, r)
+        for _, inside in _within_rows(self, centers, np.arange(self.n_points), r):
             sizes = inside.sum(axis=1)
-            members = np.where(inside, cand, n)
-            members.sort(axis=1)
-            members = members[:, :sizes.max()]
-            members[members == n] = 0
-            yield members, sizes
+            # a stable sort puts each row's members first, in ascending order
+            yield np.argsort(~inside, axis=1, kind="stable")[:, :sizes.max()], sizes
 
     def _ball_classes(self, centers: np.ndarray, r: float) -> np.ndarray:
         """Per center, a key shared only by centers whose closed balls of
@@ -289,27 +268,13 @@ class MetricSpaceView:
         return members[0, :sizes[0]]
 
     def greedy_packing_indices(self, candidates: np.ndarray, delta: float) -> list[int]:
-        """Canonical packing: greedy over the candidates in the order given."""
-        cand = np.asarray(candidates, dtype=np.int64)
-        if self.min_separation is not None and delta < self.min_separation:
-            # distinct points are already separated: the first of each packs
-            return list(dict.fromkeys(cand.tolist()))
-        keys = self._keys[cand]
-        by_key = np.argsort(keys)
-        lo, hi = _window(keys[by_key], keys, delta)
-        # a trailing sentinel ends the scan for the next live candidate
-        alive = np.ones(len(cand) + 1, dtype=bool)
-        chosen: list[int] = []
-        i = 0
-        while i < len(cand):
-            c = int(cand[i])
-            chosen.append(c)
-            alive[i] = False
-            win = by_key[lo[i]:hi[i]]
-            win = win[alive[win]]
-            alive[win[self.within(c, cand[win], delta)]] = False
-            i += int(alive[i:].argmax())
-        return chosen
+        """Canonical packing: greedy over the candidates in the order given,
+        a repeated candidate taken once; one row of the step-at-a-time
+        greedy (a line's run-table :meth:`_greedy_rows` reads no such row)."""
+        cand = np.fromiter(dict.fromkeys(map(int, candidates)), np.int64)
+        picks, counts = MetricSpaceView._greedy_rows(self, cand[None], np.array([cand.size]),
+                                                     delta, cand.size)
+        return picks[0, :counts[0]].tolist()
 
     def global_packing_number(self, delta: float) -> int:
         return len(self.greedy_packing_indices(np.arange(self.n_points), delta))
@@ -336,7 +301,7 @@ class EuclideanNet(MetricSpaceView):
         if not np.isfinite(pts).all():
             raise ValueError("net coordinates must be finite")
         self.points = np.ascontiguousarray(pts)
-        self._index(self.points[:, 0], 0 if y0 is None else int(y0))
+        self._index(len(pts), 0 if y0 is None else int(y0))
 
     def dists_from(self, i, idx) -> np.ndarray:
         diff = self.points[np.asarray(idx, dtype=np.int64)] - self.points[i][..., None, :]
@@ -541,7 +506,7 @@ class MatrixNet(MetricSpaceView):
             raise ValueError("distances must be finite")
         n = dm.shape[0]
         _check_matrix_points(n)
-        self._index(np.zeros(n), int(y0))
+        self._index(n, int(y0))
         if not np.array_equal(dm, dm.T) or np.diagonal(dm).any():
             raise ValueError("distance matrix must be symmetric with zero diagonal")
         shrunk = dm * (1 - _TRIANGLE_SLACK)
@@ -780,14 +745,6 @@ def _packings(view, centers: Sequence[int], radius: float, phi: Fraction,
     # a center's packing is its class's, shifted from the class's first center
     return [(rows[k][0], tuple(p + y - reps[k] for p in rows[k][2]))
             for y, k in zip(arr.tolist(), cls.tolist())]
-
-
-def _within_rows(view, rows: np.ndarray, cols: np.ndarray, r):
-    """Yield ``(s, close)`` per block of rows, ``close[i, j]`` whether cols[j]
-    lies within r of rows[s + i]; a block is one row or at most ``_BLOCK_ELEMS``."""
-    step = max(1, _BLOCK_ELEMS // max(len(cols), 1))
-    for s in range(0, len(rows), step):
-        yield s, view.within(rows[s:s + step], cols[None, :], r)
 
 
 def _check_separation(view, centers: Sequence[int], threshold: float, what: str):

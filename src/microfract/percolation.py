@@ -201,11 +201,14 @@ def _threshold(alpha: Fraction) -> int:
     return floor_pow2(53 - alpha, 1) if alpha <= 53 else 0
 
 
-def _restriction(k_set: DyadicSet | None, depth: int, d: int):
+def _restriction(k_set: DyadicSet | None, depth: int, d: int | None):
     """The reference set as (its sorted leaf Morton codes, its depth), None
-    for the full cube, and the dimension."""
+    for the full cube, and the dimension: the set's, else ``d``, else 1; a
+    ``d`` other than the set's is refused."""
     if k_set is None:
-        return None, d
+        return None, 1 if d is None else d
+    if d is not None and d != k_set.d:
+        raise ValueError(f"d={d} differs from the reference set's dimension {k_set.d}")
     if k_set.depth < depth:
         raise ValueError("reference set must be rasterized at least to depth")
     if k_set.is_empty:
@@ -278,12 +281,10 @@ def _grow(hashes: np.ndarray, schedule: RetentionSchedule, depth: int, d: int,
         base = reduce(np.bitwise_or, [(frontier if mask is None else frontier & mask) << shift
                                       for mask, shift in pairs])
         bases = np.array([base, base ^ hashes.take(trial)])  # bare, and salted with the hash
-        if fan <= 4 and m > 256:  # on long frontiers column writes beat a broadcast
-            both = np.empty((2, m, fan), dtype=np.int64)
-            for o, off in enumerate(offs.tolist()):
-                np.bitwise_xor(bases, off, out=both[:, :, o])
-        else:
-            both = bases[:, :, None] ^ offs
+        # one column per child: on long 1-D and 2-D frontiers this beats a broadcast
+        both = np.empty((2, m, fan), dtype=np.int64)
+        for o, off in enumerate(offs.tolist()):
+            np.bitwise_xor(bases, off, out=both[:, :, o])
         kids, v = both.reshape(2, -1)
         if ref is None:
             alive = (_mix64_np(v.view(np.uint64)) <= bound).nonzero()[0]
@@ -318,13 +319,14 @@ def _completions(levels: np.ndarray, cells: np.ndarray, z_cells: np.ndarray) -> 
 
 
 def sample(schedule: RetentionSchedule, field: PercField, copy_key,
-           depth: int, d: int = 1, k_set: DyadicSet | None = None,
+           depth: int, d: int | None = None, k_set: DyadicSet | None = None,
            completions: bool = False) -> PercSample:
     """Run one percolation to ``depth``.
 
     With ``k_set`` given, only cells meeting the reference set are grown
     (sufficient for anything about the intersection with it), and dead ends
-    can be recorded as completion points.
+    can be recorded as completion points.  The dimension ``d`` is the
+    reference set's, or 1 without one; a ``d`` given with a set must match it.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -338,7 +340,7 @@ def sample(schedule: RetentionSchedule, field: PercField, copy_key,
 
 
 def coupled_pair(sched_a: RetentionSchedule, sched_b: RetentionSchedule,
-                 field: PercField, copy_key, depth: int, d: int = 1,
+                 field: PercField, copy_key, depth: int, d: int | None = None,
                  k_set: DyadicSet | None = None) -> tuple[PercSample, PercSample]:
     """Two schedules against identical variates; if ``sched_a`` dominates
     pointwise, its survivors are contained in the other's, exactly."""
@@ -403,14 +405,14 @@ class HawkesReport:
 
 
 def hawkes_experiment(k_set: DyadicSet | None, beta, depths: Sequence[int],
-                      trials: int, field: PercField, d: int = 1,
+                      trials: int, field: PercField, d: int | None = None,
                       copy_prefix: str | int = "hawkes") -> HawkesReport:
     """Monte Carlo survival of ``K intersect Gamma(beta)`` at finite depths.
 
     One percolation per trial is truncated at ``max(depths)``; each trial's
     survival flags at the several depths therefore come from one coupled run,
     making the per-depth survival fractions monotone by construction rather
-    than only statistically.
+    than only statistically.  ``d`` is taken as in :func:`sample`.
     """
     beta = Fraction(beta)
     depths = sorted(set(depths))

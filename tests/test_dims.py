@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microfract import dims
+from microfract import dims, families
 from microfract.dims import (
     CountSeries,
     box_dim_estimate,
@@ -458,7 +458,7 @@ class TestNetViewOracles:
     @pytest.mark.parametrize("k", [3, 5])
     def test_greedy_cover_over_several_mask_blocks(self, k):
         pts = [tuple(p) for p in np.random.default_rng(k).random((600, 2)).tolist()]
-        assert dims._MASK_BLOCK // 600 < 600  # the ball bitmasks take several blocks
+        assert families._BLOCK_ELEMS // 600 < 600  # the ball bitmasks take several blocks
         assert greedy_cover(pts, 2.0 ** -k) == oracle_greedy_cover(pts, 2.0 ** -k)
 
     def test_empty_sets(self):

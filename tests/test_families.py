@@ -995,6 +995,14 @@ class TestNets:
         # a matrix net derives its least distance
         assert MatrixNet([[0.0, 0.3, 0.1], [0.3, 0.0, 0.2], [0.1, 0.2, 0.0]]).min_separation == 0.1
 
+    def test_underflowing_gaps_count_as_distance_zero(self):
+        # the squared gap 1e-340 underflows, so points 0 and 1 are 0 apart for
+        # every query, the ball scan and the greedy packing alike
+        net = EuclideanNet([[0.0, 0.0], [1e-170, 0.0], [0.5, 0.0]])
+        assert net.ball(0, 0.0).tolist() == [0, 1]
+        assert net.greedy_packing_indices([1, 0, 2, 1], 0.0) == [1, 2]
+        assert net.global_packing_number(0.0) == 2
+
     def test_matrix_net_symmetry_is_exact(self):
         with pytest.raises(ValueError, match="symmetric"):
             MatrixNet([[0.0, 1.0], [1.0 + 1e-9, 0.0]])

@@ -720,6 +720,22 @@ class TestLimitsAndValidation:
         with pytest.raises(ValueError, match="reference set is empty"):
             hawkes_experiment(empty, Fraction(1, 2), [6], 5, PercField(1))
 
+    def test_dimension_comes_from_the_reference_set(self):
+        sched, field = RetentionSchedule.constant(Fraction(1, 2)), PercField(1)
+        line, plane = kx_set("1101"), product(kx_set("1101"), kx_set("1011"))
+        assert sample(sched, field, "d", 4).survivors.d == 1
+        got = sample(sched, field, "d", 4, k_set=plane).survivors
+        assert got.d == 2 and got.leaves == sample(sched, field, "d", 4, 2, plane).survivors.leaves
+        with pytest.raises(ValueError, match="d=2 differs from the reference set's "
+                                             "dimension 1") as err:
+            sample(sched, field, "d", 4, d=2, k_set=line)
+        assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match="d=1 differs"):
+            coupled_pair(sched, sched, field, "d", 4, d=1, k_set=plane)
+        with pytest.raises(ValueError, match="d=3 differs"):
+            hawkes_experiment(line, Fraction(1, 2), [4], 5, field, d=3)
+        assert hawkes_experiment(plane, Fraction(3, 2), [4], 5, field).trials == 5
+
     @pytest.mark.parametrize("depths, trials", [([0, 4], 10), ([-1], 10), ([], 10),
                                                 ([4], 0), ([4], -3)])
     def test_hawkes_rejects_bad_depths_and_trials(self, depths, trials):
