@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .dims import kx_covering_counts
 from .dyadic import from_json, full_cube, kx_set, pack_bits, to_json, zoom
-from .errors import InvariantViolation, OracleError, ResolutionExhausted, ResourceLimitError
+from .errors import InvariantViolation, ResolutionExhausted, ResourceLimitError
 from .families import EuclideanNet, family_dim_report, family_member
 from .percolation import PercField, RetentionSchedule, hawkes_experiment, sample
 from .realize import (TargetSpec, VarphiMap, _k_max, build_psi_prefix,
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (InvariantViolation, OracleError) as e:
+    except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 2
     except (ResourceLimitError, ResolutionExhausted) as e:

@@ -27,12 +27,12 @@ target value and ``l`` is the smallest admissible scale of the level
 schedule.  The box variant packs inside the origin ball and keeps every
 older center (the origin is swapped into each new packing); the packing
 variant refines every ball separately and keeps only the new points.
-The variant lives in the schedule (``KSeq.variant``); :func:`root_tree`
-and the extensions refuse the other one.  :func:`family_dim_report`
-re-checks a tree in one pass, its nesting radius an exact ``Fraction``.
-Packing sizes, witness counts and percolation's survival thresholds all
-compare integers with ``2^(p/q)`` through one exact test, behind
-:func:`floor_pow2` and :func:`count_reaches_pow2`.
+A tree takes its variant from its schedule (``KSeq.variant``) at
+:func:`root_tree`; :func:`extend` runs that variant's step.
+:func:`family_dim_report` re-checks a tree in one pass, its nesting
+radius an exact ``Fraction``.  Packing sizes, witness counts and
+percolation's survival thresholds all compare integers with ``2^(p/q)``
+through one exact test, behind :func:`floor_pow2` and :func:`count_reaches_pow2`.
 
 Scheduling note: the level function ``g(n) = max(n+1, P_n(K))`` feeds the
 net's own packing number back into the next radius exponent, so radii
@@ -69,8 +69,7 @@ __all__ = [
     "BallTree",
     "BallLevel",
     "root_tree",
-    "extend_box",
-    "extend_packing",
+    "extend",
     "family_member",
     "FamilyDimReport",
     "family_dim_report",
@@ -702,11 +701,8 @@ class BallTree:
         raise TypeError("coordinate trace needs a Euclidean net")
 
 
-def root_tree(view: MetricSpaceView, kseq: KSeq, variant: str) -> BallTree:
-    """The one-ball tree at the origin; the variant is the schedule's."""
-    if kseq.variant != variant:
-        raise ValueError(f"a {variant} member needs a {variant} schedule, "
-                         f"got a {kseq.variant} schedule")
+def root_tree(view: MetricSpaceView, kseq: KSeq) -> BallTree:
+    """The one-ball tree at the origin; its variant is the schedule's."""
     return BallTree(view, kseq, "", (BallLevel(0, kseq.ks[0], (view.y0,), ()),))
 
 
@@ -761,51 +757,47 @@ def _check_separation(view, centers: Sequence[int], threshold: float, what: str)
             )
 
 
-def _next_level(tree: BallTree, variant: str, varphi) -> tuple[int, Fraction, int, int]:
-    """``(n, phi, g(k_n), k_{n+1})`` for the extension of a ``variant`` tree
-    of prefix length n, ``phi = min(varphi, alpha_n)``; refuses a tree of
-    the other variant or one at the end of its schedule."""
-    if tree.variant != variant:
-        raise ValueError(f"a {variant} extension needs a {variant} tree, "
-                         f"got a {tree.variant} tree")
-    n, kseq = len(tree.prefix), tree.kseq
-    if n >= kseq.levels:
-        raise ResolutionExhausted(f"schedule has only {kseq.levels} levels")
-    return n, min(Fraction(varphi), kseq.alphas[n]), kseq.g_values[n], kseq.ks[n + 1]
-
-
-def extend_box(tree: BallTree, c: int, varphi) -> BallTree:
-    """One box-variant extension: pack inside the origin ball, swap the
-    origin in at halved separation, keep all older centers."""
-    n, phi, g_kn, k_next = _next_level(tree, "box", varphi)
-    (ell, s), = _packings(tree.view, [tree.view.y0], 2.0 ** -g_kn, phi,
-                          g_kn, k_next - _GAP["box"], "box extension")
-    t_set = _swap_in_origin(tree.view, s, ell)
-    _check_separation(tree.view, t_set, 2.0 ** -(ell + 1), "swapped packing")
-    old = tree.centers
-    fresh = [p for p in t_set if p not in old]
-    centers = tuple(list(old) + sorted(fresh))
+def _box_step(tree: BallTree, phi: Fraction, g_kn: int, hi: int) -> tuple:
+    """Box variant: pack inside the origin ball, swap the origin in at
+    halved separation, keep all older centers."""
+    view, old = tree.view, tree.centers
+    (ell, s), = _packings(view, [view.y0], 2.0 ** -g_kn, phi, g_kn, hi, "box extension")
+    t_set = _swap_in_origin(view, s, ell)
+    _check_separation(view, t_set, 2.0 ** -(ell + 1), "swapped packing")
+    centers = old + tuple(sorted(p for p in t_set if p not in old))
     if len(centers) != len(old) + len(t_set) - 1:
         raise InvariantViolation("box bookkeeping: m(t) != m(s) + #T - 1")
-    _check_separation(tree.view, centers, 2.0 ** (2 - k_next), "box level")
-    rec = PackingRecord(tree.view.y0, ell, tuple(t_set), phi)
-    lvl = BallLevel(n + 1, k_next, centers, (rec,))
-    return BallTree(tree.view, tree.kseq, tree.prefix + str(c), tree.levels + (lvl,))
+    return centers, (PackingRecord(view.y0, ell, tuple(t_set), phi),)
 
 
-def extend_packing(tree: BallTree, c: int, varphi) -> BallTree:
-    """One packing-variant extension: refine every ball with its own scale;
-    old centers are replaced by the union of the per-ball packings."""
-    n, phi, g_kn, k_next = _next_level(tree, "packing", varphi)
-    found = _packings(tree.view, tree.centers, 2.0 ** -g_kn, phi, g_kn,
-                      k_next - _GAP["packing"], "packing extension at {y}")
+def _packing_step(tree: BallTree, phi: Fraction, g_kn: int, hi: int) -> tuple:
+    """Packing variant: refine every ball with its own scale; old centers
+    are replaced by the union of the per-ball packings."""
+    found = _packings(tree.view, tree.centers, 2.0 ** -g_kn, phi, g_kn, hi,
+                      "packing extension at {y}")
     records = tuple(PackingRecord(y, ell, s, phi) for y, (ell, s) in zip(tree.centers, found))
     centers = tuple(sorted({p for r in records for p in r.selected}))
     if len(centers) != sum(len(r.selected) for r in records):
         raise InvariantViolation("packing balls overlapped; union lost points")
-    _check_separation(tree.view, centers, 2.0 ** (2 - k_next), "packing level")
+    return centers, records
+
+
+_STEPS = {"box": _box_step, "packing": _packing_step}
+
+
+def extend(tree: BallTree, c: int, varphi) -> BallTree:
+    """One extension by bit ``c`` in the tree's variant, at
+    ``phi = min(varphi, alpha_n)`` for a tree of prefix length n; refuses a
+    tree at the end of its schedule."""
+    n, kseq = len(tree.prefix), tree.kseq
+    if n >= kseq.levels:
+        raise ResolutionExhausted(f"schedule has only {kseq.levels} levels")
+    k_next = kseq.ks[n + 1]
+    centers, records = _STEPS[tree.variant](tree, min(Fraction(varphi), kseq.alphas[n]),
+                                            kseq.g_values[n], k_next - _GAP[tree.variant])
+    _check_separation(tree.view, centers, 2.0 ** (2 - k_next), f"{tree.variant} level")
     lvl = BallLevel(n + 1, k_next, centers, records)
-    return BallTree(tree.view, tree.kseq, tree.prefix + str(c), tree.levels + (lvl,))
+    return BallTree(tree.view, kseq, tree.prefix + str(c), tree.levels + (lvl,))
 
 
 def family_member(x, spec: TargetSpec, view: MetricSpaceView, variant: str,
@@ -824,11 +816,13 @@ def family_member(x, spec: TargetSpec, view: MetricSpaceView, variant: str,
     if kseq is None:
         kseq = level_schedule(view, [spec.b] * levels, variant, levels,
                               g_mode=g_mode)
+    elif kseq.variant != variant:
+        raise ValueError(f"a {variant} member needs a {variant} schedule, "
+                         f"got a {kseq.variant} schedule")
     vm = varphi or VarphiMap(spec)
-    tree = root_tree(view, kseq, variant)
-    step = extend_box if variant == "box" else extend_packing
+    tree = root_tree(view, kseq)
     for i in range(levels):
-        tree = step(tree, x[i], vm.value(x.prefix(i + 1)))
+        tree = extend(tree, x[i], vm.value(x.prefix(i + 1)))
     return tree
 
 

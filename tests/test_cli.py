@@ -49,6 +49,22 @@ class TestDims:
         rc = main(["dims", "--depth", "4", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_periodic_word(self, tmp_path):
+        out = tmp_path / "c.csv"
+        rc = main(["dims", "--word", "periodic:011", "--depth", "7", "--out", str(out)])
+        assert rc == 0
+        rows = [ln.split(",") for ln in read(out).splitlines()
+                if ln and not ln.startswith("#")][1:]
+        # the prefix 0110110 has sigma(m) ones among its first m bits
+        assert [(int(m), int(c)) for m, c, _ in rows] == [
+            (m, 2 ** "0110110"[:m].count("1")) for m in range(1, 8)]
+
+    def test_short_word_is_validation_error(self, tmp_path, capsys):
+        rc = main(["dims", "--word", "word:101", "--depth", "5",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: word supplies 3 bits, need 5\n"
+
 
 class TestPercolate:
     def test_supercritical_run(self, tmp_path):

@@ -211,6 +211,13 @@ class TestChain:
             p = packing_counts(pts, levels)
             assert chain_check(n, p)
 
+    @pytest.mark.parametrize("p1, holds", [(1, False), (2, True), (4, True), (5, False)])
+    def test_broken_chain_is_reported(self, p1, holds):
+        # N_1 = 2 and N_2 = 4, so the chain holds at level 1 iff 2 <= P_1 <= 4
+        n = CountSeries("covering", ((0, 1), (1, 2), (2, 4)))
+        p = CountSeries("packing", ((0, 1), (1, p1)))
+        assert chain_check(n, p) is holds
+
     def test_misaligned_levels_rejected(self):
         pts = [(0.0,), (1.0,)]
         n = point_covering_counts(pts, [0, 1])

@@ -26,8 +26,7 @@ from microfract.families import (
     KSeq,
     MatrixNet,
     count_reaches_pow2,
-    extend_box,
-    extend_packing,
+    extend,
     family_dim_report,
     family_member,
     floor_pow2,
@@ -1171,7 +1170,7 @@ class TestLevelSchedule:
         # no levels stays valid: the empty schedule and the root-only member
         assert level_schedule(net, [Fraction(1, 2)], "box", levels=0).ks == (0,)
         assert family_member("", spec, net, "box", 0).levels == root_tree(
-            net, level_schedule(net, [], "box"), "box").levels
+            net, level_schedule(net, [], "box")).levels
 
     def test_single_point_fails_immediately(self):
         net = EuclideanNet(np.array([[0.3, 0.3]]))
@@ -1210,41 +1209,41 @@ class TestExtensions:
 
     def test_zero_value_adds_nothing(self):
         net, ks = self._tree()
-        tree = root_tree(net, ks, "box")
-        ext = extend_box(tree, 0, Fraction(0))
+        tree = root_tree(net, ks)
+        ext = extend(tree, 0, Fraction(0))
         assert ext.m == tree.m  # packing size floor(2^0) = 1, only the origin
 
     def test_exact_growth(self):
         net, ks = self._tree()
-        tree = root_tree(net, ks, "box")
-        ext = extend_box(tree, 1, Fraction(1, 8))
+        tree = root_tree(net, ks)
+        ext = extend(tree, 1, Fraction(1, 8))
         want = floor_pow2(Fraction(1, 8), ext.levels[-1].records[0].ell)
         assert ext.m == tree.m + want - 1
 
     def test_box_bookkeeping_identity(self):
         net, ks = self._tree(3)
-        tree = root_tree(net, ks, "box")
+        tree = root_tree(net, ks)
         for bit in (0, 1, 0):
             before = tree.m
-            tree = extend_box(tree, bit, Fraction(1, 8))
+            tree = extend(tree, bit, Fraction(1, 8))
             t_size = len(tree.levels[-1].records[0].selected)
             assert tree.m == before + t_size - 1
 
     def test_packing_single_ball_reduction(self):
         net = grid_1d(10)
         ks = level_schedule(net, [Fraction(1, 8)] * 2, "packing", 2, g_mode="linear")
-        tree = root_tree(net, ks, "packing")
+        tree = root_tree(net, ks)
         assert tree.m == 1
-        ext = extend_packing(tree, 0, Fraction(1, 8))
+        ext = extend(tree, 0, Fraction(1, 8))
         want = floor_pow2(Fraction(1, 8), ext.levels[-1].records[0].ell)
         assert ext.m == want
 
     def test_packing_total_is_sum(self):
         net = grid_1d(10)
         ks = level_schedule(net, [Fraction(1, 8)] * 2, "packing", 2, g_mode="linear")
-        tree = root_tree(net, ks, "packing")
-        tree = extend_packing(tree, 1, Fraction(1, 8))
-        tree = extend_packing(tree, 0, Fraction(1, 8))
+        tree = root_tree(net, ks)
+        tree = extend(tree, 1, Fraction(1, 8))
+        tree = extend(tree, 0, Fraction(1, 8))
         total = sum(len(r.selected) for r in tree.levels[-1].records)
         assert tree.m == total
 
@@ -1265,20 +1264,6 @@ class TestExtensions:
         with pytest.raises(ValueError, match=f"a {member} member needs a {member} "
                                              f"schedule, got a {schedule} schedule"):
             family_member("01", spec, net, member, 2, kseq=ks)
-
-    @pytest.mark.parametrize("schedule,tree", [("box", "packing"), ("packing", "box")])
-    def test_root_and_extensions_refuse_other_variant(self, schedule, tree):
-        # each pairing used to build a member whose report was all green
-        extend = {"box": extend_box, "packing": extend_packing}
-        for m in (8, 9, 10):
-            net = EuclideanNet(np.linspace(0, 1, 2 ** m + 1))
-            ks = level_schedule(net, [Fraction(1, 8)] * 2, schedule, 2, g_mode="linear")
-            with pytest.raises(ValueError, match=f"a {tree} member needs a {tree} "
-                                                 f"schedule, got a {schedule} schedule"):
-                root_tree(net, ks, tree)
-            with pytest.raises(ValueError, match=f"a {tree} extension needs a {tree} "
-                                                 f"tree, got a {schedule} tree"):
-                extend[tree](root_tree(net, ks, schedule), 1, Fraction(1, 8))
 
 
 REPORT_FLAGS = ("cardinalities_exact", "separations_ok", "nested", "origin_anchored",
@@ -1407,7 +1392,7 @@ class TestFamilyProperties:
         ks = KSeq("packing", (Fraction(0),), (1, 60), (2,), (2,), "linear")
         for child, nested in ((4, False), (3, True)):
             levels = (BallLevel(0, 1, (0,), ()), BallLevel(1, 60, (child,), ()))
-            tree = dataclasses.replace(root_tree(net, ks, "packing"), prefix="0", levels=levels)
+            tree = dataclasses.replace(root_tree(net, ks), prefix="0", levels=levels)
             rep = family_dim_report(tree)
             assert rep.nested is nested
             assert rep.details == (() if nested else
@@ -1466,6 +1451,21 @@ class TestAssembly:
         assert len(asm.stage_targets) == 3
         assert asm.stage_targets[0].b <= asm.stage_targets[-1].b
         assert asm.includes_whole
+
+    def test_layered_clips_interval_targets(self):
+        # beta_0 = 1/4 and dim_top = 1: the stage bounds 1 - (3/4)/2^n are
+        # 1/4, 5/8 and 13/16; each stage keeps the intervals starting at or
+        # below its bound, cut off there
+        net = telescope_net(1)
+        target = TargetSpec.interval_union([(Fraction(1, 4), Fraction(1, 2)),
+                                            (Fraction(3, 4), Fraction(1))])
+        asm = packing_family_assembly(target, net, Fraction(1), stages=3)
+        assert asm.kind == "layered" and asm.beta0 == Fraction(1, 4)
+        assert [t.intervals for t in asm.stage_targets] == [
+            ((Fraction(1, 4), Fraction(1, 4)),),
+            ((Fraction(1, 4), Fraction(1, 2)),),
+            ((Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(13, 16))),
+        ]
 
     def test_layered_validates_k0_anchor(self):
         net = telescope_net(2)

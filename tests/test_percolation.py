@@ -334,6 +334,27 @@ class TestGammaStar:
         with pytest.raises(ValueError):
             GammaStarConfig(Fraction(1), (Fraction(1, 2),), (1,), (0.2,), (0,), 1)
 
+    def test_stages_stop_at_the_depth(self):
+        # depth 3, anchor 5: stage 1 grows the cube 4..7 to local depth 2,
+        # stage 2 the cube 4..5 to depth 1; stage 3 has local depth 0, so it
+        # and stage 4 are never grown.  Full retention keeps every cell.
+        cfg = GammaStarConfig(Fraction(1), (Fraction(1, 2),) * 4, (1,) * 4, (0.9,) * 4, (5,), 4)
+        spec = TargetSpec.finite_set([Fraction(1)])  # phi == gamma, alpha == 0
+        smp = gamma_star(cfg, Word((0,) * 3), spec, PercField(3), 3, full_cube(1, 3))
+        assert smp.survivors.leaves == frozenset({(4,), (5,), (6,), (7,)})
+        assert smp.completions == ()
+
+    def test_stage_cube_without_reference_leaves_is_skipped(self):
+        # depth 4, anchor 2: the stage-1 cube 0..7 holds the reference leaf 6,
+        # the stage-2 cube 0..3 none, so stage 2 adds nothing; under full
+        # retention stage 1 keeps leaf 6 and dead-ends nowhere
+        cfg = GammaStarConfig(Fraction(1), (Fraction(1, 2),) * 2, (2, 2), (0.9, 0.9), (2,), 2)
+        spec = TargetSpec.finite_set([Fraction(1)])
+        k_set = DyadicSet(1, 4, {(6,), (9,), (14,)})
+        smp = gamma_star(cfg, Word((1,) * 4), spec, PercField(8), 4, k_set)
+        assert smp.survivors.leaves == frozenset({(2,), (6,)})
+        assert smp.completions == ()
+
 
 class TestHelpers:
     def test_choose_copies(self):
@@ -541,8 +562,8 @@ def kernel_cases(draw):
     """A dimension, a depth, a reference set (or none) at that depth or one
     deeper, and a retention schedule whose exponents include 0 and, past the
     dimension, 54 (whose threshold is 0)."""
-    d = draw(st.integers(1, 4))
-    depth = draw(st.integers(1, {1: 9, 2: 5, 3: 4, 4: 3}[d]))
+    d = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    depth = draw(st.integers(1, {1: 9, 2: 5, 3: 4, 4: 3, 6: 2, 8: 2}[d]))
     k_set = None
     if draw(st.booleans()):
         ref_depth = depth + draw(st.integers(0, 1))
