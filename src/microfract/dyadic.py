@@ -22,9 +22,8 @@ left paired with them.  The bounds hold for every point, so what is
 dropped never changes the maximum and the result is exact.  The pair
 frontier is expanded in chunks of at most 2^20 child pairs (whole runs of
 one cell's pairs), so memory stays bounded on dense, nearly equal sets.
-Euclidean cube-union distances in d >= 2 have algebraic optima off every
-fixed lattice and are not offered; in one dimension the two metrics
-coincide, and an interval sweep computes them.
+In one dimension the sup metric is the Euclidean one, and an interval
+sweep computes the distance.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .errors import ResourceLimitError
 from .seq import Word, as_word
 
 __all__ = [
-    "CubeIdx",
     "DyadicSet",
     "kx_set",
     "full_cube",
@@ -62,25 +60,6 @@ __all__ = [
 ]
 
 _MAX_LEAVES = 1 << 24
-
-
-@dataclass(frozen=True)
-class CubeIdx:
-    """A dyadic cell: level ``n`` and per-axis integer coordinates in [0, 2^n)."""
-
-    level: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        hi = 1 << self.level
-        if any(not 0 <= c < hi for c in self.coords):
-            raise ValueError(f"coords {self.coords} out of range at level {self.level}")
-
-    @property
-    def parent(self) -> "CubeIdx":
-        if self.level == 0:
-            raise ValueError("level-0 cell has no parent")
-        return CubeIdx(self.level - 1, tuple(c >> 1 for c in self.coords))
 
 
 _CODE_BITS = 62
@@ -206,16 +185,22 @@ class DyadicSet:
     def count(self, m: int) -> int:
         return self._level_codes(m).shape[0]
 
-    def __contains__(self, cube: CubeIdx) -> bool:
-        if not 0 <= cube.level <= self.depth:
-            raise ValueError(f"level {cube.level} out of range for depth {self.depth}")
-        return len(cube.coords) == self.d and self._alive(cube.level, cube.coords)
-
-    def _alive(self, level: int, coords) -> bool:
-        """Whether the level-``level`` cell at ``coords``, d integers in
-        [0, 2^level), is alive: one Morton encode and one binary search."""
+    def alive(self, level: int, coords) -> bool:
+        """Whether the level-``level`` cell at ``coords`` (level <= depth)
+        is alive: one Morton encode and one binary search.  Coordinates that
+        are not d integers in [0, 2^level), each equal to its ``int``, name
+        no cell and answer False."""
+        if not 0 <= level <= self.depth:
+            raise ValueError(f"level {level} out of range for depth {self.depth}")
+        try:  # the integers the probe equals, coordinate by coordinate
+            coords = tuple(coords)
+            cell = tuple(map(int, coords))
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if len(cell) != self.d or cell != coords or not all(0 <= c < 1 << level for c in cell):
+            return False
         shift = self.d * (self.depth - level)
-        z = int(_morton(np.array([coords], dtype=np.int64), level)[0])
+        z = int(_morton(np.array([cell], dtype=np.int64), level)[0])
         i = np.searchsorted(self.codes, z << shift)
         return bool(i < self.codes.shape[0] and int(self.codes[i]) >> shift == z)
 
@@ -244,16 +229,8 @@ class Leaves(Set):
         return iter(self._set.level_cells(self._set.depth))
 
     def __contains__(self, cell) -> bool:
-        s = self._set
         hash(cell)  # an unhashable probe raises TypeError, as with a frozenset
-        if not isinstance(cell, tuple) or len(cell) != s.d:
-            return False
-        try:  # the integers the probe equals, coordinate by coordinate
-            coords = tuple(map(int, cell))
-        except (TypeError, ValueError, OverflowError):
-            return False
-        return (coords == cell and all(0 <= c < 1 << s.depth for c in coords)
-                and s._alive(s.depth, coords))
+        return isinstance(cell, tuple) and self._set.alive(self._set.depth, cell)
 
     def _same_grid(self, other) -> bool:
         return isinstance(other, Leaves) and \
@@ -412,9 +389,7 @@ def _tree(s: DyadicSet, top: int) -> tuple[list[np.ndarray], ...]:
         leaf_runs.append(leaf_runs[-1][firsts[-1]])
     short = [run[1:] - run[:-1] < 1 << d * i for i, run in enumerate(leaf_runs)]
     firsts.reverse()
-    root, bits = int(codes[-1][0]), np.arange(d - 1, -1, -1)
-    xs = [np.array([[sum((root >> (j * d + d - 1 - a) & 1) << j for j in range(top))
-                     for a in range(d)]], dtype=np.int64)]
+    xs, bits = [_unmorton(codes[-1], top, d)], np.arange(d - 1, -1, -1)
     for kids, first in zip(codes[-2::-1], firsts):
         xs.append(2 * xs[-1].repeat(first[1:] - first[:-1], axis=0) + (kids[:, None] >> bits & 1))
     return xs, short[::-1], firsts
@@ -552,28 +527,21 @@ def _lattice_directed(ga: np.ndarray, gb: np.ndarray) -> int:
 _GRID_BUDGET = 1 << 16
 
 
-def hausdorff_distance(a: DyadicSet, b: DyadicSet, metric: str = "sup") -> Fraction:
-    """Exact Hausdorff distance between two same-depth cell unions.
+def hausdorff_distance(a: DyadicSet, b: DyadicSet) -> Fraction:
+    """Exact sup-metric Hausdorff distance between two same-depth cell
+    unions, in 1-D also the Euclidean one.
 
-    ``metric="sup"`` is supported in every dimension; ``"euclidean"`` only
-    for d = 1, where the two coincide.  The result is an exact rational
-    (always a multiple of the half cell side).  In 1-D an interval sweep
-    finds it.  In d >= 2 the lattice path (:func:`_lattice_directed`) runs
-    when the half-step lattice, (2^(depth+1) + 1)^d points, is within
-    ``_GRID_BUDGET``, checked before any grid is allocated; past it the
-    branch-and-bound :func:`_directed_sup` runs.
+    The result is an exact rational, always a multiple of the half cell
+    side.  In 1-D an interval sweep finds it.  In d >= 2 the lattice path
+    (:func:`_lattice_directed`) runs when the half-step lattice,
+    (2^(depth+1) + 1)^d points, is within ``_GRID_BUDGET``, checked before
+    any grid is allocated; past it the branch-and-bound
+    :func:`_directed_sup` runs.
     """
     if a.d != b.d or a.depth != b.depth:
         raise ValueError("operands must share ambient dimension and depth")
     if a.is_empty or b.is_empty:
         raise ValueError("Hausdorff distance needs nonempty operands")
-    if metric not in ("sup", "euclidean"):
-        raise ValueError(f"unknown metric {metric!r}")
-    if metric == "euclidean" and a.d > 1:
-        raise ValueError(
-            "euclidean cube-union distance is exact only for d=1; "
-            "use metric='sup' (the metrics agree within a sqrt(d) factor)"
-        )
     if a.d == 1:
         ai, bi = _intervals_half_units(a), _intervals_half_units(b)
         val = max(_directed_1d(ai, bi), _directed_1d(bi, ai))
@@ -614,8 +582,8 @@ def decompose(x: Word | str, n: int) -> list[tuple[Fraction, DyadicSet]]:
     and their union is the whole set.
     """
     x = as_word(x)
-    if n > len(x):
-        raise ValueError(f"level {n} exceeds available prefix length {len(x)}")
+    if not 0 <= n <= len(x):
+        raise ValueError(f"level {n} outside [0, {len(x)}], the prefix length")
     whole = kx_set(x)
     k = whole.depth - n
     anc = whole.codes >> k  # each piece is a slice of the codes

@@ -305,8 +305,8 @@ def is_balanced(w: Word | str, max_factor_len: int | None = None) -> bool:
     L = len(w)
     if max_factor_len is None:
         max_factor_len = L
-    if max_factor_len > L:
-        raise ValueError(f"max_factor_len {max_factor_len} exceeds word length {L}")
+    if not 0 <= max_factor_len <= L:
+        raise ValueError(f"max_factor_len {max_factor_len} outside [0, {L}], the word length")
     if L == 0:
         return True
     # the smallest signed type holding 2L, the most ones plus the most zeros

@@ -743,3 +743,14 @@ def test_import_loads_no_jsonschema():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("args, code, stdout, stderr", [
+    (["--version"], 0, "0.1.0\n", ""),
+    ([], 1, "", "error: no command given\n"),
+])
+def test_module_entry_point(args, code, stdout, stderr):
+    env = {**os.environ, "PYTHONPATH": str(Path(microfract.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "microfract.cli", *args], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)

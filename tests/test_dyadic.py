@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from microfract import dyadic
 from microfract.dyadic import (
-    CubeIdx,
     DyadicSet,
     decompose,
     from_json,
@@ -134,10 +133,10 @@ class TestHausdorff:
             for _ in range(5)
         ]
         for a, b in itertools.combinations(sets, 2):
-            assert hausdorff_distance(a, b, "sup") == hausdorff_distance(b, a, "sup")
+            assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
         for a, b, c in itertools.combinations(sets, 3):
-            assert hausdorff_distance(a, c, "sup") <= (
-                hausdorff_distance(a, b, "sup") + hausdorff_distance(b, c, "sup")
+            assert hausdorff_distance(a, c) <= (
+                hausdorff_distance(a, b) + hausdorff_distance(b, c)
             )
 
     def test_1d_paths_agree(self):
@@ -163,7 +162,7 @@ class TestHausdorff:
         for _ in range(20):
             a = product(kx_set(random_word(rng, 3)), kx_set(random_word(rng, 3)))
             b = product(kx_set(random_word(rng, 3)), kx_set(random_word(rng, 3)))
-            exact = hausdorff_distance(a, b, "sup")
+            exact = hausdorff_distance(a, b)
             dense = max(self._sampled_directed(a, b), self._sampled_directed(b, a))
             assert Fraction(dense, 1 << (a.depth + 2)) == exact
 
@@ -180,15 +179,6 @@ class TestHausdorff:
         gaps = np.maximum(lo[None, :, :] - pa[:, None, :], pa[:, None, :] - hi[None, :, :])
         np.maximum(gaps, 0, out=gaps)
         return int(gaps.max(axis=2).min(axis=1).max())
-
-    def test_euclidean_1d_matches_sup(self):
-        a, b = kx_set("1010"), kx_set("0110")
-        assert hausdorff_distance(a, b, "euclidean") == hausdorff_distance(a, b, "sup")
-
-    def test_euclidean_2d_rejected(self):
-        a = product(kx_set("10"), kx_set("10"))
-        with pytest.raises(ValueError):
-            hausdorff_distance(a, a, "euclidean")
 
 
 class TestZoom:
@@ -258,6 +248,11 @@ class TestDecompose:
         ancs = [frozenset(c >> (len(bits) - n) for (c,) in p.leaves) for _, p in pieces]
         for s in ancs:
             assert len(s) == 1  # each piece sits in a single level-n cell
+
+    @pytest.mark.parametrize("n", [-1, 5])
+    def test_level_outside_the_prefix_refused(self, n):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\]"):
+            decompose("1011", n)
 
     def test_pieces_are_translates_of_shifted_set(self):
         w = Word.from_string("110101")
@@ -383,7 +378,18 @@ class TestMortonCodes:
                 want = {tuple(c >> (depth - m) for c in leaf) for leaf in s.leaves}
                 assert s.level_cells(m) == want and s.count(m) == len(want)
                 for cell in itertools.product(range(1 << m), repeat=d):
-                    assert (CubeIdx(m, cell) in s) == (cell in want)
+                    assert s.alive(m, cell) == (cell in want)
+
+    def test_alive_refuses_levels_and_answers_non_cells_false(self):
+        s = kx_set("11")
+        for level in (-1, 3):
+            with pytest.raises(ValueError, match="out of range for depth 2"):
+                s.alive(level, (0,))
+        assert s.alive(1, (1,)) and s.alive(1, [1]) and s.alive(1, (1.0,))
+        assert not s.alive(1, (0.5,))  # no cell, though it truncates to cell 0
+        assert not s.alive(1, (0, 0)) and not s.alive(1, ())  # wrong length
+        assert not s.alive(1, (2,)) and not s.alive(1, (-1,))  # out of range
+        assert not s.alive(1, ("1",)) and not s.alive(1, 1) and not s.alive(0, (2 ** 70,))
 
     def test_axis_0_takes_the_high_bit(self):
         assert dyadic._unmorton(np.arange(4), 1, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]

@@ -152,6 +152,8 @@ class TestIsBalanced:
     def test_max_factor_len_validated(self):
         with pytest.raises(ValueError):
             is_balanced("01", 3)
+        with pytest.raises(ValueError):
+            is_balanced("0011", -1)
 
     def test_beatty_prefix_exhaustive(self):
         w = beatty_balanced(Fraction(2, 5)).prefix(64)
